@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from ..errors import DomainError, NonElementaryConstantError
+from ..rewrite import reduce_exponents
 from ..words import EPSILON, Word, composition_of_word
 from .series import EvalParams, eval_li_word, eval_symfun
 from .symfun import SymFun, from_piece, theta, to_pieces
@@ -46,11 +47,7 @@ def _J(k: int, l: int, w: Word) -> SymFun:
         if u is not None:
             out -= Fraction(1, k) * _K(k, 0, u)
         return out
-    # k = 0, l >= 1: 1/(z (1-z)^l) = 1/z + sum of (1-z)^(-j), j = 1..l
-    out = _J(0, 0, w)
-    for j in range(1, l + 1):
-        out += _A(j, w)
-    return out
+    return _against_dz(reduce_exponents(-1, l), w)
 
 
 @lru_cache(maxsize=None)
@@ -60,17 +57,7 @@ def _K(k: int, l: int, w: Word) -> SymFun:
         return SymFun.from_li(X1 + w)
     if l >= 1:
         return _A(l + 1, w)
-    if k >= 1:
-        # z^k/(1-z) = 1/(1-z) - (1 + z + ... + z^(k-1))
-        out = _K(0, 0, w)
-        for i in range(k):
-            out -= _P(i, w)
-        return out
-    # k <= -1: 1/(z^k' (1-z)) = 1/z^k' + ... + 1/z + 1/(1-z)
-    out = _K(0, 0, w)
-    for i in range(1, -k + 1):
-        out += _J(1 - i, 0, w)
-    return out
+    return _against_dz(reduce_exponents(k, 1), w)
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +85,20 @@ def _P(i: int, w: Word) -> SymFun:
     u = _strip(w, 1)
     if u is not None:
         out -= Fraction(1, i + 1) * _K(i + 1, 0, u)
+    return out
+
+
+def _against_dz(pieces: dict, w: Word) -> SymFun:
+    """An antiderivative against dz of the sum of c z^k (1-z)^(-l) Li_w
+    over canonical pieces {(k, l): c} with k*l = 0."""
+    out = SymFun.zero()
+    for (k, l), c in pieces.items():
+        if l:
+            out += c * _A(l, w)
+        elif k >= 0:
+            out += c * _P(k, w)
+        else:
+            out += c * _J(k + 1, 0, w)
     return out
 
 
@@ -141,13 +142,10 @@ def limit_at_zero(f: SymFun) -> Fraction:
                 continue
             cs = _li_coeffs(u, -k)
             for p in range(dep, -k + 1):
-                if not cs[p]:
-                    continue
-                for j in range(0, -k - p + 1):
-                    b = comb(l - 1 + j, j) if l else (1 if j == 0 else 0)
-                    if b:
-                        m = k + p + j
-                        orders[m] = orders.get(m, Fraction(0)) + c * cs[p] * b
+                if cs[p]:
+                    # k <= 0 and k*l = 0: only the constant term of (1-z)^(-l)
+                    # reaches the orders <= 0
+                    orders[k + p] = orders.get(k + p, Fraction(0)) + c * cs[p]
         if any(m < 0 and v for m, v in orders.items()):
             raise DomainError("divergent basepoint limit at z = 0")
         a0 = orders.get(0, Fraction(0))
@@ -189,21 +187,15 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     """
     groups: dict = {}
     for (k, l, u, n), c in to_pieces(f).items():
-        groups.setdefault((u, n), []).append((k, l, c))
+        # z^k -> 1, so the piece contributes c (1-z)^(-l) (k*l = 0)
+        sig = groups.setdefault((u, n), {})
+        sig[-l] = sig.get(-l, Fraction(0)) + c
     exact = Fraction(0)
     approx = 0.0
     used_float = False
-    for (u, n), plist in sorted(
+    for (u, n), sig in sorted(
         groups.items(), key=lambda g: (len(g[0][0]), tuple(g[0][0]), g[0][1])
     ):
-        sig: dict = {}
-        for (k, l, c) in plist:
-            if k >= 0:
-                for i in range(0, min(k, l) + 1):
-                    sig[i - l] = sig.get(i - l, Fraction(0)) + c * comb(k, i) * (-1) ** i
-            else:
-                for i in range(0, l + 1):
-                    sig[i - l] = sig.get(i - l, Fraction(0)) + c * comb(-k - 1 + i, i)
         neg_beyond = any(j < -n and v for j, v in sig.items())
         at = sig.get(-n, Fraction(0))
         if len(u) == 0:

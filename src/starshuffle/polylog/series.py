@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ..errors import ConvergenceError, DomainError
-from ..star_series import StarSeries
+from ..star_series import StarSeries, term_sort_key
 from ..words import Word, composition_of_word
 from .symfun import SymFun, _reduce_trailing_x0
 
@@ -165,38 +165,31 @@ def eval_li_word(w: Word, p: EvalParams) -> complex:
     return total
 
 
-def eval_symfun(f: SymFun, p: EvalParams) -> complex:
-    """Evaluate a symbolic function at p.z."""
+def _eval_terms(terms: Iterable, p: EvalParams) -> complex:
+    """Sum c * Li_w(z) * z^a0 * (1-z)^(-a1) over pairs ((w, a0, a1), c),
+    in term order."""
     z = p.z
     total = 0j
-    for (k, l, w) in sorted(f.terms, key=lambda t: (t[0], t[1], len(t[2]), tuple(t[2]))):
-        c = f.terms[(k, l, w)]
-        if z == 0 and k < 0:
+    for (w, a0, a1), c in sorted(terms, key=lambda tc: term_sort_key(tc[0])):
+        if z == 0 and a0 < 0:
             raise DomainError("pole at z = 0")
-        val = z**k if k else 1.0 + 0j
-        if l:
-            val /= (1.0 - z) ** l
+        val = 1.0 + 0j
+        if a0:
+            val *= z ** float(a0) if z != 0 else 0j
+        if a1:
+            val *= (1.0 - z) ** (-float(a1))
         if len(w):
             val *= eval_li_word(w, p)
         total += float(c) * val
     return total
 
 
+def eval_symfun(f: SymFun, p: EvalParams) -> complex:
+    """Evaluate a symbolic function at p.z."""
+    return _eval_terms((((w, k, l), c) for (k, l, w), c in f.terms.items()), p)
+
+
 def eval_li2(s: StarSeries, p: EvalParams) -> complex:
     """Evaluate the extended polylogarithm of a star series:
     (w, a0, a1) maps to Li_w(z) * z^a0 * (1-z)^(-a1)."""
-    z = p.z
-    total = 0j
-    for t in sorted(s.terms, key=lambda t: (len(t.w), tuple(t.w), t.a0, t.a1)):
-        c = s.terms[t]
-        if z == 0 and t.a0 < 0:
-            raise DomainError("pole at z = 0")
-        val = 1.0 + 0j
-        if t.a0:
-            val *= z ** float(t.a0) if z != 0 else 0j
-        if t.a1:
-            val *= (1.0 - z) ** (-float(t.a1))
-        if len(t.w):
-            val *= eval_li_word(t.w, p)
-        total += float(c) * val
-    return total
+    return _eval_terms(s.terms.items(), p)

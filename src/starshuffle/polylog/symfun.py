@@ -3,25 +3,22 @@
 Keys are triples (k, l, w): an integer power of z, a nonnegative integer
 power of 1/(1-z), and the word indexing the polylogarithm (the empty word
 gives Li_epsilon = 1, and Li_{x0^n} = log^n(z)/n!).  Keys are canonicalized
-on insertion so that k*l = 0, via the partial-fraction identities
-
-    z^k (1-z)^-l = z^(k-1) (1-z)^-l - z^(k-1) (1-z)^-(l-1)    (k >= 1)
-    z^k (1-z)^-l = z^k (1-z)^-(l-1) + z^(k+1) (1-z)^-l        (k <= -1)
-
-and binomial expansion when a negative l is requested.  Reducing trailing
-x0 letters of the word part is triangular with unit diagonal, so the
-canonical keys are linearly independent as functions on the slit disc:
-equal SymFun objects are equal functions and conversely.
+on insertion to k*l = 0 and l >= 0 by rewrite.reduce_exponents, the
+closed-form reducer modulo the kernel ideal, so they are exactly the
+exponents of rewriting normal forms.  Reducing trailing x0 letters of the
+word part is triangular with unit diagonal, so the canonical keys are
+linearly independent as functions on the slit disc: equal SymFun objects
+are equal functions and conversely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from numbers import Rational
 
 from ..linear import LinearCombination
+from ..rewrite import reduce_exponents
 from ..shuffle_core import NCPoly, _shuffle_words, shuffle
 from ..words import EPSILON, Word
 
@@ -31,23 +28,15 @@ class SymFun(LinearCombination):
 
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
-        stack = [(key, coeff)]
-        while stack:
-            (k, l, w), c = stack.pop()
-            if not isinstance(k, int) or not isinstance(l, int):
-                raise ValueError("powers k and l must be integers")
-            if l < 0:
-                for i in range(-l + 1):
-                    stack.append(((k + i, 0, w), c * comb(-l, i) * (-1) ** i))
-            elif k > 0 and l > 0:
-                stack.append(((k - 1, l, w), c))
-                stack.append(((k - 1, l - 1, w), -c))
-            elif k < 0 and l > 0:
-                stack.append(((k, l - 1, w), c))
-                stack.append(((k + 1, l, w), c))
-            else:
-                canon = (k, l, w)
-                data[canon] = data.get(canon, 0) + c
+        k, l, w = key
+        if not isinstance(k, int) or not isinstance(l, int):
+            raise ValueError("powers k and l must be integers")
+        if l >= 0 and k * l == 0:  # already canonical, the common case
+            data[key] = data.get(key, 0) + coeff
+            return
+        for (k2, l2), m in reduce_exponents(k, l).items():
+            canon = (k2, l2, w)
+            data[canon] = data.get(canon, 0) + coeff * m
 
     @classmethod
     def one(cls) -> "SymFun":

@@ -1,23 +1,56 @@
-"""Rewriting star series into normal form modulo the kernel ideal.
+"""Normal forms of star series modulo the kernel ideal.
 
-Working in the Laurent subalgebra (integer x0-exponents k, natural
-x1-exponents l), the two congruences
+By the star-of-the-plane theorem the kernel of the extended polylogarithm
+is the ideal generated by x0* sh x1* - x1* + 1, and reducing modulo it is
+the algebra of the functions z^k (1-z)^(-l).  Working in the Laurent
+subalgebra (integer x0-exponents k, natural x1-exponents l), the terms
+with k * l = 0 are a basis of the quotient: they are the functions z^k
+and (1-z)^(-l), which are linearly independent.  reduce_exponents writes
+z^k (1-z)^(-l) in that basis in closed form, and normal_form applies it
+term by term; a series lies in the ideal exactly when its normal form
+is 0.
+
+rewrite_trace keeps the step rules as an opt-in trace and as a reference
+for the closed form:
 
     (k, l) -> (k - 1, l) - (k - 1, l - 1)        for k >= 1, l >= 1
     (k, l) -> (k, l - 1) + (k + 1, l)            for k <= -1, l >= 1
 
-hold modulo the ideal generated by x0* sh x1* - x1* + 1, and each step
-strictly decreases |k| + l on the rewritten monomial.  Iterating until no
-term has k != 0 and l >= 1 yields a normal form supported on terms with
-k * l = 0; a series lies in the ideal exactly when its normal form is 0.
+Each step strictly decreases |k| + l on the rewritten monomial and adds
+a shuffle multiple of the generator.
 """
 
 from __future__ import annotations
 
 import random
+from math import comb
 
 from .errors import DomainError
-from .star_series import StarSeries, StarTerm, term_sort_key
+from .star_series import StarSeries, StarTerm, star_term, term_sort_key
+
+
+def reduce_exponents(k: int, l: int) -> dict:
+    """z^k (1-z)^(-l) as {(k', l'): coeff} with k' * l' = 0 and l' >= 0.
+
+    For l < 0, (1-z)^|l| is expanded by the binomial theorem.  For k >= 1,
+    z = 1 - (1-z) is expanded by the binomial theorem.  For k = -m <= -1,
+    the partial fractions of z^-m (1-z)^-l are
+    sum_{i=1..m} C(m-i+l-1, l-1) z^-i + sum_{j=1..l} C(m+l-j-1, m-1) (1-z)^-j.
+    """
+    if l < 0:
+        return {(k + i, 0): (-1) ** i * comb(-l, i) for i in range(-l + 1)}
+    if k == 0 or l == 0:
+        return {(k, l): 1}
+    if k < 0:
+        m = -k
+        out = {(-i, 0): comb(m - i + l - 1, l - 1) for i in range(1, m + 1)}
+        out.update((((0, j), comb(m + l - j - 1, m - 1)) for j in range(1, l + 1)))
+        return out
+    out: dict = {}
+    for i in range(k + 1):
+        for key, c in reduce_exponents(0, l - i).items():
+            out[key] = out.get(key, 0) + (-1) ** i * comb(k, i) * c
+    return {key: c for key, c in out.items() if c}
 
 
 def _check_laurent(s: StarSeries) -> None:
@@ -25,6 +58,11 @@ def _check_laurent(s: StarSeries) -> None:
         raise DomainError(
             "rewriting needs integer x0-exponents and nonnegative integer x1-exponents"
         )
+
+
+def _check_strategy(strategy: str) -> None:
+    if strategy not in ("measure", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def _rewritable(terms: dict) -> list:
@@ -63,8 +101,7 @@ def rewrite_trace(
     any rewritable monomial using rng.
     """
     _check_laurent(s)
-    if strategy not in ("measure", "random"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    _check_strategy(strategy)
     if strategy == "random" and rng is None:
         rng = random.Random()
     terms = dict(s.terms)
@@ -86,10 +123,18 @@ def normal_form(
 ) -> StarSeries:
     """Normal form modulo the ideal: no term has both exponents nonzero.
 
-    The result does not depend on the strategy; "measure" is the
-    deterministic default.
+    The normal form is unique, so strategy and rng, which pick the step
+    order of rewrite_trace, do not change the result; strategy is still
+    validated.
     """
-    return rewrite_trace(s, strategy=strategy, rng=rng)[-1]
+    _check_laurent(s)
+    _check_strategy(strategy)
+    out: dict = {}
+    for t, c in s.terms.items():
+        for (k, l), m in reduce_exponents(int(t.a0), int(t.a1)).items():
+            key = star_term(t.w, k, l)
+            out[key] = out.get(key, 0) + c * m
+    return StarSeries(out)
 
 
 def kernel_member(s: StarSeries) -> bool:

@@ -34,7 +34,8 @@ def star_term(w: Word = EPSILON, a0=0, a1=0) -> StarTerm:
 
 
 def term_sort_key(t: StarTerm):
-    return (len(t.w), tuple(t.w), t.a0, t.a1)
+    w, a0, a1 = t
+    return (len(w), tuple(w), a0, a1)
 
 
 class StarSeries(LinearCombination):

@@ -1,6 +1,7 @@
 """Rewriting into normal form modulo the star-of-the-plane ideal."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starshuffle.errors import DomainError
-from starshuffle.rewrite import kernel_member, normal_form, rewrite_trace
+from starshuffle.polylog.symfun import SymFun
+from starshuffle.rewrite import kernel_member, normal_form, reduce_exponents, rewrite_trace
 from starshuffle.star_series import (
     StarSeries,
     StarTerm,
@@ -16,7 +18,7 @@ from starshuffle.star_series import (
     shuffle_star,
     star_term,
 )
-from starshuffle.words import Word
+from starshuffle.words import EPSILON, Word
 
 words_st = st.lists(st.integers(0, 1), max_size=3).map(Word)
 laurent_terms_st = st.tuples(
@@ -127,3 +129,34 @@ def test_rewrite_rejects_non_laurent_input():
         normal_form(plane_star(1, -1))
     with pytest.raises(ValueError):
         normal_form(plane_star(1, 1), strategy="bogus")
+
+
+def test_reducer_matches_step_rules_and_symfun_on_a_grid():
+    rng = random.Random(11)
+    for k in range(-12, 13):
+        for l in range(0, 13):
+            pieces = reduce_exponents(k, l)
+            assert all(kk * ll == 0 and ll >= 0 and c for (kk, ll), c in pieces.items())
+            as_series = StarSeries({star_term(EPSILON, kk, ll): c for (kk, ll), c in pieces.items()})
+            assert rewrite_trace(plane_star(k, l), "random", rng)[-1] == as_series, (k, l)
+            assert SymFun.monomial(k, l).terms == {
+                (kk, ll, EPSILON): c for (kk, ll), c in pieces.items()
+            }, (k, l)
+        for l in range(-4, 0):
+            assert SymFun.monomial(k, l).terms == {
+                (kk, ll, EPSILON): c for (kk, ll), c in reduce_exponents(k, l).items()
+            }, (k, l)
+
+
+def test_reducer_is_fast_at_large_exponents():
+    # the step rules take tens of seconds here, and lattice-path expansion
+    # of SymFun.monomial(-40, 40) would visit about C(80, 40) paths
+    for k in (200, -200):
+        start = time.perf_counter()
+        nf = normal_form(plane_star(k, 200))
+        assert time.perf_counter() - start < 1.0
+        assert all(t.a0 == 0 or t.a1 == 0 for t in nf.terms)
+    start = time.perf_counter()
+    f = SymFun.monomial(-40, 40)
+    assert time.perf_counter() - start < 1.0
+    assert len(f) == 80
