@@ -181,7 +181,8 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     Exact (a Fraction) whenever the value is rational; when the finite
     limit involves a polylogarithm constant at 1, raises
     NonElementaryConstantError unless numeric_fallback is set, in which
-    case a float is returned.  DomainError when the limit is infinite.
+    case a float is returned.  DomainError when the limit is infinite,
+    also when another group carries a non-elementary constant.
     Divergences are detected group by group in the reduced basis;
     cancellations across different Li_u log^n groups are out of scope.
     """
@@ -191,31 +192,26 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
         sig = groups.setdefault((u, n), {})
         sig[-l] = sig.get(-l, Fraction(0)) + c
     exact = Fraction(0)
-    approx = 0.0
-    used_float = False
+    constants = []
     for (u, n), sig in sorted(
         groups.items(), key=lambda g: (len(g[0][0]), tuple(g[0][0]), g[0][1])
     ):
         neg_beyond = any(j < -n and v for j, v in sig.items())
         at = sig.get(-n, Fraction(0))
+        if neg_beyond or (at and len(u) and u[0] == 1):
+            raise DomainError("divergent basepoint limit at z = 1")
         if len(u) == 0:
-            if neg_beyond:
-                raise DomainError("divergent basepoint limit at z = 1")
             exact += at * Fraction((-1) ** n, factorial(n))
-        elif u[0] == 0:
-            if neg_beyond:
-                raise DomainError("divergent basepoint limit at z = 1")
-            if at:
-                if not numeric_fallback:
-                    raise NonElementaryConstantError()
-                used_float = True
-                approx += float(at) * ((-1) ** n / factorial(n)) * _zeta_numeric(u)
-        else:
-            if neg_beyond or at:
-                raise DomainError("divergent basepoint limit at z = 1")
-    if used_float:
-        return float(exact) + approx
-    return exact
+        elif at:
+            constants.append((u, n, at))
+    if not constants:
+        return exact
+    if not numeric_fallback:
+        raise NonElementaryConstantError()
+    approx = 0.0
+    for u, n, at in constants:
+        approx += float(at) * ((-1) ** n / factorial(n)) * _zeta_numeric(u)
+    return float(exact) + approx
 
 
 def _piece_index(k: int, u: Word) -> int:

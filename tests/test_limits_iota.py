@@ -115,6 +115,16 @@ def test_limit_at_one_divergences():
         limit_at_one(SymFun.monomial(0, 2, Word("0")))
 
 
+def test_limit_at_one_divergence_wins_over_a_non_elementary_constant():
+    # Li_{x0x1} -> zeta(2) and Li_{x1} diverges; the sum diverges whatever
+    # the order in which the groups are visited
+    f = SymFun.from_li(Word("01")) + SymFun.from_li(Word("11"))
+    for fallback in (False, True):
+        with pytest.raises(DomainError) as info:
+            limit_at_one(f, numeric_fallback=fallback)
+        assert not isinstance(info.value, NonElementaryConstantError)
+
+
 def test_limit_at_one_non_elementary_constants():
     f = SymFun.from_li(Word("01"))
     with pytest.raises(NonElementaryConstantError, match="non-elementary"):
