@@ -379,3 +379,7 @@ def _fail(code: int, exc: Exception) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

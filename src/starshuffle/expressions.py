@@ -240,9 +240,15 @@ class _Parser:
         self.error(tok, f"expected an expression, found {tok.kind!r}")
 
 
+_TOO_DEEP = "expression nested too deeply"
+
+
 def parse_expr(text: str) -> Node:
     """Parse expression text into a tree; raises ExprSyntaxError."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExprSyntaxError(_TOO_DEEP) from None
 
 
 def _as_series(v: Value) -> Optional[StarSeries]:
@@ -380,8 +386,14 @@ class _Elaborator:
 
 
 def elaborate(text: str, node: Node) -> Value:
-    """Evaluate a parsed tree to a Fraction, StarSeries or YPoly."""
-    return _Elaborator(text).value(node)
+    """Evaluate a parsed tree to a Fraction, StarSeries or YPoly.
+
+    A tree nested deeper than the interpreter's recursion limit raises
+    ExprSyntaxError."""
+    try:
+        return _Elaborator(text).value(node)
+    except RecursionError:
+        raise ExprSyntaxError(_TOO_DEEP) from None
 
 
 def parse_value(text: str) -> Value:

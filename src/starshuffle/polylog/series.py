@@ -39,12 +39,14 @@ class EvalParams:
     def __post_init__(self):
         z = complex(self.z)
         object.__setattr__(self, "z", z)
+        if not cmath.isfinite(z):
+            raise DomainError("evaluation point must be finite")
         if abs(z) >= 1:
             raise DomainError("evaluation needs |z| < 1")
         if z.imag == 0 and z.real < 0:
             raise DomainError("evaluation point must avoid the negative real axis")
-        if not self.eps > 0:
-            raise DomainError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise DomainError("eps must be positive and finite")
 
 
 def _check_composition(s: Sequence[int], minimum: int) -> tuple:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starshuffle
 from starshuffle.cli import main
 
 GENERATOR = 'star(1,0) # star(0,1) - star(0,1) + 1'
@@ -206,3 +210,28 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "49/36\n"
+
+
+def test_module_entry_point_matches_main(capsys):
+    _, want, _ = run_cli(capsys, "lyndon", "3")
+    src = str(Path(starshuffle.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "starshuffle.cli", "lyndon", "3"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+    assert proc.stdout == want
+
+
+def test_deep_nesting_exits_with_syntax_error(capsys):
+    for argv in (("nf", "(" * 3000 + "1" + ")" * 3000), ("nf", "--", "-" * 3000 + "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err
+
+
+def test_non_finite_eval_arguments_are_domain_errors(capsys):
+    for argv in (("--z", "nan"), ("--z", "0.5", "--eps", "inf"), ("--z", "0.5", "--eps", "nan")):
+        code, out, _ = run_cli(capsys, "eval", 'w"1"', *argv)
+        assert code == 5, argv
+        assert out == ""

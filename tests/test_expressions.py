@@ -138,6 +138,18 @@ def test_syntax_errors():
             parse_value(text)
 
 
+DEEP_INPUTS = ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1")
+
+
+def test_deep_nesting_is_a_syntax_error():
+    for text in DEEP_INPUTS:
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse_value(text)
+    # nesting well inside the recursion limit still parses
+    assert parse_value("(" * 50 + "1" + ")" * 50) == Fraction(1)
+    assert parse_value("-" * 51 + "1") == Fraction(-1)
+
+
 def test_error_positions():
     with pytest.raises(ExprSyntaxError, match="line 1, column 6"):
         parse_value('w"0" @')

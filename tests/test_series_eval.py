@@ -116,6 +116,15 @@ def test_eval_params_domain():
     assert EvalParams(complex(-0.5, 0.1)).z == complex(-0.5, 0.1)
 
 
+def test_eval_params_reject_non_finite_values():
+    for z in (math.nan, complex(0.1, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(DomainError):
+            EvalParams(z)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            EvalParams(0.5, eps=eps)
+
+
 def test_eval_li_known_values():
     p = EvalParams(0.5)
     assert abs(eval_li_word(Word("1"), p) - math.log(2)) < 1e-11
