@@ -44,7 +44,8 @@ def reduce_exponents(k: int, l: int) -> dict:
     if k < 0:
         m = -k
         out = {(-i, 0): comb(m - i + l - 1, l - 1) for i in range(1, m + 1)}
-        out.update((((0, j), comb(m + l - j - 1, m - 1)) for j in range(1, l + 1)))
+        for j in range(1, l + 1):
+            out[(0, j)] = comb(m + l - j - 1, m - 1)
         return out
     out: dict = {}
     for i in range(k + 1):
