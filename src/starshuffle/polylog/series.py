@@ -4,9 +4,17 @@ harmonic_sum computes the finite multiple harmonic sum
 H_s(N) = sum over N >= n1 > ... > nr >= 1 of 1 / (n1^s1 ... nr^sr),
 exactly.  neg_taylor_coeff gives the N-th Taylor coefficient of the
 polylogarithm at nonpositive indices, which is the same nested sum with
-the powers flipped above the line.  eval_li_word sums the defining series
-Li_w(z) = sum z^n / n^s1 * H_(s2..sr)(n-1) with a relative-to-the-radius
-stopping rule.
+the powers flipped above the line.
+
+eval_li_word sums the defining series
+Li_w(z) = sum z^n / n^s1 * H_(s2..sr)(n-1).  The sum stops at the first
+n >= depth whose term has |term| < eps * (1 - |z|); for depth 1 the tail
+left behind is then below eps.  A request that cannot stop within
+max_terms terms is refused with ConvergenceError, up front whenever a
+closed-form lower bound on |term| proves it (see _li_series), so a
+hopeless request costs microseconds, not max_terms terms.  Terms are
+added in blocks of 256 and the block sums are added exactly with
+math.fsum, so the rounding of a long sum stays far below eps.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ class EvalParams:
             raise DomainError("evaluation point must avoid the negative real axis")
         if not 0 < self.eps < math.inf:
             raise DomainError("eps must be positive and finite")
+        if (isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int)
+                or self.max_terms < 1):
+            raise DomainError(f"max_terms must be an integer >= 1, got {self.max_terms!r}")
 
 
 def _check_composition(s: Sequence[int], minimum: int) -> tuple:
@@ -127,26 +138,99 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
+# Terms are added in blocks of this many; block sums go to math.fsum.
+_BLOCK = 256
+# Below exp(_LOG_TINY) ~ 1e-304 floats near the subnormal range and lose
+# relative precision, so the up-front bound is trusted only above it.
+_LOG_TINY = -700.0
+
+
+def _cannot_stop(s: tuple, z: complex, cutoff: float, max_terms: int) -> bool:
+    """True when no n <= max_terms can meet the stop rule of _li_series,
+    n >= depth and |term_n| < cutoff.
+
+    For n >= depth, h[0] = H_tail(n-1) >= H_tail(r) = prod_j (r-j)^-t_j,
+    r = len(tail), as h[0] never decreases; so
+    |term_n| >= |z|^n n^-s1 H_tail(r), which decreases in n.  If that bound
+    at n = max_terms still reaches cutoff, with room for the rounding of
+    max_terms float steps, the loop cannot stop.  Every False is safe: the
+    loop then decides.
+    """
+    depth = len(s)
+    if cutoff == 0.0 or max_terms < depth:
+        return True
+    radius = abs(z)
+    if z == 0 or max_terms * (1.0 - radius) > -math.log(cutoff):
+        # |z|^max_terms <= exp(-max_terms (1 - |z|)) < cutoff: cannot fire
+        return False
+    tail = s[1:]
+    log_bound = (max_terms * math.log(radius) - s[0] * math.log(max_terms)
+                 - sum(t * math.log(len(tail) - j) for j, t in enumerate(tail)))
+    log_cutoff = math.log(cutoff)
+    # The computed |term_n| may sit a few roundoffs (2^-53) per term summed
+    # below its exact value, and each log a few roundoffs of its size;
+    # allow 128 of each.
+    margin = 128 * 2.0**-53 * (max_terms + depth + 8 - log_bound + abs(log_cutoff))
+    return log_bound - margin >= max(log_cutoff, _LOG_TINY)
+
+
 def _li_series(u: Word, p: EvalParams) -> complex:
-    """Sum the series for Li_u, u ending in x1, at p.z."""
+    """Sum the series for Li_u, u ending in x1, at p.z.
+
+    Stop rule: stop after the first term n >= depth with
+    |term_n| < eps * (1 - |z|).  For depth 1 the terms |z|^n / n^s1 shrink
+    at least geometrically, so the tail left behind is below eps; deeper
+    words grow h[0] = H_tail(n-1) slowly and the rule is a heuristic.
+
+    Refusal: ConvergenceError is raised when max_terms terms do not meet
+    the rule.  _cannot_stop proves this up front from the lower bound
+    |term_n| >= |z|^n n^-s1 H_tail(len(tail)).  At depth 1 h[0] = 1, the
+    bound is the term itself, and a hopeless request is refused up front
+    unless it lies within rounding of the boundary or below
+    exp(_LOG_TINY).  Deeper words grow h[0], so there the bound is conservative and
+    some hopeless requests are still refused by the loop after max_terms
+    terms.  Both routes raise the same message.
+
+    Summation: terms are added in blocks of _BLOCK, and the block sums'
+    real and imaginary parts are added with math.fsum, so rounding grows
+    with the block length, not the term count.  Up to _BLOCK terms the
+    result equals plain left-to-right addition bitwise.
+    """
     s = composition_of_word(u)
     s1 = s[0]
     tail = s[1:]
-    h = [0j] * len(tail) + [1.0 + 0j]
     z = p.z
-    total = 0j
-    zn = 1.0 + 0j
+    n_max = p.max_terms
     cutoff = p.eps * (1.0 - abs(z))
+    if _cannot_stop(s, z, cutoff, n_max):
+        raise _no_convergence(n_max, cutoff)
+    h = [0j] * len(tail) + [1.0 + 0j]
+    zn = 1.0 + 0j
     depth = len(s)
-    for n in range(1, p.max_terms + 1):
-        zn *= z
-        term = zn / n**s1 * h[0]
-        total += term
-        if n >= depth and abs(term) < cutoff:
-            return total
-        for j in range(len(tail)):
-            h[j] += h[j + 1] / n ** tail[j]
-    raise ConvergenceError("no convergence at tolerance")
+    rows = range(len(tail))
+    re_parts, im_parts = [], []
+    for start in range(1, n_max + 1, _BLOCK):
+        block = 0j
+        for n in range(start, min(start + _BLOCK, n_max + 1)):
+            zn *= z
+            term = zn / n**s1 * h[0]
+            block += term
+            if n >= depth and abs(term) < cutoff:
+                re_parts.append(block.real)
+                im_parts.append(block.imag)
+                return complex(math.fsum(re_parts), math.fsum(im_parts))
+            for j in rows:
+                h[j] += h[j + 1] / n ** tail[j]
+        re_parts.append(block.real)
+        im_parts.append(block.imag)
+    raise _no_convergence(n_max, cutoff)
+
+
+def _no_convergence(n_max: int, cutoff: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"no convergence at tolerance: {n_max} terms leave |term| above "
+        f"eps*(1-|z|) = {cutoff:.3g}"
+    )
 
 
 def eval_li_word(w: Word, p: EvalParams) -> complex:

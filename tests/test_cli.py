@@ -235,3 +235,14 @@ def test_non_finite_eval_arguments_are_domain_errors(capsys):
         code, out, _ = run_cli(capsys, "eval", 'w"1"', *argv)
         assert code == 5, argv
         assert out == ""
+
+
+def test_hopeless_eval_is_refused_fast(capsys):
+    import time
+
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", 'w"1"', "--z", "0.999999", "--eps", "1e-14")
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: no convergence at tolerance")

@@ -228,3 +228,106 @@ def test_eval_is_deterministic():
     a = eval_li2(s, p)
     b = eval_li2(s, p)
     assert a == b
+
+
+def _plain_li_series(u, p):
+    """The stop-rule loop with no up-front bound and left-to-right
+    addition: (value, terms summed), or (None, max_terms) on exhaustion."""
+    from starshuffle.words import composition_of_word
+
+    s = composition_of_word(u)
+    tail = s[1:]
+    h = [0j] * len(tail) + [1.0 + 0j]
+    total, zn = 0j, 1.0 + 0j
+    cutoff = p.eps * (1.0 - abs(p.z))
+    for n in range(1, p.max_terms + 1):
+        zn *= p.z
+        term = zn / n ** s[0] * h[0]
+        total += term
+        if n >= len(s) and abs(term) < cutoff:
+            return total, n
+        for j in range(len(tail)):
+            h[j] += h[j + 1] / n ** tail[j]
+    return None, p.max_terms
+
+
+def test_li_series_refuses_exactly_when_the_plain_loop_does():
+    import cmath
+    import random
+
+    from starshuffle.polylog.series import _li_series
+
+    def li_or_none(u, p):
+        try:
+            return _li_series(u, p)
+        except ConvergenceError:
+            return None
+
+    rng = random.Random(20161)
+    outcomes = set()
+    for _ in range(300):
+        comp = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        r = 1 - 10 ** rng.uniform(-4, math.log10(0.5))
+        z = r if rng.random() < 0.5 else cmath.rect(r, rng.uniform(-3, 3))
+        p = EvalParams(z, eps=10 ** rng.uniform(-15, -3),
+                       max_terms=int(10 ** rng.uniform(0, math.log10(20000))))
+        u = word_of_composition(comp)
+        want, n = _plain_li_series(u, p)
+        got = li_or_none(u, p)
+        assert (got is None) == (want is None), (comp, z, p)
+        outcomes.add(got is None)
+        if got is not None and n <= 256:
+            assert got == want, (comp, z, p)
+        elif got is not None:
+            assert abs(got - want) <= 1e-12 * abs(want), (comp, z, p)
+    assert outcomes == {True, False}
+    # eps placed so that the lower bound |z|^N N^-s1 H_tail(depth-1) at
+    # N = max_terms sits just above or below eps * (1 - |z|)
+    for _ in range(300):
+        comp = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
+        tail = comp[1:]
+        r = 1 - 10 ** rng.uniform(-3, -1)
+        z = r if rng.random() < 0.5 else cmath.rect(r, rng.uniform(-3, 3))
+        n_max = rng.randint(len(comp), 3000)
+        bound = r**n_max / n_max ** comp[0] * math.prod(
+            (len(tail) - j) ** -t for j, t in enumerate(tail))
+        delta = rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -2)
+        p = EvalParams(z, eps=bound * (1 + delta) / (1 - r), max_terms=n_max)
+        u = word_of_composition(comp)
+        want, _ = _plain_li_series(u, p)
+        got = li_or_none(u, p)
+        assert (got is None) == (want is None), (comp, z, p)
+
+
+def test_hopeless_requests_are_refused_fast():
+    import time
+
+    p = EvalParams(0.999999, eps=1e-14)
+    requests = [
+        (eval_li_word, Word("1"), p),
+        (eval_symfun, SymFun.from_li(Word("01")), p),
+        (eval_li2, StarSeries({star_term(Word("11")): 1}), p),
+        (eval_li_word, Word("1"), EvalParams(0.5, eps=5e-324)),
+    ]
+    for fn, arg, params in requests:
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="no convergence at tolerance"):
+            fn(arg, params)
+        assert time.perf_counter() - t0 < 0.1, (fn.__name__, arg)
+
+
+def test_li_x1_reaches_eps_near_the_circle():
+    import cmath
+
+    for z in (0.9999, 0.99988, 0.99995, complex(0.9999, 0.001)):
+        got = eval_li_word(Word("1"), EvalParams(z, eps=1e-12))
+        assert abs(got + cmath.log(1 - z)) <= 1e-12, z
+
+
+def test_max_terms_must_be_a_positive_int():
+    for bad in (2.5, 0, -5, True, False, "10", None):
+        with pytest.raises(DomainError, match="max_terms"):
+            EvalParams(0.5, max_terms=bad)
+    assert eval_li_word(Word("1"), EvalParams(0.0, max_terms=1)) == 0
+    with pytest.raises(ConvergenceError):
+        eval_li_word(Word("11"), EvalParams(0.5, max_terms=1))
