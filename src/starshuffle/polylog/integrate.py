@@ -1,12 +1,23 @@
 """Antiderivations, basepoint limits, and word-indexed operator strings.
 
 The two sections iota_0 and iota_1 integrate a symbolic function against
-dz/z and dz/(1-z).  Antiderivatives are computed exactly by integration by
-parts inside the span of z^k (1-z)^(-l) Li_w; the integration constant is
-fixed by a basepoint limit.  iota_1 is always anchored at 0.  iota_0 is
-anchored piecewise: a reduced piece z^k (1-z)^(-l) Li_u log^n/n! of index
-k + |u| >= 1 is anchored at 0, otherwise at 1, which makes the string of
-operators read off a word reproduce the polylogarithm of that word.
+dz/z and dz/(1-z).  Antiderivatives are computed exactly inside the span of
+z^k (1-z)^(-l) Li_w by four cached tables, each with one job:
+
+    _P(i, w)     integral of z^i Li_w dz for every integer i, by parts,
+                 with base case i = -1 -> Li_{x0 w};
+    _A(j, w)     integral of (1-z)^(-j) Li_w dz for j >= 1, by parts,
+                 with base case j = 1 -> Li_{x1 w};
+    _J(k, l, w)  integral against dz/z, and
+    _K(k, l, w)  integral against dz/(1-z): both write the integrand
+                 against dz with rewrite.reduce_exponents and sum
+                 _P and _A over the pieces.
+
+The integration constant is fixed by a basepoint limit.  iota_1 is
+always anchored at 0.  iota_0 is anchored piecewise: a reduced piece
+z^k (1-z)^(-l) Li_u log^n/n! of index k + |u| >= 1 is anchored at 0,
+otherwise at 1, which makes the string of operators read off a word
+reproduce the polylogarithm of that word.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from math import factorial
 
 from ..errors import DomainError, NonElementaryConstantError
 from ..rewrite import reduce_exponents
-from ..words import EPSILON, Word, composition_of_word
+from ..words import Word, composition_of_word
 from .series import EvalParams, eval_li_word, eval_symfun
 from .symfun import SymFun, from_piece, theta, to_pieces
 
@@ -36,35 +47,20 @@ def _strip(w: Word, letter: int):
 @lru_cache(maxsize=None)
 def _J(k: int, l: int, w: Word) -> SymFun:
     """An antiderivative of z^k (1-z)^(-l) Li_w against dz/z."""
-    if l == 0 and k == 0:
-        return SymFun.from_li(X0 + w)
-    if l == 0:
-        out = SymFun.monomial(k, 0, w, Fraction(1, k))
-        u = _strip(w, 0)
-        if u is not None:
-            out -= Fraction(1, k) * _J(k, 0, u)
-        u = _strip(w, 1)
-        if u is not None:
-            out -= Fraction(1, k) * _K(k, 0, u)
-        return out
-    return _against_dz(reduce_exponents(-1, l), w)
+    return _against_dz(reduce_exponents(k - 1, l), w)
 
 
 @lru_cache(maxsize=None)
 def _K(k: int, l: int, w: Word) -> SymFun:
     """An antiderivative of z^k (1-z)^(-l) Li_w against dz/(1-z)."""
-    if l == 0 and k == 0:
-        return SymFun.from_li(X1 + w)
-    if l >= 1:
-        return _A(l + 1, w)
-    return _against_dz(reduce_exponents(k, 1), w)
+    return _against_dz(reduce_exponents(k, l + 1), w)
 
 
 @lru_cache(maxsize=None)
 def _A(j: int, w: Word) -> SymFun:
-    """An antiderivative of (1-z)^(-j) Li_w against dz."""
+    """An antiderivative of (1-z)^(-j) Li_w against dz, j >= 1."""
     if j == 1:
-        return _K(0, 0, w)
+        return SymFun.from_li(X1 + w)
     out = SymFun.monomial(0, j - 1, w, Fraction(1, j - 1))
     u = _strip(w, 0)
     if u is not None:
@@ -77,11 +73,13 @@ def _A(j: int, w: Word) -> SymFun:
 
 @lru_cache(maxsize=None)
 def _P(i: int, w: Word) -> SymFun:
-    """An antiderivative of z^i Li_w against dz, i >= 0."""
+    """An antiderivative of z^i Li_w against dz, for every integer i."""
+    if i == -1:
+        return SymFun.from_li(X0 + w)
     out = SymFun.monomial(i + 1, 0, w, Fraction(1, i + 1))
     u = _strip(w, 0)
     if u is not None:
-        out -= Fraction(1, i + 1) * _J(i + 1, 0, u)
+        out -= Fraction(1, i + 1) * _P(i, u)
     u = _strip(w, 1)
     if u is not None:
         out -= Fraction(1, i + 1) * _K(i + 1, 0, u)
@@ -91,15 +89,11 @@ def _P(i: int, w: Word) -> SymFun:
 def _against_dz(pieces: dict, w: Word) -> SymFun:
     """An antiderivative against dz of the sum of c z^k (1-z)^(-l) Li_w
     over canonical pieces {(k, l): c} with k*l = 0."""
-    out = SymFun.zero()
+    terms: list = []
     for (k, l), c in pieces.items():
-        if l:
-            out += c * _A(l, w)
-        elif k >= 0:
-            out += c * _P(k, w)
-        else:
-            out += c * _J(k + 1, 0, w)
-    return out
+        table = _A(l, w) if l else _P(k, w)
+        terms += [(key, c * v) for key, v in table.terms.items()]
+    return SymFun(terms)
 
 
 def _antiderivative(i: int, f: SymFun) -> SymFun:

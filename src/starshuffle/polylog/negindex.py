@@ -12,6 +12,10 @@ shuffle powers of (x0+x1)*, of x0* sh x1*, and of x1* - 1; the nested
 summation indices k_i range over 0..M_i with M_i = s1+..+si - (k1+..+
 k_{i-1}), the last index being forced to k_r = M_r (its binomial is 1),
 and each term carries the product of the remaining binomials C(M_i, k_i).
+The series routes read the coefficients off the normal form of that
+series modulo the kernel ideal (rewrite.normal_form), so they check the
+reducer.  The recursion route keeps its own arithmetic on polynomials in
+Y on purpose: it is the one route that does not go through the reducer.
 All routes are normalized so the depth >= 1 closed forms vanish at z = 0.
 """
 
@@ -22,6 +26,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from ..errors import DomainError
+from ..rewrite import normal_form
 from ..star_series import StarSeries, plane_star, shuffle_power, shuffle_star
 from .series import _check_composition, stirling2
 
@@ -91,23 +96,14 @@ def build_neg_series(s: Iterable[int], route: str = "T") -> StarSeries:
 
 
 def _closed_form_from_series(series: StarSeries) -> list:
-    """Convert a star series supported on empty words with integer
-    exponents 0 <= a0 <= a1 into coefficients on powers of 1/(1-z),
-    using z^a = (1 - (1-z))^a."""
+    """Read the coefficients on powers of 1/(1-z) off the normal form of
+    a star series; DomainError unless only such powers survive."""
     out: dict = {}
-    for t, c in series.terms.items():
-        if len(t.w) != 0:
-            raise DomainError("series has word parts; not a pure star polynomial")
-        if t.a0.denominator != 1 or t.a1.denominator != 1 or t.a0 < 0 or t.a1 < 0:
-            raise DomainError("series exponents do not lie in Z[1/(1-z)]")
-        if t.a0 > t.a1:
+    for t, c in normal_form(series).terms.items():
+        if len(t.w) or t.a0:
             raise DomainError("series does not lie in Z[1/(1-z)]")
-        a0, a1 = int(t.a0), int(t.a1)
-        for i in range(a0 + 1):
-            j = a1 - i
-            out[j] = out.get(j, Fraction(0)) + c * comb(a0, i) * (-1) ** i
-    deg = max((j for j, v in out.items() if v), default=0)
-    return [out.get(j, Fraction(0)) for j in range(deg + 1)]
+        out[int(t.a1)] = c
+    return [out.get(j, Fraction(0)) for j in range(max(out, default=0) + 1)]
 
 
 def _lambda_times(p: list) -> list:

@@ -195,6 +195,11 @@ def _li_series(u: Word, p: EvalParams) -> complex:
     real and imaginary parts are added with math.fsum, so rounding grows
     with the block length, not the term count.  Up to _BLOCK terms the
     result equals plain left-to-right addition bitwise.
+
+    Overflow: once a power n^t of the composition is past the float range,
+    so is every later one, and what it still divides adds up to below
+    2^-1000 times the largest h.  A row h[j] then stays put, and the rows
+    above it no longer matter; when n^s1 overflows, the sum stops there.
     """
     s = composition_of_word(u)
     s1 = s[0]
@@ -209,20 +214,28 @@ def _li_series(u: Word, p: EvalParams) -> complex:
     depth = len(s)
     rows = range(len(tail))
     re_parts, im_parts = [], []
-    for start in range(1, n_max + 1, _BLOCK):
-        block = 0j
-        for n in range(start, min(start + _BLOCK, n_max + 1)):
-            zn *= z
-            term = zn / n**s1 * h[0]
-            block += term
-            if n >= depth and abs(term) < cutoff:
-                re_parts.append(block.real)
-                im_parts.append(block.imag)
-                return complex(math.fsum(re_parts), math.fsum(im_parts))
-            for j in rows:
-                h[j] += h[j + 1] / n ** tail[j]
-        re_parts.append(block.real)
-        im_parts.append(block.imag)
+    try:
+        for start in range(1, n_max + 1, _BLOCK):
+            block = 0j
+            for n in range(start, min(start + _BLOCK, n_max + 1)):
+                zn *= z
+                term = zn / n**s1 * h[0]
+                block += term
+                if n >= depth and abs(term) < cutoff:
+                    re_parts.append(block.real)
+                    im_parts.append(block.imag)
+                    return complex(math.fsum(re_parts), math.fsum(im_parts))
+                for j in rows:
+                    try:
+                        h[j] += h[j + 1] / n ** tail[j]
+                    except OverflowError:  # h[j] stays put from here on
+                        rows = range(j)
+                        break
+            re_parts.append(block.real)
+            im_parts.append(block.imag)
+    except OverflowError:  # of n**s1; caught out here so that terms cost no more
+        return complex(math.fsum(re_parts + [block.real]),
+                       math.fsum(im_parts + [block.imag]))
     raise _no_convergence(n_max, cutoff)
 
 

@@ -136,10 +136,7 @@ def reduce_trailing_x0(w: Word) -> dict:
 def from_piece(k: int, l: int, u: Word, n: int) -> SymFun:
     """The function z^k (1-z)^(-l) Li_u log^n(z)/n! as a SymFun, using
     Li_u log^n/n! = Li_{u sh x0^n}."""
-    out: list = []
-    for t, m in _shuffle_words(u, Word([0] * n)).items():
-        out.append(((k, l, t), m))
-    return SymFun(out)
+    return SymFun.monomial(k, l, u) * SymFun.from_li(Word([0] * n))
 
 
 def to_pieces(f: SymFun) -> dict:

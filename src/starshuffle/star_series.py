@@ -14,7 +14,6 @@ algebra embeds as the terms with a0 = a1 = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -45,13 +44,6 @@ class StarSeries(LinearCombination):
     @classmethod
     def one(cls) -> "StarSeries":
         return cls({star_term(): 1})
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def is_laurent(self) -> bool:
         """True when every x0-exponent is an integer and every x1-exponent

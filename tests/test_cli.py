@@ -246,3 +246,10 @@ def test_hopeless_eval_is_refused_fast(capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("error: no convergence at tolerance")
+
+
+def test_eval_of_powers_past_the_float_range(capsys):
+    word = 'w"1' + "0" * 1099 + '1"'
+    code, out, err = run_cli(capsys, "eval", word, "--z", "0.5")
+    assert code == 0, err
+    assert abs(float(out) - (math.log(2) - 0.5)) < 1e-12

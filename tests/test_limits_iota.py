@@ -274,3 +274,19 @@ def test_discontinuity_demo_limits():
 def test_iota_rejects_bad_index():
     with pytest.raises(ValueError):
         iota(2, SymFun.one())
+
+
+def test_antiderivative_tables_are_sections_of_theta_on_a_grid():
+    from starshuffle.polylog.integrate import _A, _J, _K, _P
+
+    words = [Word([(bits >> i) & 1 for i in range(n)])
+             for n in range(4) for bits in range(1 << n)]
+    keys = [(k, 0) for k in range(-8, 9)] + [(0, l) for l in range(1, 9)]
+    for w in words:
+        for k, l in keys:
+            assert theta(0, _J(k, l, w)) == SymFun.monomial(k, l, w), (k, l, w)
+            assert theta(1, _K(k, l, w)) == SymFun.monomial(k, l, w), (k, l, w)
+        for i in range(-8, 9):
+            assert theta(0, _P(i, w)) == SymFun.monomial(i + 1, 0, w), (i, w)
+        for j in range(1, 9):
+            assert theta(1, _A(j, w)) == SymFun.monomial(0, j - 1, w), (j, w)

@@ -108,3 +108,11 @@ def test_closed_form_conversion_rejects_foreign_series():
         _closed_form_from_series(plane_star(-1, 2))
     with pytest.raises(DomainError):
         _closed_form_from_series(plane_star(Fraction(1, 2), 1))
+
+
+def test_closed_form_conversion_reads_the_normal_form():
+    from starshuffle.polylog.negindex import _closed_form_from_series
+
+    # z^2/(1-z) + z = 1/(1-z) - 1: the z-powers of the two terms cancel
+    series = plane_star(2, 1) + plane_star(1, 0)
+    assert _closed_form_from_series(series) == [-1, 1]

@@ -331,3 +331,18 @@ def test_max_terms_must_be_a_positive_int():
     assert eval_li_word(Word("1"), EvalParams(0.0, max_terms=1)) == 0
     with pytest.raises(ConvergenceError):
         eval_li_word(Word("11"), EvalParams(0.5, max_terms=1))
+
+
+def test_powers_past_the_float_range_do_not_overflow():
+    # 1100 = s2 in 1 x0^1099 x1 and s1 in x0^1099 x1: n^1100 > 2^1024 from n = 2
+    x0_1099 = "0" * 1099
+    got = eval_li_word(Word("1" + x0_1099 + "1"), EvalParams(0.5))
+    assert abs(got - (math.log(2) - 0.5)) < 1e-12
+    assert eval_li_word(Word(x0_1099 + "1"), EvalParams(0.5)) == 0.5
+    # composition (1, 1, 1100): the row below the frozen one keeps summing,
+    # and H_(1,1100)(n-1) = H_(n-1) - 1 for n >= 2
+    got = eval_li_word(Word("11" + x0_1099 + "1"), EvalParams(0.5))
+    assert abs(got - (math.log(0.5) ** 2 / 2 + math.log(0.5) + 0.5)) < 1e-12
+    # 1 x0^59 x1 only overflows n^60 beyond n ~ 1.4e5
+    got = eval_li_word(Word("1" + "0" * 59 + "1"), EvalParams(0.99999))
+    assert abs(got - (-math.log(1e-5) - 0.99999)) < 1e-11
