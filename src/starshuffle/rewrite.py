@@ -23,10 +23,12 @@ a shuffle multiple of the generator.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import comb
 
 from .errors import DomainError
-from .star_series import StarSeries, StarTerm, star_term, term_sort_key
+from .linear import _common_scale, _fractions
+from .star_series import StarSeries, StarTerm, term_sort_key
 
 
 def reduce_exponents(k: int, l: int) -> dict:
@@ -106,7 +108,7 @@ def rewrite_trace(
     if strategy == "random" and rng is None:
         rng = random.Random()
     terms = dict(s.terms)
-    states = [StarSeries(terms)]
+    states = [StarSeries._trusted(dict(terms))]
     while True:
         candidates = _rewritable(terms)
         if not candidates:
@@ -116,7 +118,7 @@ def rewrite_trace(
         else:
             t = rng.choice(sorted(candidates, key=term_sort_key))
         _apply_rule(terms, t)
-        states.append(StarSeries(terms))
+        states.append(StarSeries._trusted(dict(terms)))
 
 
 def normal_form(
@@ -130,12 +132,16 @@ def normal_form(
     """
     _check_laurent(s)
     _check_strategy(strategy)
-    out: dict = {}
-    for t, c in s.terms.items():
+    # Summed on (w, k, l) with int numerators: Fraction keys hash slowly.
+    nums, den = _common_scale(s.terms.values())
+    acc: dict = {}
+    for t, c in zip(s.terms, nums):
+        w = t.w
         for (k, l), m in reduce_exponents(int(t.a0), int(t.a1)).items():
-            key = star_term(t.w, k, l)
-            out[key] = out.get(key, 0) + c * m
-    return StarSeries(out)
+            key = (w, k, l)
+            acc[key] = acc.get(key, 0) + c * m
+    return StarSeries._trusted({StarTerm(w, Fraction(k), Fraction(l)): c
+                                for (w, k, l), c in _fractions(acc, den).items()})
 
 
 def kernel_member(s: StarSeries) -> bool:

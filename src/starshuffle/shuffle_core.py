@@ -6,6 +6,26 @@ right residuals, the exchangeability test and the X/Y projections live here
 as module functions.  YPoly is the analogue over the indexed alphabet
 {y_k : k >= 1}, whose words are tuples of positive integers, with the
 quasi-shuffle (stuffle) product.
+
+The kernels run on packed integers and build Words only at the public
+boundary.  A word of length n is the int of its letter bits (bit i is
+letter i, as in Word.bits); where words of different lengths share a
+dict, the key carries a sentinel top bit, ``bits | 1 << n``, so that
+x0-padded words stay apart.  _shuffle_bits is a dynamic programme over
+prefix lengths: cell (i, j) of its table holds u[:i] sh v[:j], filled
+from (i - 1, j) by appending u[i-1] and from (i, j - 1) by appending
+v[j-1], in that order.  Appending a letter at position i + j - 1 ors in
+one bit, and appending x0 copies the key unchanged.  _stuffle_words runs
+the same programme over suffix lengths.  Both fill their cells in the
+order of the first-letter recursion they replace, so result dicts keep
+that recursion's iteration order.  Multiplicities stay ints: shuffle and
+stuffle scale the coefficients of each factor to one common
+denominator, sum plain ints, and build one Fraction per distinct output
+value.
+
+_shuffle_words and _stuffle_words cache whole products, never the
+prefix or suffix pairs of a table, in lru caches of fixed size; shuffle
+itself sums _shuffle_bits directly and does not read the cache.
 """
 
 from __future__ import annotations
@@ -15,7 +35,7 @@ from functools import lru_cache
 from math import comb
 from numbers import Rational
 
-from .linear import LinearCombination
+from .linear import LinearCombination, _common_scale, _fractions
 from .words import EPSILON, Word, composition_of_word, word_of_composition
 
 
@@ -59,37 +79,67 @@ def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     return NCPoly(out)
 
 
-@lru_cache(maxsize=None)
+def _shuffle_bits(ub: int, a: int, vb: int, b: int) -> dict:
+    """Shuffle of the words with letter bits ub (length a) and vb (length b)
+    as a {bits: multiplicity} map; every key has length a + b.
+
+    The caller owns the returned dict.
+    """
+    prev = [{vb & ((1 << j) - 1): 1} for j in range(b + 1)]
+    for i in range(1, a + 1):
+        u_letter = (ub >> (i - 1)) & 1
+        left = {ub & ((1 << i) - 1): 1}
+        row = [left]
+        for j in range(1, b + 1):
+            pos = 1 << (i + j - 1)
+            # prev[j] = u[:i-1] sh v[:j] has no reader left, so it is reused.
+            if u_letter:
+                out = {w | pos: c for w, c in prev[j].items()}
+            else:
+                out = prev[j]
+            if (vb >> (j - 1)) & 1:
+                for w, c in left.items():
+                    w |= pos
+                    out[w] = out.get(w, 0) + c
+            else:
+                for w, c in left.items():
+                    out[w] = out.get(w, 0) + c
+            row.append(out)
+            left = out
+        prev = row
+    return prev[b]
+
+
+@lru_cache(maxsize=1024)
 def _shuffle_words(u: Word, v: Word) -> dict:
     """Shuffle of two words as a Word -> int multiplicity map.
 
     Cached; callers must treat the returned dict as read-only.
     """
-    if len(u) == 0:
-        return {v: 1}
-    if len(v) == 0:
-        return {u: 1}
-    out: dict = {}
-    lu = Word._raw(u[-1], 1)
-    lv = Word._raw(v[-1], 1)
-    for w, c in _shuffle_words(u[:-1], v).items():
-        key = w + lu
-        out[key] = out.get(key, 0) + c
-    for w, c in _shuffle_words(u, v[:-1]).items():
-        key = w + lv
-        out[key] = out.get(key, 0) + c
-    return out
+    n = u.n + v.n
+    raw = Word._raw
+    return {raw(w, n): c for w, c in _shuffle_bits(u.bits, u.n, v.bits, v.n).items()}
+
+
+def _word(s: int) -> Word:
+    """The Word of a sentinel key bits | 1 << n."""
+    n = s.bit_length() - 1
+    return Word._raw(s ^ (1 << n), n)
 
 
 def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
     """Shuffle product, extended bilinearly."""
-    out: dict = {}
-    for u, cu in p.terms.items():
-        for v, cv in q.terms.items():
+    p_nums, p_den = _common_scale(p.terms.values())
+    q_nums, q_den = _common_scale(q.terms.values())
+    acc: dict = {}
+    for u, cu in zip(p.terms, p_nums):
+        for v, cv in zip(q.terms, q_nums):
             c = cu * cv
-            for w, m in _shuffle_words(u, v).items():
-                out[w] = out.get(w, 0) + c * m
-    return NCPoly(out)
+            top = 1 << (u.n + v.n)
+            for w, m in _shuffle_bits(u.bits, u.n, v.bits, v.n).items():
+                w |= top
+                acc[w] = acc.get(w, 0) + c * m
+    return NCPoly._trusted({_word(w): c for w, c in _fractions(acc, p_den * q_den).items()})
 
 
 def unshuffle(w: Word) -> dict:
@@ -99,17 +149,20 @@ def unshuffle(w: Word) -> dict:
     x (x) 1 + 1 (x) x over its letters.  Dual to shuffle:
     sum of m * <p|w1><q|w2> over the coproduct equals <shuffle(p, q)|w>.
     """
-    out = {(EPSILON, EPSILON): Fraction(1)}
-    for a in w:
-        letter = Word._raw(a, 1)
+    # Keys are pairs of sentinel ints; appending letter a to a word of
+    # length n adds (a + 1) << n, which moves the sentinel up one place.
+    out = {(1, 1): 1}
+    for t, a in enumerate(w):
+        a += 1
         nxt: dict = {}
         for (u, v), c in out.items():
-            k1 = (u + letter, v)
+            n = u.bit_length() - 1
+            k1 = (u + (a << n), v)
             nxt[k1] = nxt.get(k1, 0) + c
-            k2 = (u, v + letter)
+            k2 = (u, v + (a << (t - n)))
             nxt[k2] = nxt.get(k2, 0) + c
         out = nxt
-    return out
+    return {(_word(u), _word(v)): c for (u, v), c in _fractions(out, 1).items()}
 
 
 def left_residual(p: NCPoly, s: NCPoly) -> NCPoly:
@@ -199,35 +252,48 @@ class YPoly(LinearCombination):
         return " ".join(parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _stuffle_words(u: tuple, v: tuple) -> dict:
-    """Quasi-shuffle of two y-words; cached, treat the result as read-only."""
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    out: dict = {}
-    for w, c in _stuffle_words(u[1:], v).items():
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_words(u, v[1:]).items():
-        key = (v[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_words(u[1:], v[1:]).items():
-        key = (u[0] + v[0],) + w
-        out[key] = out.get(key, 0) + c
-    return out
+    """Quasi-shuffle of two y-words; cached, treat the result as read-only.
+
+    Cell (i, j) of the table is u[i:] st v[j:], the sum of u[i] (u[i+1:] st
+    v[j:]), v[j] (u[i:] st v[j+1:]) and (u[i] + v[j]) (u[i+1:] st v[j+1:]),
+    accumulated in that order.
+    """
+    a, b = len(u), len(v)
+    below = [{v[j:]: 1} for j in range(b + 1)]
+    for i in range(a - 1, -1, -1):
+        x = u[i]
+        right = {u[i:]: 1}
+        row = [right]
+        for j in range(b - 1, -1, -1):
+            y = v[j]
+            out = {(x,) + w: c for w, c in below[j].items()}
+            for w, c in right.items():
+                w = (y,) + w
+                out[w] = out.get(w, 0) + c
+            xy = (x + y,)
+            for w, c in below[j + 1].items():
+                w = xy + w
+                out[w] = out.get(w, 0) + c
+            row.append(out)
+            right = out
+        row.reverse()
+        below = row
+    return below[0]
 
 
 def stuffle(p: YPoly, q: YPoly) -> YPoly:
     """Quasi-shuffle (stuffle) product, extended bilinearly."""
-    out: dict = {}
-    for u, cu in p.terms.items():
-        for v, cv in q.terms.items():
+    p_nums, p_den = _common_scale(p.terms.values())
+    q_nums, q_den = _common_scale(q.terms.values())
+    acc: dict = {}
+    for u, cu in zip(p.terms, p_nums):
+        for v, cv in zip(q.terms, q_nums):
             c = cu * cv
             for w, m in _stuffle_words(u, v).items():
-                out[w] = out.get(w, 0) + c * m
-    return YPoly(out)
+                acc[w] = acc.get(w, 0) + c * m
+    return YPoly._trusted(_fractions(acc, p_den * q_den))
 
 
 def pi_y(p: NCPoly) -> YPoly:

@@ -96,10 +96,12 @@ def shuffle_star(s: StarSeries, t: StarSeries) -> StarSeries:
     for (u, a0, a1), cu in s.terms.items():
         for (v, b0, b1), cv in t.terms.items():
             c = cu * cv
+            e0 = a0 + b0
+            e1 = a1 + b1
             for w, m in _shuffle_words(u, v).items():
-                key = StarTerm(w, a0 + b0, a1 + b1)
+                key = StarTerm(w, e0, e1)
                 out[key] = out.get(key, 0) + c * m
-    return StarSeries(out)
+    return StarSeries._trusted(out)
 
 
 def shuffle_power(s: StarSeries, k: int) -> StarSeries:

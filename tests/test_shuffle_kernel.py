@@ -1,0 +1,119 @@
+"""The packed-integer shuffle kernels against the plain recursions: contents
+and iteration order, exact coefficients, cancellation, cache bounds."""
+
+import random
+from fractions import Fraction
+
+from kernel_reference import (
+    check_shuffle_words,
+    check_stuffle_words,
+    check_unshuffle,
+    shuffle_ref,
+    stuffle_ref,
+)
+from starshuffle.shuffle_core import (
+    NCPoly,
+    YPoly,
+    _shuffle_words,
+    _stuffle_words,
+    shuffle,
+    stuffle,
+)
+from starshuffle.words import Word
+
+
+def test_shuffle_words_match_the_recursion_exhaustively():
+    assert check_shuffle_words(5) == 63**2
+
+
+def test_unshuffle_matches_the_recursion_exhaustively():
+    assert check_unshuffle(8) == 511
+
+
+def test_stuffle_words_match_the_recursion_exhaustively():
+    assert check_stuffle_words(4) == 121**2
+
+
+def _all_fractions(p):
+    return all(type(c) is Fraction for c in p.terms.values())
+
+
+def test_shuffle_with_coprime_denominators_keeps_order_and_values():
+    rng = random.Random(5)
+    dens = (1, 2, 3, 5, 7, 11, 13)
+    for _ in range(200):
+        polys = [
+            NCPoly({
+                Word([rng.randint(0, 1) for _ in range(rng.randint(0, 5))]):
+                    Fraction(rng.randint(-6, 6), rng.choice(dens))
+                for _ in range(rng.randint(0, 4))
+            })
+            for _ in range(2)
+        ]
+        got = shuffle(*polys)
+        want = shuffle_ref(*polys)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert _all_fractions(got)
+
+
+def test_stuffle_with_coprime_denominators_keeps_order_and_values():
+    rng = random.Random(6)
+    dens = (1, 2, 3, 5, 7, 11, 13)
+    for _ in range(200):
+        polys = [
+            YPoly({
+                tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4))):
+                    Fraction(rng.randint(-6, 6), rng.choice(dens))
+                for _ in range(rng.randint(0, 3))
+            })
+            for _ in range(2)
+        ]
+        got = stuffle(*polys)
+        want = stuffle_ref(*polys)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert _all_fractions(got)
+
+
+def test_cancelling_terms_are_pruned():
+    x0, x1 = Word("0"), Word("1")
+    p = NCPoly({x0: Fraction(1, 3), x1: Fraction(1, 3)})
+    q = NCPoly({x0: Fraction(1, 5), x1: Fraction(-1, 5)})
+    # (x0 + x1) sh (x0 - x1) = 2 x0x0 - 2 x1x1: both mixed words cancel
+    assert shuffle(p, q).terms == {Word("00"): Fraction(2, 15), Word("11"): Fraction(-2, 15)}
+    assert _all_fractions(shuffle(p, q))
+    assert not shuffle(p, NCPoly({x0: 1}) - NCPoly({x0: 1})).terms
+
+    a = YPoly({(1,): Fraction(1, 2), (2,): Fraction(1, 2)})
+    b = YPoly({(1,): Fraction(1, 7), (2,): Fraction(-1, 7)})
+    # (y1 + y2) st (y1 - y2) = 2 y1y1 + y2 - 2 y2y2 - y4: y1y2, y2y1, y3 cancel
+    got = stuffle(a, b)
+    assert got.terms == {
+        (1, 1): Fraction(1, 7), (2,): Fraction(1, 14),
+        (2, 2): Fraction(-1, 7), (4,): Fraction(-1, 14),
+    }
+    assert _all_fractions(got)
+
+
+def test_caches_are_bounded_and_hold_whole_products_only():
+    _shuffle_words.cache_clear()
+    rng = random.Random(10)
+    u = NCPoly.from_word(Word([rng.randint(0, 1) for _ in range(10)]))
+    v = NCPoly.from_word(Word([rng.randint(0, 1) for _ in range(10)]))
+    shuffle(u, v)
+    info = _shuffle_words.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= 1
+    _stuffle_words.cache_clear()
+    stuffle(YPoly.from_yword((1, 2, 3, 1)), YPoly.from_yword((2, 2, 1, 3)))
+    info = _stuffle_words.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= 1
+
+
+def test_trusted_constructor_prunes_zeros():
+    data = {Word("01"): Fraction(0), Word("1"): Fraction(2, 3)}
+    p = NCPoly._trusted(data)
+    assert p.terms == {Word("1"): Fraction(2, 3)}
+    q = NCPoly._trusted({Word("1"): Fraction(1)})
+    assert not (q - q).terms
+    assert (q + q).terms == {Word("1"): Fraction(2)}
