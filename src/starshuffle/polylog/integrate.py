@@ -34,6 +34,10 @@ from .symfun import SymFun, from_piece, theta, to_pieces
 
 X0 = Word("0")
 X1 = Word("1")
+# Entries per antiderivative table.  The ideal workload fills about 100 of
+# each, iota strings of every word up to 7 letters about 130, and the test
+# suite at most 476.
+_TABLE_SIZE = 1024
 
 
 def _strip(w: Word, letter: int):
@@ -44,19 +48,19 @@ def _strip(w: Word, letter: int):
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_SIZE)
 def _J(k: int, l: int, w: Word) -> SymFun:
     """An antiderivative of z^k (1-z)^(-l) Li_w against dz/z."""
     return _against_dz(reduce_exponents(k - 1, l), w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_SIZE)
 def _K(k: int, l: int, w: Word) -> SymFun:
     """An antiderivative of z^k (1-z)^(-l) Li_w against dz/(1-z)."""
     return _against_dz(reduce_exponents(k, l + 1), w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_SIZE)
 def _A(j: int, w: Word) -> SymFun:
     """An antiderivative of (1-z)^(-j) Li_w against dz, j >= 1."""
     if j == 1:
@@ -71,7 +75,7 @@ def _A(j: int, w: Word) -> SymFun:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_SIZE)
 def _P(i: int, w: Word) -> SymFun:
     """An antiderivative of z^i Li_w against dz, for every integer i."""
     if i == -1:
@@ -89,19 +93,27 @@ def _P(i: int, w: Word) -> SymFun:
 def _against_dz(pieces: dict, w: Word) -> SymFun:
     """An antiderivative against dz of the sum of c z^k (1-z)^(-l) Li_w
     over canonical pieces {(k, l): c} with k*l = 0."""
-    terms: list = []
+    out: dict = {}
     for (k, l), c in pieces.items():
         table = _A(l, w) if l else _P(k, w)
-        terms += [(key, c * v) for key, v in table.terms.items()]
-    return SymFun(terms)
+        for key, v in table.terms.items():
+            out[key] = out.get(key, 0) + c * v
+    return SymFun._trusted(out)
 
 
 def _antiderivative(i: int, f: SymFun) -> SymFun:
     fn = _J if i == 0 else _K
-    out = SymFun.zero()
+    out: dict = {}
     for (k, l, w), c in f.terms.items():
-        out += c * fn(k, l, w)
-    return out
+        for key, v in fn(k, l, w).terms.items():
+            v = out.get(key, 0) + c * v
+            # drop a key as soon as it cancels, so one that comes back
+            # is appended, as a sum of SymFuns would do
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return SymFun._trusted(out)
 
 
 def _li_coeffs(u: Word, p_max: int) -> list:
@@ -150,7 +162,8 @@ def limit_at_zero(f: SymFun) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+# One float per convergent word; the numeric workload asks for about 12.
+@lru_cache(maxsize=256)
 def _zeta_numeric(u: Word) -> float:
     """Li_u(1) for a convergent word (starts x0, ends x1), numerically.
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from ..errors import DomainError
 from ..rewrite import normal_form
-from ..star_series import StarSeries, plane_star, shuffle_power, shuffle_star
+from ..star_series import StarSeries, plane_star, shuffle_star
 from .series import _check_composition, stirling2
 
 ROUTES = ("T", "R", "F", "recursion")
@@ -37,9 +37,10 @@ def _stirling_block(k: int, base: StarSeries, shift: StarSeries) -> StarSeries:
     """shift sh sum over j of S2(k, j) j! base^(sh j), the k >= 1 case of
     the three series factors."""
     acc = StarSeries.zero()
+    power = StarSeries.one()
     for j in range(1, k + 1):
-        coeff = stirling2(k, j) * factorial(j)
-        acc += coeff * shuffle_power(base, j)
+        power = shuffle_star(power, base)
+        acc += stirling2(k, j) * factorial(j) * power
     return shuffle_star(shift, acc)
 
 
@@ -86,11 +87,15 @@ def build_neg_series(s: Iterable[int], route: str = "T") -> StarSeries:
         raise ValueError(f"route must be one of T, R, F, got {route!r}")
     if not s:
         return StarSeries.one()
+    factors: dict = {}
     acc = StarSeries.zero()
     for indices, coeff in _nested_indices(s):
-        term = _route_factor(route, indices[0])
+        for k in indices:
+            if k not in factors:
+                factors[k] = _route_factor(route, k)
+        term = factors[indices[0]]
         for k in indices[1:]:
-            term = shuffle_star(term, _route_factor(route, k))
+            term = shuffle_star(term, factors[k])
         acc += coeff * term
     return acc
 

@@ -126,7 +126,8 @@ def neg_taylor_coeff(s: Iterable[int], n: int) -> int:
     return n ** s[0] * h[0]
 
 
-@lru_cache(maxsize=None)
+# Holds every S2(n, k) with n <= 42; past that, rows recompute a little.
+@lru_cache(maxsize=1024)
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind."""
     if n < 0 or k < 0:

@@ -23,7 +23,6 @@ a shuffle multiple of the generator.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import comb
 
 from .errors import DomainError
@@ -114,7 +113,8 @@ def rewrite_trace(
         if not candidates:
             return states
         if strategy == "measure":
-            t = max(candidates, key=lambda t: (abs(t.a0) + t.a1, term_sort_key(t)))
+            top = max(abs(t.a0) + t.a1 for t in candidates)
+            t = max((t for t in candidates if abs(t.a0) + t.a1 == top), key=term_sort_key)
         else:
             t = rng.choice(sorted(candidates, key=term_sort_key))
         _apply_rule(terms, t)
@@ -132,7 +132,8 @@ def normal_form(
     """
     _check_laurent(s)
     _check_strategy(strategy)
-    # Summed on (w, k, l) with int numerators: Fraction keys hash slowly.
+    # Summed on plain (w, k, l) tuples with int numerators; each StarTerm is
+    # built once, with the reducer's int exponents.
     nums, den = _common_scale(s.terms.values())
     acc: dict = {}
     for t, c in zip(s.terms, nums):
@@ -140,7 +141,7 @@ def normal_form(
         for (k, l), m in reduce_exponents(int(t.a0), int(t.a1)).items():
             key = (w, k, l)
             acc[key] = acc.get(key, 0) + c * m
-    return StarSeries._trusted({StarTerm(w, Fraction(k), Fraction(l)): c
+    return StarSeries._trusted({StarTerm(w, k, l): c
                                 for (w, k, l), c in _fractions(acc, den).items()})
 
 

@@ -9,6 +9,12 @@ basis, and the basis is closed under shuffle because exponents add:
 
 StarSeries is a finite linear combination of star terms; the polynomial
 algebra embeds as the terms with a0 = a1 = 0.
+
+An exponent is stored as an int whenever it is integral and as a
+Fraction otherwise, so the Laurent terms that rewriting works on hash,
+compare and add machine-size ints.  star_term and shuffle_star keep this
+invariant; equality and hashing do not depend on it, since
+Fraction(3) == 3 and hash(Fraction(3)) == hash(3).
 """
 
 from __future__ import annotations
@@ -24,12 +30,21 @@ from .words import EPSILON, Word
 
 class StarTerm(NamedTuple):
     w: Word
-    a0: Fraction
-    a1: Fraction
+    a0: int | Fraction
+    a1: int | Fraction
+
+
+def _exponent(a) -> int | Fraction:
+    """An exact exponent: an int when integral, else a Fraction."""
+    if type(a) is not int:
+        a = Fraction(a)
+        if a.denominator == 1:
+            a = a.numerator
+    return a
 
 
 def star_term(w: Word = EPSILON, a0=0, a1=0) -> StarTerm:
-    return StarTerm(w, Fraction(a0), Fraction(a1))
+    return StarTerm(w, _exponent(a0), _exponent(a1))
 
 
 def term_sort_key(t: StarTerm):
@@ -96,8 +111,8 @@ def shuffle_star(s: StarSeries, t: StarSeries) -> StarSeries:
     for (u, a0, a1), cu in s.terms.items():
         for (v, b0, b1), cv in t.terms.items():
             c = cu * cv
-            e0 = a0 + b0
-            e1 = a1 + b1
+            e0 = _exponent(a0 + b0)
+            e1 = _exponent(a1 + b1)
             for w, m in _shuffle_words(u, v).items():
                 key = StarTerm(w, e0, e1)
                 out[key] = out.get(key, 0) + c * m
