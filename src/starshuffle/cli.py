@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .expressions import ExprSyntaxError, ExprTypeError, format_value, parse_value
+from .expressions import ExprSyntaxError, ExprTypeError, _as_series, format_value, parse_value
 from .polylog import (
     ROUTES,
     EvalParams,
@@ -31,8 +31,8 @@ from .polylog import (
     neg_taylor_coeff,
 )
 from .rewrite import kernel_member, normal_form
-from .star_series import StarSeries, star_term
-from .words import Word, lyndon_up_to
+from .star_series import StarSeries
+from .words import lyndon_up_to
 
 TAYLOR_CHECK_DEPTH = 20
 HSUM_COLUMNS = (5, 10, 20)
@@ -61,11 +61,10 @@ def _parse_point(text: str) -> complex:
 
 
 def _require_series(value, verb: str) -> StarSeries:
-    if isinstance(value, StarSeries):
-        return value
-    if isinstance(value, Fraction):
-        return StarSeries({star_term(Word()): value})
-    raise ExprTypeError(f"{verb} needs an x-side series, not a y-side one")
+    series = _as_series(value)
+    if series is None:
+        raise ExprTypeError(f"{verb} needs an x-side series, not a y-side one")
+    return series
 
 
 def _format_complex(v: complex) -> str:

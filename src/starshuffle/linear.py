@@ -3,9 +3,16 @@
 Every algebra in this package (noncommutative polynomials, quasi-shuffle
 polynomials, star series, symbolic function spaces) is a finite map from
 basis keys to Fractions.  This base class supplies the vector-space part;
-subclasses add their own products and may canonicalize keys on insertion.
-Products sum int numerators over one common denominator (_common_scale)
-and build their Fractions once at the end (_fractions).
+subclasses may canonicalize keys on insertion.
+
+Every product in the package (shuffle, stuffle, star shuffle, the SymFun
+product, concatenation) is the bilinear extension of a rule on pairs of
+basis keys, pair(u, v) -> {key: int multiplicity}, and _bilinear holds the
+one loop that extends it: the coefficients of each factor are scaled to
+one common denominator (_common_scale), the products c_u * c_v * m are
+summed as plain ints, and one Fraction is built per distinct nonzero
+value at the end (_fractions).  Output keys keep the order in which the
+loop first meets them.
 """
 
 from __future__ import annotations
@@ -128,3 +135,17 @@ def _fractions(num: dict, den: int) -> dict:
                 f = made[c] = Fraction(c, den)
             out[k] = f
     return out
+
+
+def _bilinear(p: dict, q: dict, pair) -> dict:
+    """The bilinear extension of pair(u, v) -> {key: int} to the term maps
+    p and q, as {key: Fraction} with the zero values dropped."""
+    p_nums, p_den = _common_scale(p.values())
+    q_nums, q_den = _common_scale(q.values())
+    acc: dict = {}
+    for u, cu in zip(p, p_nums):
+        for v, cv in zip(q, q_nums):
+            c = cu * cv
+            for w, m in pair(u, v).items():
+                acc[w] = acc.get(w, 0) + c * m
+    return _fractions(acc, p_den * q_den)

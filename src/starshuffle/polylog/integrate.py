@@ -29,7 +29,7 @@ from math import factorial
 from ..errors import DomainError, NonElementaryConstantError
 from ..rewrite import reduce_exponents
 from ..words import Word, composition_of_word
-from .series import EvalParams, eval_li_word, eval_symfun
+from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
 from .symfun import SymFun, from_piece, theta, to_pieces
 
 X0 = Word("0")
@@ -117,20 +117,12 @@ def _antiderivative(i: int, f: SymFun) -> SymFun:
 
 
 def _li_coeffs(u: Word, p_max: int) -> list:
-    """Exact Taylor coefficients of Li_u at 0 up to order p_max."""
-    out = [Fraction(0)] * (p_max + 1)
+    """Exact Taylor coefficients of Li_u at 0 up to order p_max: for u the
+    word of (s1, *tail), the coefficient of z^p is H_tail(p - 1) / p^s1."""
     s = composition_of_word(u)
     if not s:
-        out[0] = Fraction(1)
-        return out
-    s1 = s[0]
-    tail = s[1:]
-    h = [Fraction(0)] * len(tail) + [Fraction(1)]
-    for p in range(1, p_max + 1):
-        out[p] = h[0] / Fraction(p) ** s1
-        for j in range(len(tail)):
-            h[j] += h[j + 1] / Fraction(p) ** tail[j]
-    return out
+        return [Fraction(1)] + [Fraction(0)] * p_max
+    return [Fraction(0)] + [harmonic_sum(s[1:], p - 1) / p ** s[0] for p in range(1, p_max + 1)]
 
 
 def limit_at_zero(f: SymFun) -> Fraction:

@@ -9,6 +9,10 @@ exponents of rewriting normal forms.  Reducing trailing x0 letters of the
 word part is triangular with unit diagonal, so the canonical keys are
 linearly independent as functions on the slit disc: equal SymFun objects
 are equal functions and conversely.
+
+The product is the star-series product on (k, l, w) keys, a pair rule
+(word parts shuffle, exponents add) handed to linear._bilinear, followed
+by the reduction of the raw keys on insertion.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from ..linear import LinearCombination
+from ..linear import LinearCombination, _bilinear
 from ..rewrite import reduce_exponents
 from ..shuffle_core import NCPoly, _shuffle_words, shuffle
 from ..words import EPSILON, Word
@@ -52,18 +56,18 @@ class SymFun(LinearCombination):
 
     def __mul__(self, other):
         if isinstance(other, SymFun):
-            out: list = []
-            for (k1, l1, w1), c1 in self.terms.items():
-                for (k2, l2, w2), c2 in other.terms.items():
-                    c = c1 * c2
-                    for w, m in _shuffle_words(w1, w2).items():
-                        out.append(((k1 + k2, l1 + l2, w), c * m))
-            return SymFun(out)
+            return SymFun(_bilinear(self.terms, other.terms, _symfun_pair))
         if isinstance(other, Rational):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def _symfun_pair(x: tuple, y: tuple) -> dict:
+    (k1, l1, w1), (k2, l2, w2) = x, y
+    k, l = k1 + k2, l1 + l2
+    return {(k, l, w): m for w, m in _shuffle_words(w1, w2).items()}
 
 
 def lambda_fun() -> SymFun:

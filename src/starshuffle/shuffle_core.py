@@ -15,13 +15,17 @@ x0-padded words stay apart.  _shuffle_bits is a dynamic programme over
 prefix lengths: cell (i, j) of its table holds u[:i] sh v[:j], filled
 from (i - 1, j) by appending u[i-1] and from (i, j - 1) by appending
 v[j-1], in that order.  Appending a letter at position i + j - 1 ors in
-one bit, and appending x0 copies the key unchanged.  _stuffle_words runs
-the same programme over suffix lengths.  Both fill their cells in the
-order of the first-letter recursion they replace, so result dicts keep
-that recursion's iteration order.  Multiplicities stay ints: shuffle and
-stuffle scale the coefficients of each factor to one common
-denominator, sum plain ints, and build one Fraction per distinct output
-value.
+one bit, and appending x0 copies the key unchanged.  Every seed of the
+table already carries the sentinel bit 1 << (a + b) of the result's
+length, so its keys come out as sentinel keys and need no second pass.
+_stuffle_words runs the same programme over suffix lengths.  Both fill
+their cells in the order of the first-letter recursion they replace, so
+result dicts keep that recursion's iteration order.
+
+shuffle, stuffle and conc (and the YPoly product) are pair rules,
+_shuffle_bits, _stuffle_words and _conc, handed to linear._bilinear, the
+package's one loop over pairs of terms, which keeps multiplicities and
+numerators as ints.
 
 _shuffle_words and _stuffle_words cache whole products, never the
 prefix or suffix pairs of a table, in lru caches of fixed size; shuffle
@@ -35,7 +39,7 @@ from functools import lru_cache
 from math import comb
 from numbers import Rational
 
-from .linear import LinearCombination, _common_scale, _fractions
+from .linear import LinearCombination, _bilinear, _fractions
 from .words import EPSILON, Word, composition_of_word, word_of_composition
 
 
@@ -69,26 +73,27 @@ class NCPoly(LinearCombination):
         return format_poly(self)
 
 
+def _conc(u, v) -> dict:
+    """The concatenation rule on words and on y-words."""
+    return {u + v: 1}
+
+
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     """Concatenation product."""
-    out: dict = {}
-    for u, cu in p.terms.items():
-        for v, cv in q.terms.items():
-            key = u + v
-            out[key] = out.get(key, 0) + cu * cv
-    return NCPoly(out)
+    return NCPoly._trusted(_bilinear(p.terms, q.terms, _conc))
 
 
 def _shuffle_bits(ub: int, a: int, vb: int, b: int) -> dict:
     """Shuffle of the words with letter bits ub (length a) and vb (length b)
-    as a {bits: multiplicity} map; every key has length a + b.
+    as a {sentinel key: multiplicity} map; every key is bits | 1 << (a + b).
 
     The caller owns the returned dict.
     """
-    prev = [{vb & ((1 << j) - 1): 1} for j in range(b + 1)]
+    top = 1 << (a + b)
+    prev = [{vb & ((1 << j) - 1) | top: 1} for j in range(b + 1)]
     for i in range(1, a + 1):
         u_letter = (ub >> (i - 1)) & 1
-        left = {ub & ((1 << i) - 1): 1}
+        left = {ub & ((1 << i) - 1) | top: 1}
         row = [left]
         for j in range(1, b + 1):
             pos = 1 << (i + j - 1)
@@ -116,9 +121,7 @@ def _shuffle_words(u: Word, v: Word) -> dict:
 
     Cached; callers must treat the returned dict as read-only.
     """
-    n = u.n + v.n
-    raw = Word._raw
-    return {raw(w, n): c for w, c in _shuffle_bits(u.bits, u.n, v.bits, v.n).items()}
+    return {_word(w): c for w, c in _shuffle_bits(u.bits, u.n, v.bits, v.n).items()}
 
 
 def _word(s: int) -> Word:
@@ -129,17 +132,8 @@ def _word(s: int) -> Word:
 
 def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
     """Shuffle product, extended bilinearly."""
-    p_nums, p_den = _common_scale(p.terms.values())
-    q_nums, q_den = _common_scale(q.terms.values())
-    acc: dict = {}
-    for u, cu in zip(p.terms, p_nums):
-        for v, cv in zip(q.terms, q_nums):
-            c = cu * cv
-            top = 1 << (u.n + v.n)
-            for w, m in _shuffle_bits(u.bits, u.n, v.bits, v.n).items():
-                w |= top
-                acc[w] = acc.get(w, 0) + c * m
-    return NCPoly._trusted({_word(w): c for w, c in _fractions(acc, p_den * q_den).items()})
+    out = _bilinear(p.terms, q.terms, lambda u, v: _shuffle_bits(u.bits, u.n, v.bits, v.n))
+    return NCPoly._trusted({_word(w): c for w, c in out.items()})
 
 
 def unshuffle(w: Word) -> dict:
@@ -225,12 +219,7 @@ class YPoly(LinearCombination):
 
     def __mul__(self, other):
         if isinstance(other, YPoly):
-            out: dict = {}
-            for u, cu in self.terms.items():
-                for v, cv in other.terms.items():
-                    key = u + v
-                    out[key] = out.get(key, 0) + cu * cv
-            return YPoly(out)
+            return YPoly._trusted(_bilinear(self.terms, other.terms, _conc))
         if isinstance(other, Rational):
             return self.scale(other)
         return NotImplemented
@@ -285,15 +274,7 @@ def _stuffle_words(u: tuple, v: tuple) -> dict:
 
 def stuffle(p: YPoly, q: YPoly) -> YPoly:
     """Quasi-shuffle (stuffle) product, extended bilinearly."""
-    p_nums, p_den = _common_scale(p.terms.values())
-    q_nums, q_den = _common_scale(q.terms.values())
-    acc: dict = {}
-    for u, cu in zip(p.terms, p_nums):
-        for v, cv in zip(q.terms, q_nums):
-            c = cu * cv
-            for w, m in _stuffle_words(u, v).items():
-                acc[w] = acc.get(w, 0) + c * m
-    return YPoly._trusted(_fractions(acc, p_den * q_den))
+    return YPoly._trusted(_bilinear(p.terms, q.terms, _stuffle_words))
 
 
 def pi_y(p: NCPoly) -> YPoly:

@@ -12,9 +12,12 @@ algebra embeds as the terms with a0 = a1 = 0.
 
 An exponent is stored as an int whenever it is integral and as a
 Fraction otherwise, so the Laurent terms that rewriting works on hash,
-compare and add machine-size ints.  star_term and shuffle_star keep this
-invariant; equality and hashing do not depend on it, since
-Fraction(3) == 3 and hash(Fraction(3)) == hash(3).
+compare and add machine-size ints.  star_term, the StarSeries constructor
+and shuffle_star keep this invariant; equality and hashing do not depend
+on it, since Fraction(3) == 3 and hash(Fraction(3)) == hash(3).
+
+shuffle_star is a pair rule handed to linear._bilinear, the package's one
+loop over pairs of terms: word parts shuffle and exponents add.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .linear import LinearCombination
+from .linear import LinearCombination, _bilinear
 from .shuffle_core import NCPoly, _shuffle_words
 from .words import EPSILON, Word
 
@@ -55,6 +58,11 @@ def term_sort_key(t: StarTerm):
 class StarSeries(LinearCombination):
     """Finite StarTerm -> Fraction map; the ambient algebra for rewriting
     and for the extended polylogarithm morphism."""
+
+    @classmethod
+    def _insert(cls, data: dict, key, coeff: Fraction) -> None:
+        key = star_term(*key)
+        data[key] = data.get(key, 0) + coeff
 
     @classmethod
     def one(cls) -> "StarSeries":
@@ -107,16 +115,14 @@ def star(s: StarSeries) -> StarSeries:
 
 def shuffle_star(s: StarSeries, t: StarSeries) -> StarSeries:
     """Shuffle product of star series: word parts shuffle, exponents add."""
-    out: dict = {}
-    for (u, a0, a1), cu in s.terms.items():
-        for (v, b0, b1), cv in t.terms.items():
-            c = cu * cv
-            e0 = _exponent(a0 + b0)
-            e1 = _exponent(a1 + b1)
-            for w, m in _shuffle_words(u, v).items():
-                key = StarTerm(w, e0, e1)
-                out[key] = out.get(key, 0) + c * m
-    return StarSeries._trusted(out)
+    return StarSeries._trusted(_bilinear(s.terms, t.terms, _star_pair))
+
+
+def _star_pair(x: StarTerm, y: StarTerm) -> dict:
+    (u, a0, a1), (v, b0, b1) = x, y
+    e0 = _exponent(a0 + b0)
+    e1 = _exponent(a1 + b1)
+    return {StarTerm(w, e0, e1): m for w, m in _shuffle_words(u, v).items()}
 
 
 def shuffle_power(s: StarSeries, k: int) -> StarSeries:

@@ -1,5 +1,5 @@
-"""Reference recursions for the shuffle kernels, and an exhaustive check
-of the kernels against them.
+"""Reference recursions for the shuffle kernels, reference product loops,
+and an exhaustive check of the kernels against the recursions.
 
 The references are the plain first-letter recursions on Word and tuple
 keys with Fraction coefficients.  The kernels in shuffle_core must give
@@ -7,6 +7,11 @@ the same dicts in the same iteration order, so each comparison is made on
 the item lists.  Stdlib only, so it runs where pytest is not installed:
 
     PYTHONPATH=src python tests/kernel_reference.py
+
+The *_loop functions are the products as each one kept its own double
+loop over pairs of terms: shuffle and stuffle summing int numerators over
+a common denominator, the other four summing Fractions.  Every product now
+goes through linear._bilinear, and must give what these loops give.
 """
 
 from __future__ import annotations
@@ -14,8 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
+from starshuffle.polylog.symfun import SymFun
 from starshuffle.shuffle_core import NCPoly, YPoly, _shuffle_words, _stuffle_words, unshuffle
+from starshuffle.star_series import StarSeries, StarTerm, _exponent
 from starshuffle.words import EPSILON, Word
 
 
@@ -85,6 +93,62 @@ def stuffle_ref(p: YPoly, q: YPoly) -> YPoly:
             for w, m in stuffle_words_rec(u, v).items():
                 out[w] = out.get(w, 0) + cu * cv * m
     return YPoly(out)
+
+
+def _int_numerator_loop(p, q, pair) -> dict:
+    den_p = den_q = 1
+    for c in p.terms.values():
+        den_p = lcm(den_p, c.denominator)
+    for c in q.terms.values():
+        den_q = lcm(den_q, c.denominator)
+    acc: dict = {}
+    for u, cu in p.terms.items():
+        for v, cv in q.terms.items():
+            c = cu.numerator * (den_p // cu.denominator) * cv.numerator * (den_q // cv.denominator)
+            for w, m in pair(u, v).items():
+                acc[w] = acc.get(w, 0) + c * m
+    return {w: Fraction(c, den_p * den_q) for w, c in acc.items() if c}
+
+
+def shuffle_loop(p: NCPoly, q: NCPoly) -> NCPoly:
+    return NCPoly._trusted(_int_numerator_loop(p, q, _shuffle_words))
+
+
+def stuffle_loop(p: YPoly, q: YPoly) -> YPoly:
+    return YPoly._trusted(_int_numerator_loop(p, q, _stuffle_words))
+
+
+def shuffle_star_loop(s: StarSeries, t: StarSeries) -> StarSeries:
+    out: dict = {}
+    for (u, a0, a1), cu in s.terms.items():
+        for (v, b0, b1), cv in t.terms.items():
+            c = cu * cv
+            e0 = _exponent(a0 + b0)
+            e1 = _exponent(a1 + b1)
+            for w, m in _shuffle_words(u, v).items():
+                key = StarTerm(w, e0, e1)
+                out[key] = out.get(key, 0) + c * m
+    return StarSeries._trusted(out)
+
+
+def symfun_mul_loop(f: SymFun, g: SymFun) -> SymFun:
+    out: list = []
+    for (k1, l1, w1), c1 in f.terms.items():
+        for (k2, l2, w2), c2 in g.terms.items():
+            c = c1 * c2
+            for w, m in _shuffle_words(w1, w2).items():
+                out.append(((k1 + k2, l1 + l2, w), c * m))
+    return SymFun(out)
+
+
+def conc_loop(p, q):
+    """Concatenation of two NCPolys or two YPolys."""
+    out: dict = {}
+    for u, cu in p.terms.items():
+        for v, cv in q.terms.items():
+            key = u + v
+            out[key] = out.get(key, 0) + cu * cv
+    return type(p)(out)
 
 
 def words_up_to(n: int) -> list:

@@ -80,6 +80,16 @@ def test_delta_left_and_star_keep_int_exponents():
     assert type(a0) is int and type(a1) is Fraction
 
 
+@pytest.mark.parametrize("strategy", ["measure", "random"])
+def test_constructor_stores_integral_fraction_exponents_as_int(strategy):
+    s = StarSeries({StarTerm(Word("01"), Fraction(2), Fraction(2)): 1})
+    assert all_int(s)
+    states = rewrite_trace(s, strategy, random.Random(0))
+    assert len(states) > 1
+    assert all(all_int(state) for state in states)
+    assert all_int(delta_left(0, s)) and all_int(delta_left(1, s))
+
+
 def _fraction_trace(s, strategy, rng):
     """The rewriting loop on Fraction exponents, as it ran before exponents
     were stored as ints: the reference the int loop must follow step by step."""
