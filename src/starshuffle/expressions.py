@@ -22,9 +22,8 @@ raises ExprSyntaxError.  Both carry line/column positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import DomainError
 from .shuffle_core import NCPoly, YPoly, conc, stuffle
@@ -42,8 +41,7 @@ class ExprTypeError(ValueError):
     """Structurally valid expression with an ill-typed subterm."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: object
     line: int
@@ -52,8 +50,7 @@ class Token:
     end: int
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """Expression tree node; span indexes into the source text."""
 
     kind: str
@@ -61,7 +58,7 @@ class Node:
     col: int
     span: tuple[int, int]
     value: object = None
-    kids: tuple["Node", ...] = field(default=())
+    kids: tuple["Node", ...] = ()
 
 
 _PRIMARY_START = frozenset({"int", "word", "yword", "star", "(", "-"})

@@ -2,28 +2,48 @@
 
 harmonic_sum computes the finite multiple harmonic sum
 H_s(N) = sum over N >= n1 > ... > nr >= 1 of 1 / (n1^s1 ... nr^sr),
-exactly.  neg_taylor_coeff gives the N-th Taylor coefficient of the
-polylogarithm at nonpositive indices, which is the same nested sum with
-the powers flipped above the line.
+exactly, as a product of integer step matrices split in halves.
+neg_taylor_coeff gives the N-th Taylor coefficient of the polylogarithm at
+nonpositive indices, which is the same nested sum with the powers flipped
+above the line.
 
-eval_li_word sums the defining series
-Li_w(z) = sum z^n / n^s1 * H_(s2..sr)(n-1).  The sum stops at the first
-n >= depth whose term has |term| < eps * (1 - |z|); for depth 1 the tail
-left behind is then below eps.  A request that cannot stop within
-max_terms terms is refused with ConvergenceError, up front whenever a
-closed-form lower bound on |term| proves it (see _li_series), so a
-hopeless request costs microseconds, not max_terms terms.  Terms are
-added in blocks of 256 and the block sums are added exactly with
-math.fsum, so the rounding of a long sum stays far below eps.
+Numeric evaluation first reduces every word to words u ending in x1
+(powers of log z pick up trailing x0s), then finds Li_u(z) for all of
+them at once, by one of two routes:
+
+- the direct series (_li_series), Li_u(z) = sum z^n / n^s1 * H_tail(n-1),
+  which stops at the first n >= depth with |term| < eps * (1 - |z|) and
+  costs O(1 / (1 - |z|)) terms;
+- the walk (_walk), which takes the values of every suffix of every word
+  at p0 = z / (2|z|) from the direct series, then carries them to z by
+  Taylor steps along the differential equations
+  d Li_{x0 v} = Li_v dz/z and d Li_{x1 v} = Li_v dz/(1-z).  The path
+  (_path) runs along the ray to z with |h| <= min(|p|, |1-p|) / 2, so it
+  takes O(log 1 / (1 - |z|)) steps.  Each step fills the scaled Taylor
+  terms b_k of all suffixes from a two-term recurrence, and a suffix
+  stops when its last two terms are below tau = eps / (4 S W), derived
+  in _walk_plan from the step count S and the path's length in the
+  metric |dt/t| + |dt/(1-t)|.
+
+_li_values picks the route whose predicted term count is smaller; for
+|z| <= 1/2 the walk has no steps and the direct series answers, so those
+values are exactly the direct series'.
+
+Refusal: a request is refused with ConvergenceError up front exactly when
+_cannot_stop proves that the direct series cannot meet its stop rule
+within max_terms terms, whichever route would then have answered it; so
+a hopeless request costs microseconds, not max_terms terms.  A walk that
+would pass max_terms terms leaves its words to the direct series, which
+answers or refuses them as it always did.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from ..errors import ConvergenceError, DomainError
@@ -32,32 +52,51 @@ from ..words import Word, composition_of_word
 from .symfun import SymFun, _reduce_trailing_x0
 
 
-@dataclass(frozen=True)
 class EvalParams:
     """Where and how precisely to sum a series.
 
     z must satisfy |z| < 1 and stay off the strictly negative real axis
     (z = 0 is allowed; every series here is 0 or its constant term there).
+    Immutable; two are equal when z, eps and max_terms are.
     """
 
-    z: complex
-    eps: float = 1e-12
-    max_terms: int = 10_000_000
+    __slots__ = ("z", "eps", "max_terms")
 
-    def __post_init__(self):
-        z = complex(self.z)
-        object.__setattr__(self, "z", z)
+    def __init__(self, z: complex, eps: float = 1e-12, max_terms: int = 10_000_000):
+        z = complex(z)
         if not cmath.isfinite(z):
             raise DomainError("evaluation point must be finite")
         if abs(z) >= 1:
             raise DomainError("evaluation needs |z| < 1")
         if z.imag == 0 and z.real < 0:
             raise DomainError("evaluation point must avoid the negative real axis")
-        if not 0 < self.eps < math.inf:
+        if not 0 < eps < math.inf:
             raise DomainError("eps must be positive and finite")
-        if (isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int)
-                or self.max_terms < 1):
-            raise DomainError(f"max_terms must be an integer >= 1, got {self.max_terms!r}")
+        if isinstance(max_terms, bool) or not isinstance(max_terms, int) or max_terms < 1:
+            raise DomainError(f"max_terms must be an integer >= 1, got {max_terms!r}")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "max_terms", max_terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EvalParams is immutable: cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.z, self.eps, self.max_terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, EvalParams):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"EvalParams(z={self.z!r}, eps={self.eps!r}, max_terms={self.max_terms!r})"
+
+    def __reduce__(self):
+        return (EvalParams, self._key())
 
 
 def _check_composition(s: Sequence[int], minimum: int) -> tuple:
@@ -70,25 +109,54 @@ def _check_composition(s: Sequence[int], minimum: int) -> tuple:
     return s
 
 
-def _inv_power_sum(m: int, a: int, b: int) -> tuple:
-    """sum of 1/n^m for a <= n <= b as an unreduced (num, den) pair."""
-    if b < a:
-        return (0, 1)
+def _step_product(s: tuple, a: int, b: int) -> tuple:
+    """The steps n = a..b of harmonic_sum's recurrence, M_b ... M_a, as
+    (D, U) with M_b ... M_a = I + U / D: D = prod n^max(s) and U a strictly
+    upper triangular integer matrix.
+
+    Step n adds h[j+1] / n^s_j to h[j]: over the denominator n^max(s) it is
+    the integer matrix n^max(s) I + C_n with C_n[j][j+1] = n^(max(s) - s_j).
+    Ranges are split in halves, so the big integers meet in balanced
+    products; depth 1 is the sum of 1/n^s over unreduced (num, den) pairs.
+    """
+    r = len(s)
     if b - a < 8:
-        num, den = 0, 1
+        top = max(s)
+        gaps = [top - t for t in s]
+        den, u = 1, [[0] * (r + 1) for _ in range(r + 1)]
         for n in range(a, b + 1):
-            p = n**m
-            num = num * p + den
-            den *= p
-        return (num, den)
+            d = n**top
+            for i in range(r - 1):  # row i reads row i + 1 before it changes
+                c = n ** gaps[i]
+                row, below = u[i], u[i + 1]
+                row[i + 1] = d * row[i + 1] + c * den
+                for j in range(i + 2, r + 1):
+                    row[j] = d * row[j] + c * below[j]
+            row = u[r - 1]
+            row[r] = d * row[r] + n ** gaps[r - 1] * den
+            den *= d
+        return den, u
     mid = (a + b) // 2
-    n1, d1 = _inv_power_sum(m, a, mid)
-    n2, d2 = _inv_power_sum(m, mid + 1, b)
-    return (n1 * d2 + n2 * d1, d1 * d2)
+    dl, ul = _step_product(s, a, mid)
+    dh, uh = _step_product(s, mid + 1, b)
+    # (dh I + uh)(dl I + ul) = dh dl I + dh ul + uh dl + uh ul
+    u = [[0] * (r + 1) for _ in range(r + 1)]
+    for i in range(r):
+        for j in range(i + 1, r + 1):
+            acc = dh * ul[i][j] + uh[i][j] * dl
+            for k in range(i + 1, j):
+                acc += uh[i][k] * ul[k][j]
+            u[i][j] = acc
+    return dh * dl, u
 
 
 def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
-    """H_s(n_max), exact.  The empty composition gives 1."""
+    """H_s(n_max), exact.  The empty composition gives 1.
+
+    h[j] = H_{s_j..s_r}(n) obeys h[j] += h[j+1] / n^s_j for n = 1..n_max,
+    ascending in j, from h = (0, ..., 0, 1); so H_s(n_max) is entry
+    (0, r) of M_{n_max} ... M_1, one Fraction at the end (_step_product).
+    """
     s = _check_composition(s, 1)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -97,15 +165,8 @@ def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
         return Fraction(1)
     if n_max < r:
         return Fraction(0)
-    if r == 1:
-        return Fraction(*_inv_power_sum(s[0], 1, n_max))
-    # h[j] holds H_{s_j..s_r}(n-1); update ascending in j so each step
-    # reads the previous depth at the previous n
-    h = [Fraction(0)] * r + [Fraction(1)]
-    for n in range(1, n_max + 1):
-        for j in range(r):
-            h[j] += h[j + 1] / Fraction(n) ** s[j]
-    return h[0]
+    den, u = _step_product(s, 1, n_max)
+    return Fraction(u[0][r], den)
 
 
 def neg_taylor_coeff(s: Iterable[int], n: int) -> int:
@@ -176,7 +237,8 @@ def _cannot_stop(s: tuple, z: complex, cutoff: float, max_terms: int) -> bool:
 
 
 def _li_series(u: Word, p: EvalParams) -> complex:
-    """Sum the series for Li_u, u ending in x1, at p.z.
+    """Sum the series for Li_u, u ending in x1, at p.z: the direct route
+    of _li_values, and the first leg of the walk.
 
     Stop rule: stop after the first term n >= depth with
     |term_n| < eps * (1 - |z|).  For depth 1 the terms |z|^n / n^s1 shrink
@@ -188,9 +250,11 @@ def _li_series(u: Word, p: EvalParams) -> complex:
     |term_n| >= |z|^n n^-s1 H_tail(len(tail)).  At depth 1 h[0] = 1, the
     bound is the term itself, and a hopeless request is refused up front
     unless it lies within rounding of the boundary or below
-    exp(_LOG_TINY).  Deeper words grow h[0], so there the bound is conservative and
-    some hopeless requests are still refused by the loop after max_terms
-    terms.  Both routes raise the same message.
+    exp(_LOG_TINY).  Deeper words grow h[0], so there the bound is
+    conservative, and the loop refuses some hopeless requests only after
+    max_terms terms.  Both raise the same message.  _li_values applies the
+    same up-front refusal to every word before it picks a route, so the
+    walk answers no request that this refusal turns away.
 
     Summation: terms are added in blocks of _BLOCK, and the block sums'
     real and imaginary parts are added with math.fsum, so rounding grows
@@ -203,13 +267,16 @@ def _li_series(u: Word, p: EvalParams) -> complex:
     above it no longer matter; when n^s1 overflows, the sum stops there.
     """
     s = composition_of_word(u)
+    cutoff = p.eps * (1.0 - abs(p.z))
+    if _cannot_stop(s, p.z, cutoff, p.max_terms):
+        raise _no_convergence(p.max_terms, cutoff)
+    return _series_sum(s, p.z, cutoff, p.max_terms)
+
+
+def _series_sum(s: tuple, z: complex, cutoff: float, n_max: int) -> complex:
+    """_li_series past its up-front refusal."""
     s1 = s[0]
     tail = s[1:]
-    z = p.z
-    n_max = p.max_terms
-    cutoff = p.eps * (1.0 - abs(z))
-    if _cannot_stop(s, z, cutoff, n_max):
-        raise _no_convergence(n_max, cutoff)
     h = [0j] * len(tail) + [1.0 + 0j]
     zn = 1.0 + 0j
     depth = len(s)
@@ -247,39 +314,278 @@ def _no_convergence(n_max: int, cutoff: float) -> ConvergenceError:
     )
 
 
-def eval_li_word(w: Word, p: EvalParams) -> complex:
-    """Li_w(z) numerically, via the reduction to words without trailing x0
-    (powers of log pick up the removed letters)."""
-    pieces = _reduce_trailing_x0(w)
+# Tolerances of the walk are clamped here, the smallest normal float, so
+# that its first leg keeps a positive cutoff.
+_TINY = 2.0**-1022
+
+
+def _path(z: complex) -> tuple:
+    """The walk's points p_0 = z / (2|z|), p_1, ..., p_S = z and L.
+
+    Each step heads for z with |h| <= min(|p|, |1-p|) / 2, half the radius
+    of convergence of the Taylor series at p, so the terms shrink at least
+    as 2^-k.  L bounds the integral of |dt/t| + |dt/(1-t)| along the path:
+    after arc length s on a step from p, |t| >= |p| - s and
+    |1-t| >= |1-p| - s, so the step adds at most
+    log(|p| / (|p| - |h|)) + log(|1-p| / (|1-p| - |h|)).
+    Consecutive points differ by less than a factor 2 in each component,
+    so q - p is exact and every step lands on the float q.
+    """
+    p = z * (0.5 / abs(z))
+    if z.imag and not p.imag:  # a subnormal imaginary part halved to 0
+        p = complex(p.real, z.imag)
+    points, length = [p], 0.0
+    while p != z:
+        gap = z - p
+        room = 0.5 * min(abs(p), abs(1 - p))
+        q = z if abs(gap) <= room else p + gap * (room / abs(gap))
+        h = abs(q - p)
+        length += math.log(abs(p) / (abs(p) - h)) + math.log(abs(1 - p) / (abs(1 - p) - h))
+        points.append(q)
+        p = q
+    return points, length
+
+
+def _suffix_trie(words: list) -> list:
+    """Every distinct nonempty suffix of the words as (bits, length),
+    shorter first; the child of (bits, n) is (bits >> 1, n - 1)."""
+    return sorted({(u.bits >> i, len(u) - i) for u in words for i in range(len(u))},
+                  key=lambda node: (node[1], node[0]))
+
+
+def _walk_plan(nodes: list, z: complex, eps: float) -> tuple:
+    """(points, eps0, tau, sizes, predicted terms) of the walk to z, sizes
+    being the predicted terms per node of each step.
+
+    Error budget, from which tau follows.  An error e in the value of a
+    node v, made anywhere on the path, reaches a node u = a_1 ... a_m v at
+    z as e times an iterated integral of m of the forms dt/t, dt/(1-t)
+    over the rest of the path, whose modulus is at most L^m / m!.  Let
+    W = sum_{m <= d} L^m / m!, d the longest word; S and L come from _path
+    before the first step.  Summed over the suffixes of a word:
+    - the first leg sums each node's direct series at p_0 to
+      eps0 = eps / (4 W) (a bound at depth 1, the stop rule's heuristic
+      deeper), which carries at most eps / 4 to z;
+    - past its child's terms a node's terms shrink by at least half each,
+      so once its last term is below tau the terms left sum to less than
+      tau; with tau = eps0 / S = eps / (4 S W), the S steps carry at most
+      eps / 4 to z.
+    Half of eps is left for rounding.
+
+    Predicted terms: the first leg takes about log2(1 / eps0) terms per
+    node and per letter x1, and a step of ratio rho = |h| / min(|p|, |1-p|)
+    about log(tau) / log(rho) terms per node and per letter's factors.
+    """
+    points, length = _path(z)
+    steps = len(points) - 1
+    weight, term = 1.0, 1.0
+    for m in range(1, max(n for _, n in nodes) + 1):
+        term *= length / m
+        weight += term
+    eps0 = max(eps / (4 * weight), _TINY)
+    tau = max(eps0 / steps, _TINY)
+    sizes = [max(2.0, math.log(tau) / math.log(abs(q - p) / min(abs(p), abs(1 - p))))
+             for p, q in zip(points, points[1:])]
+    first = math.log2(1 / eps0) + 1
+    letters = len({bits & 1 for bits, _ in nodes})
+    predicted = (sum(first * bin(bits).count("1") for bits, _ in nodes)
+                 + (len(nodes) + letters) * sum(sizes))
+    return points, eps0, tau, sizes, predicted
+
+
+def _walk(nodes: list, points: list, eps0: float, tau: float, sizes: list,
+          p: EvalParams) -> dict:
+    """Li of every trie node at p.z, by Taylor steps along the path.
+
+    With g_u(s) = Li_u(p + s h) = sum_k b_k s^k on a step from p, the
+    equations d Li_{x0 v} = Li_v dz/z and d Li_{x1 v} = Li_v dz/(1-z) give
+    (p + s h) g_u' = h g_v and (1 - p - s h) g_u' = h g_v, so
+        x0: b_{k+1} = h (b_v,k - k b_k) / (p (k+1)),
+        x1: b_{k+1} = h (b_v,k + k b_k) / ((1-p) (k+1)),
+    from b_0 = Li_u(p), v the node's child; the empty word has
+    b = (1, 0, 0, ...).  With c = h/p (x0) or h/(1-p) (x1), a step keeps
+    per letter the factors c/(k+1) and -+ c k/(k+1) for all nodes, sized
+    from the plan.
+
+    A node takes at least as many terms as its child.  Past them its terms
+    shrink by at least half each, and it stops when its last two terms are
+    below tau (see _walk_plan); the next value is their sum, smallest
+    first.  The first leg is _li_series at p_0; the Taylor terms of all
+    steps count against p.max_terms, and past it ConvergenceError is
+    raised.
+    """
+    start = EvalParams(points[0], eps=eps0, max_terms=p.max_terms)
+    values = [_li_series(Word._raw(bits, n), start) for bits, n in nodes]
+    index = {node: i for i, node in enumerate(nodes)}
+    children = [index.get((bits >> 1, n - 1)) for bits, n in nodes]
+    letters = [bits & 1 for bits, _ in nodes]
+    budget = p.max_terms
+    for a, q, size in zip(points, points[1:], sizes):
+        h = q - a
+        rates = (h / a, h / (1 - a))
+        factors: list = [None, None]
+        taylor = []
+        for value, child, letter in zip(values, children, letters):
+            c = rates[letter]
+            if factors[letter] is None:
+                factors[letter] = ([], [])
+                _grow(*factors[letter], c, letter, int(size) + 8)
+            cks, oks = factors[letter]
+            child_terms = [1.0] if child is None else taylor[child]
+            k = len(child_terms)
+            if len(oks) <= k:
+                _grow(cks, oks, c, letter, k + 8)
+            b = [value]
+            bk = value
+            for bc, ck, ok in zip(child_terms, cks, oks):
+                bk = ck * bc + ok * bk
+                b.append(bk)
+            while abs(bk) >= tau:
+                if k + 1 == len(oks):
+                    _grow(cks, oks, c, letter, k + 8)
+                bk = oks[k] * bk
+                b.append(bk)
+                k += 1
+            b.append(oks[k] * bk)  # so the last two terms are below tau
+            budget -= k + 1
+            if budget < 0:
+                raise _no_convergence(p.max_terms, p.eps * (1.0 - abs(p.z)))
+            taylor.append(b)
+        values = [sum(reversed(b)) for b in taylor]
+    return {Word._raw(bits, n): v for (bits, n), v in zip(nodes, values)}
+
+
+def _grow(cks: list, oks: list, c: complex, letter: int, n: int) -> None:
+    """Extend a step's factors c/(k+1) and (c if x1 else -c) k/(k+1) to n."""
+    own = c if letter else -c
+    for k in range(len(cks), n):
+        cks.append(c / (k + 1))
+        oks.append(own * (k / (k + 1)))
+
+
+def _direct_terms(s1: int, radius: float, cutoff: float) -> float:
+    """About the n at which |z|^n / n^s1 falls to cutoff: n = e^x with
+    a e^x + s1 x = b, a = -log|z|, b = -log(cutoff), by Newton's method,
+    which the convex left side keeps from overshooting after one step."""
+    a, b = -math.log(radius), -math.log(cutoff)
+    if b <= 0:  # the first term is below cutoff already
+        return 1.0
+    x = math.log(b / a)
+    for _ in range(4):
+        ex = a * math.exp(x)
+        x -= (ex + s1 * x - b) / (ex + s1)
+    return max(1.0, math.exp(x))
+
+
+def _li_values(words: list, p: EvalParams) -> dict:
+    """{u: Li_u(p.z)} for distinct words u ending in x1.
+
+    One route for all the words: the direct series, or one walk when its
+    predicted term count (_walk_plan) is below the direct series', which
+    sums about _direct_terms terms per word, each updating one row per
+    letter x1.  _walk_may_win settles most points before either
+    prediction.  For |z| <= 1/2 the walk has no steps and the direct
+    series answers.  Either way a word that _cannot_stop refuses is
+    refused before any summing, and a walk that would pass max_terms
+    leaves the words to the direct series, so the walk only ever turns
+    a refusal into an answer.
+    """
     z = p.z
-    logz = cmath.log(z) if z != 0 else None
-    total = 0j
+    radius = abs(z)
+    cutoff = p.eps * (1.0 - radius)
+    comps = [composition_of_word(u) for u in words]
+    for s in comps:
+        if _cannot_stop(s, z, cutoff, p.max_terms):
+            raise _no_convergence(p.max_terms, cutoff)
+    if radius > 0.5 and comps and _walk_may_win(comps, radius, cutoff, p.eps):
+        per_s1 = {s1: _direct_terms(s1, radius, cutoff) for s1 in {s[0] for s in comps}}
+        direct = sum(len(s) * per_s1[s[0]] for s in comps)
+        nodes = _suffix_trie(words)
+        points, eps0, tau, sizes, walk = _walk_plan(nodes, z, p.eps)
+        if walk < direct:
+            try:
+                values = _walk(nodes, points, eps0, tau, sizes, p)
+            except ConvergenceError:  # past max_terms: the direct series decides
+                pass
+            else:
+                return {u: values[u] for u in words}
+    return {u: _series_sum(s, z, cutoff, p.max_terms) for u, s in zip(words, comps)}
+
+
+def _walk_may_win(comps: list, radius: float, cutoff: float, eps: float) -> bool:
+    """False when a floor on the walk's terms reaches a ceiling on the
+    direct series'.
+
+    The trie holds every suffix of each word u; ends = accumulate(its
+    composition) are the x1 positions, so the suffixes hold sum(ends)
+    letters x1 and u has ends[-1] letters.  The first leg takes at least
+    log2(4 / eps) terms per suffix and letter x1, and the first step at
+    least log(eps / 4) / log(rho_1) terms per node and per letter's
+    factors.  The direct series takes at most log(cutoff) / log|z| terms
+    per row.
+    """
+    first = math.log2(4 / eps)
+    step = math.log(eps / 4) / math.log(min(0.5, 2 * radius - 1))
+    floor = max(sum(ends) * first + (ends[-1] + 1) * step
+                for ends in (list(accumulate(s)) for s in comps))
+    rows = sum(len(s) for s in comps)
+    return rows * math.log(cutoff) / math.log(radius) > floor
+
+
+def _reduced(w: Word, p: EvalParams, words: dict) -> list:
+    """Li_w as pieces (u, n, c), meaning c Li_u log^n(z) / n!, u empty or
+    ending in x1, in a fixed order.  Adds each nonempty u to words, and
+    raises at once on the logarithm's pole at z = 0."""
+    pieces = _reduce_trailing_x0(w)
+    out = []
     for (u, n) in sorted(pieces, key=lambda t: (len(t[0]), tuple(t[0]), t[1])):
-        c = pieces[(u, n)]
-        val = _li_series(u, p) if len(u) else 1.0 + 0j
+        if len(u):
+            words[u] = None
+        if n and p.z == 0:
+            raise DomainError("logarithm pole at z = 0")
+        out.append((u, n, pieces[(u, n)]))
+    return out
+
+
+def _combine(pieces: list, li: dict, z: complex) -> complex:
+    total = 0j
+    for u, n, c in pieces:
+        val = li[u] if len(u) else 1.0 + 0j
         if n:
-            if z == 0:
-                raise DomainError("logarithm pole at z = 0")
-            val *= logz**n / math.factorial(n)
+            val *= cmath.log(z) ** n / math.factorial(n)
         total += float(c) * val
     return total
 
 
+def eval_li_word(w: Word, p: EvalParams) -> complex:
+    """Li_w(z) numerically, via the reduction to words without trailing x0
+    (powers of log pick up the removed letters): the one-word case of
+    _eval_terms."""
+    words: dict = {}
+    pieces = _reduced(w, p, words)
+    return _combine(pieces, _li_values(list(words), p), p.z)
+
+
 def _eval_terms(terms: Iterable, p: EvalParams) -> complex:
     """Sum c * Li_w(z) * z^a0 * (1-z)^(-a1) over pairs ((w, a0, a1), c),
-    in term order."""
+    in term order, with every Li_u from one call of _li_values."""
     z = p.z
-    total = 0j
+    words: dict = {}
+    todo = []
     for (w, a0, a1), c in sorted(terms, key=lambda tc: term_sort_key(tc[0])):
         if z == 0 and a0 < 0:
             raise DomainError("pole at z = 0")
+        todo.append((a0, a1, c, _reduced(w, p, words) if len(w) else None))
+    li = _li_values(list(words), p)
+    total = 0j
+    for a0, a1, c, pieces in todo:
         val = 1.0 + 0j
         if a0:
             val *= z ** float(a0) if z != 0 else 0j
         if a1:
             val *= (1.0 - z) ** (-float(a1))
-        if len(w):
-            val *= eval_li_word(w, p)
+        if pieces is not None:
+            val *= _combine(pieces, li, z)
         total += float(c) * val
     return total
 

@@ -1,0 +1,216 @@
+"""Li_w near |z| = 1 by Taylor steps (the walk), against oracles, and the
+exact nested sums by binary splitting."""
+
+import cmath
+import itertools
+import math
+import pickle
+import subprocess
+import sys
+import time
+from fractions import Fraction
+
+import pytest
+
+from starshuffle import NCPoly, embed, shuffle
+from starshuffle.polylog import series
+from starshuffle.polylog.series import EvalParams, eval_li2, eval_li_word, harmonic_sum
+from starshuffle.words import Word, word_of_composition
+
+ANGLES = (0.0, 0.3, -0.3, 2.0, -2.0, 2.8, -2.8)
+
+
+def _walk_values(words, p):
+    """Li of each word at p.z by the walk, whatever the route selection."""
+    nodes = series._suffix_trie(words)
+    points, eps0, tau, sizes, _ = series._walk_plan(nodes, p.z, p.eps)
+    values = series._walk(nodes, points, eps0, tau, sizes, p)
+    return [values[u] for u in words]
+
+
+def _poly_value(u, z):
+    """Li_u(z) through eval_li2 of the embedded polynomial u."""
+    return eval_li2(embed(u), EvalParams(z))
+
+
+def test_depth_one_matches_mpmath_near_the_circle():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    for s in range(1, 6):
+        w = Word("0" * (s - 1) + "1")
+        for delta in (1e-2, 1e-3, 1e-4, 1e-5):
+            for angle in ANGLES:
+                z = cmath.rect(1 - delta, angle)
+                got = eval_li_word(w, EvalParams(z, eps=1e-12))
+                want = complex(mp.polylog(s, mp.mpc(z.real, z.imag)))
+                assert abs(got - want) <= 1e-12, (s, delta, angle, abs(got - want))
+
+
+def test_powers_of_x1_near_the_circle():
+    # Li_{x1^n} = (-log(1-z))^n / n!
+    for n in (2, 3):
+        w = Word("1" * n)
+        for delta in (1e-3, 1e-5):
+            for angle in ANGLES:
+                z = cmath.rect(1 - delta, angle)
+                want = (-cmath.log(1 - z)) ** n / math.factorial(n)
+                assert abs(eval_li_word(w, EvalParams(z)) - want) <= 1e-12, (n, delta, angle)
+
+
+def test_shuffle_products_near_the_circle():
+    # Li_u Li_v = Li_{u sh v}, with depth-1 factors from mpmath
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    pairs = [((1,), (2,)), ((2,), (2,)), ((1,), (3,)), ((1, 1), (2,)), ((2,), (1, 1))]
+    for su, sv in pairs:
+        product = shuffle(NCPoly.from_word(word_of_composition(su)),
+                          NCPoly.from_word(word_of_composition(sv)))
+        weight = float(sum(abs(c) for c in product.terms.values()))
+        for delta in (1e-3, 1e-4):
+            for angle in (0.0, 0.3, -2.0):
+                z = cmath.rect(1 - delta, angle)
+                zz = mp.mpc(z.real, z.imag)
+
+                def factor(s):
+                    if len(s) == 1:
+                        return mp.polylog(s[0], zz)
+                    return (-mp.log(1 - zz)) ** 2 / 2  # (1, 1) only
+
+                want = complex(factor(su) * factor(sv))
+                got = _poly_value(product, z)
+                assert abs(got - want) <= 1e-12 * weight, (su, sv, delta, angle)
+
+
+def test_walk_agrees_with_the_direct_series_away_from_the_circle():
+    words = [word_of_composition(s) for d in (1, 2, 3)
+             for s in itertools.product((1, 2, 3), repeat=d)]
+    for radius in (0.5001, 0.6, 0.75, 0.9, 0.95):
+        for angle in (0.0, 0.3, -2.0, 2.8):
+            p = EvalParams(cmath.rect(radius, angle), eps=1e-13)
+            walked = _walk_values(words, p)
+            for u, got in zip(words, walked):
+                want = series._li_series(u, p)
+                assert abs(got - want) <= 1e-12, (u, radius, angle)
+
+
+def test_selection_picks_the_cheaper_route():
+    words = [Word("1"), Word("01"), Word("11")]
+    # far from the circle the direct series is cheaper, and its value is kept bitwise
+    for z in (0.6, 0.75, cmath.rect(0.8, 0.3), cmath.rect(0.7, -2.0)):
+        p = EvalParams(z)
+        for u in words:
+            assert eval_li_word(u, p) == series._li_series(u, p), (u, z)
+    # near it the walk answers
+    for z in (0.9999, cmath.rect(0.999, 2.0)):
+        p = EvalParams(z)
+        for u in words:
+            assert [eval_li_word(u, p)] == _walk_values([u], p), (u, z)
+
+
+@pytest.mark.parametrize("word", ["1", "01", "11", "011"])
+def test_near_the_circle_is_fast(word):
+    w = Word(word)
+    for z in (0.9999, cmath.rect(0.9999, 0.3), cmath.rect(0.9999, -0.3)):
+        p = EvalParams(z, eps=1e-12)
+        eval_li_word(w, p)  # warm the reduction cache
+        best = min(_timed(eval_li_word, w, p) for _ in range(3))
+        assert best < 5e-3, (word, z, best)
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def test_twice_li_x1x1_meets_eps_where_the_direct_series_missed():
+    x1 = NCPoly.from_word(Word("1"))
+    for z in (0.999603, 0.999852):
+        got = eval_li2(embed(shuffle(x1, x1)), EvalParams(z, eps=1e-12))
+        assert abs(got - cmath.log(1 - z) ** 2) <= 2 * 1e-12, z
+
+
+def test_depth_two_request_once_refused_after_max_terms_is_answered_fast():
+    t0 = time.perf_counter()
+    got = eval_li_word(Word("11"), EvalParams(0.999999, eps=1e-5))
+    assert time.perf_counter() - t0 < 0.1
+    assert abs(got - math.log(1e-6) ** 2 / 2) <= 1e-5
+
+
+def test_loose_tolerances_are_answered():
+    # the first term of the direct series already meets eps (1 - |z|)
+    for eps in (1.0, 10.0, 100.0):
+        for z in (0.6, 0.9, 0.9999):
+            p = EvalParams(z, eps=eps)
+            assert abs(eval_li_word(Word("1"), p) + cmath.log(1 - z)) <= eps
+            eval_li_word(Word("01"), p)
+
+
+def test_walk_counts_its_terms_against_max_terms():
+    # Li_x1x1 at 0.9999 takes about 2,000 Taylor terms
+    words = [Word("11")]
+    for max_terms, refused in ((600, True), (10_000, False)):
+        p = EvalParams(0.9999, max_terms=max_terms)
+        try:
+            _walk_values(words, p)
+        except series.ConvergenceError as e:
+            assert refused and "no convergence at tolerance" in str(e)
+        else:
+            assert not refused
+
+
+def test_a_walk_past_max_terms_leaves_the_words_to_the_direct_series():
+    # the walk is picked here and needs more than 1500 Taylor terms; the
+    # direct series answers within them
+    w, z = Word("0110010"), 0.9583085183688673
+    p = EvalParams(z, eps=8.27e-12, max_terms=1500)
+    words: dict = {}
+    series._reduced(w, p, words)
+    nodes = series._suffix_trie(list(words))
+    points, eps0, tau, sizes, _ = series._walk_plan(nodes, z, p.eps)
+    with pytest.raises(series.ConvergenceError):
+        series._walk(nodes, points, eps0, tau, sizes, p)
+    got = eval_li_word(w, p)
+    assert abs(got - eval_li_word(w, EvalParams(z, eps=1e-14))) <= 1e-9
+
+
+def _harmonic_loop(s, n_max):
+    """The former depth >= 2 loop: one Fraction add per n and per row."""
+    r = len(s)
+    h = [Fraction(0)] * r + [Fraction(1)]
+    out = [Fraction(1) if r == 0 else Fraction(0)]
+    for n in range(1, n_max + 1):
+        for j in range(r):
+            h[j] += h[j + 1] / Fraction(n) ** s[j]
+        out.append(h[0])
+    return out
+
+
+def test_harmonic_sum_equals_the_row_loop():
+    for d in (1, 2, 3):
+        for s in itertools.product((1, 2, 3), repeat=d):
+            want = _harmonic_loop(s, 60)
+            for n in range(61):
+                assert harmonic_sum(s, n) == want[n], (s, n)
+    for s in ((2,), (2, 1), (3, 3), (1, 2, 3)):
+        want = _harmonic_loop(s, 2003)
+        for n in (1000, 2003):
+            assert harmonic_sum(s, n) == want[n], (s, n)
+
+
+def test_import_of_the_cli_leaves_dataclasses_out():
+    code = "import sys, starshuffle.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_eval_params_stay_immutable_and_comparable():
+    p = EvalParams(0.5, eps=1e-9, max_terms=100)
+    with pytest.raises(AttributeError):
+        p.z = 0.25
+    assert p == EvalParams(0.5, eps=1e-9, max_terms=100)
+    assert hash(p) == hash(EvalParams(0.5, eps=1e-9, max_terms=100))
+    assert p != EvalParams(0.5, eps=1e-10, max_terms=100)
+    assert repr(p) == "EvalParams(z=(0.5+0j), eps=1e-09, max_terms=100)"
+    assert pickle.loads(pickle.dumps(p)) == p
