@@ -5,14 +5,28 @@ polynomials, star series, symbolic function spaces) is a finite map from
 basis keys to Fractions.  This base class supplies the vector-space part;
 subclasses may canonicalize keys on insertion.
 
-Every product in the package (shuffle, stuffle, star shuffle, the SymFun
-product, concatenation) is the bilinear extension of a rule on pairs of
-basis keys, pair(u, v) -> {key: int multiplicity}, and _bilinear holds the
-one loop that extends it: the coefficients of each factor are scaled to
-one common denominator (_common_scale), the products c_u * c_v * m are
-summed as plain ints, and one Fraction is built per distinct nonzero
-value at the end (_fractions).  Output keys keep the order in which the
-loop first meets them.
+Two loops extend rules on basis keys to whole combinations, and every
+operation with a fixed rule goes through one of them:
+
+    _bilinear  a rule on pairs of keys, pair(u, v) -> {key: int}: every
+               product in the package (shuffle, stuffle, star shuffle, the
+               SymFun product, concatenation);
+    _linear    a rule on single keys, rule(u) -> {key: int}: the
+               operators theta_0, theta_1 and d/dz on SymFuns.
+
+Both scale the coefficients of each operand to one common denominator
+(_common_scale), sum the products with the rule's multiplicities as plain
+ints, and build one Fraction per distinct nonzero value at the end
+(_fractions).  Output keys keep the order in which the loop first meets
+them; a key whose sum is zero is dropped only at the end, as
+LinearCombination's constructor drops it.  Both can apply a second
+linear rule to their int sums before the Fractions are built: the SymFun
+product reduces its raw keys that way, and theta_i multiplies d/dz by z
+or 1-z.
+
+_combine sums scaled combinations, c * (sum of n/d over keys), as a chain
+of + would: a key is dropped the moment it cancels, and appended again if
+a later summand brings it back.
 """
 
 from __future__ import annotations
@@ -137,9 +151,34 @@ def _fractions(num: dict, den: int) -> dict:
     return out
 
 
-def _bilinear(p: dict, q: dict, pair) -> dict:
+def _sum_rule(nums, rule) -> dict:
+    """sum of c * rule(u) over the (u, c) pairs of int numerators, as
+    {key: int}.  A zero c is skipped, so it places no key."""
+    acc: dict = {}
+    for u, c in nums:
+        if c:
+            for w, m in rule(u).items():
+                acc[w] = acc.get(w, 0) + c * m
+    return acc
+
+
+def _linear(terms: dict, rule, then=None) -> dict:
+    """The linear extension of rule(u) -> {key: int} to the term map terms,
+    as {key: Fraction} with the zero values dropped.  With a second rule
+    then, its linear extension is applied to the int sums first."""
+    nums, den = _common_scale(terms.values())
+    acc = _sum_rule(zip(terms, nums), rule)
+    if then is not None:
+        acc = _sum_rule(acc.items(), then)
+    return _fractions(acc, den)
+
+
+def _bilinear(p: dict, q: dict, pair, then=None) -> dict:
     """The bilinear extension of pair(u, v) -> {key: int} to the term maps
-    p and q, as {key: Fraction} with the zero values dropped."""
+    p and q, as {key: Fraction} with the zero values dropped.  With a rule
+    then(key) -> {key: int}, its linear extension is applied to the int
+    sums first, in the order the pair loop met their keys; a key whose sum
+    is zero is skipped there, as if the product had been built first."""
     p_nums, p_den = _common_scale(p.values())
     q_nums, q_den = _common_scale(q.values())
     acc: dict = {}
@@ -148,4 +187,35 @@ def _bilinear(p: dict, q: dict, pair) -> dict:
             c = cu * cv
             for w, m in pair(u, v).items():
                 acc[w] = acc.get(w, 0) + c * m
+    if then is not None:
+        acc = _sum_rule(acc.items(), then)
     return _fractions(acc, p_den * q_den)
+
+
+def _combine(parts) -> dict:
+    """sum of c * (n / d) over the parts (c, items, d), where c is an int
+    or a Fraction and items yields (key, int n), as {key: Fraction}.
+
+    The sum is kept as ints over a running common denominator, widened
+    (every value rescaled in place) only when a part needs it.  A key is
+    dropped the moment it cancels, so one that comes back is appended, as
+    in a chain of + on LinearCombinations.
+    """
+    acc: dict = {}
+    den = 1
+    for c, items, d in parts:
+        d *= c.denominator
+        if den % d:
+            wider = lcm(den, d)
+            f = wider // den
+            for key in acc:
+                acc[key] *= f
+            den = wider
+        m = c.numerator * (den // d)
+        for key, n in items:
+            v = acc.get(key, 0) + m * n
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
+    return _fractions(acc, den)

@@ -18,6 +18,20 @@ always anchored at 0.  iota_0 is anchored piecewise: a reduced piece
 z^k (1-z)^(-l) Li_u log^n/n! of index k + |u| >= 1 is anchored at 0,
 otherwise at 1, which makes the string of operators read off a word
 reproduce the polylogarithm of that word.
+
+Because iota_0 is anchored piece by piece, it is linear on the reduced
+pieces, and a fifth table holds its values there:
+
+    _section(k, l, u, n)  the anchored section of the piece (k, l, u, n):
+                 _J's antiderivative of it minus its basepoint limit,
+                 as int numerators over one denominator, or, when the
+                 limit is a non-elementary constant, the antiderivative
+                 and that constant as a float.
+
+iota_0 sums c * _section over the pieces of its argument.  iota_1 has no
+such table: its one anchor at 0 is the limit of the whole antiderivative,
+which exists even where the limits of single terms diverge and cancel,
+so it is taken per call.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from functools import lru_cache
 from math import factorial
 
 from ..errors import DomainError, NonElementaryConstantError
+from ..linear import _combine, _common_scale
 from ..rewrite import reduce_exponents
 from ..words import Word, composition_of_word
 from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
@@ -217,6 +232,39 @@ def _piece_index(k: int, u: Word) -> int:
     return k + len(u) if len(u) else k
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
+def _section(k: int, l: int, u: Word, n: int) -> tuple:
+    """iota_0 on the reduced piece z^k (1-z)^(-l) Li_u log^n/n!, anchored
+    at 0 when its index is >= 1 and at 1 otherwise.
+
+    Returns (items, den, constant): the section is the sum of num / den
+    over the (key, num) items.  constant is None when the basepoint limit
+    is rational (it is then subtracted inside the items); otherwise it is
+    that limit as a float, and the items are the bare antiderivative.
+    Raises DomainError when the limit does not exist.  Cached: the items
+    are a tuple, so no caller can change an entry.
+    """
+    anti = _antiderivative(0, from_piece(k, l, u, n))
+    if _piece_index(k, u) >= 1:
+        base = limit_at_zero(anti)
+    else:
+        base = limit_at_one(anti, numeric_fallback=True)
+    constant = None
+    if isinstance(base, Fraction):
+        anti = anti - base * SymFun.one()
+    else:
+        constant = base
+    nums, den = _common_scale(anti.terms.values())
+    return tuple(zip(anti.terms, nums)), den, constant
+
+
+def _piece_order(item: tuple) -> tuple:
+    """Sort key of a (piece, coeff) item: k, l, then u by length and
+    letters, then n."""
+    (k, l, u, n), _ = item
+    return k, l, len(u), tuple(u), n
+
+
 def iota(i: int, f: SymFun, *, numeric_constants: bool = False):
     """The section iota_i of theta_i.
 
@@ -233,21 +281,16 @@ def iota(i: int, f: SymFun, *, numeric_constants: bool = False):
         base = limit_at_zero(anti)
         result = anti - base * SymFun.one()
         return (result, 0.0) if numeric_constants else result
-    sym = SymFun.zero()
+    parts = []
     numeric = 0.0
-    for (k, l, u, n), c in sorted(
-        to_pieces(f).items(), key=lambda g: (g[0][0], g[0][1], len(g[0][2]), tuple(g[0][2]), g[0][3])
-    ):
-        anti = _antiderivative(0, from_piece(k, l, u, n))
-        if _piece_index(k, u) >= 1:
-            base = limit_at_zero(anti)
-        else:
-            base = limit_at_one(anti, numeric_fallback=numeric_constants)
-        if isinstance(base, Fraction):
-            sym += c * (anti - base * SymFun.one())
-        else:
-            sym += c * anti
-            numeric -= float(c) * base
+    for piece, c in sorted(to_pieces(f).items(), key=_piece_order):
+        items, den, constant = _section(*piece)
+        if constant is not None:
+            if not numeric_constants:
+                raise NonElementaryConstantError()
+            numeric -= float(c) * constant
+        parts.append((c, items, den))
+    sym = SymFun._trusted(_combine(parts))
     return (sym, numeric) if numeric_constants else sym
 
 

@@ -14,8 +14,10 @@ k_{i-1}), the last index being forced to k_r = M_r (its binomial is 1),
 and each term carries the product of the remaining binomials C(M_i, k_i).
 The series routes read the coefficients off the normal form of that
 series modulo the kernel ideal (rewrite.normal_form), so they check the
-reducer.  The recursion route keeps its own arithmetic on polynomials in
-Y on purpose: it is the one route that does not go through the reducer.
+reducer.  Their sums over indices are summed as ints into one dict
+(linear._combine), in the order a chain of + would give.  The recursion
+route keeps its own arithmetic on polynomials in Y on purpose: it is the
+one route that does not go through the reducer.
 All routes are normalized so the depth >= 1 closed forms vanish at z = 0.
 """
 
@@ -26,6 +28,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from ..errors import DomainError
+from ..linear import _combine, _common_scale
 from ..rewrite import normal_form
 from ..star_series import StarSeries, plane_star, shuffle_star
 from .series import _check_composition, stirling2
@@ -33,15 +36,23 @@ from .series import _check_composition, stirling2
 ROUTES = ("T", "R", "F", "recursion")
 
 
+def _part(c: int, series: StarSeries) -> tuple:
+    """c * series as a part for linear._combine."""
+    nums, den = _common_scale(series.terms.values())
+    return c, zip(series.terms, nums), den
+
+
 def _stirling_block(k: int, base: StarSeries, shift: StarSeries) -> StarSeries:
     """shift sh sum over j of S2(k, j) j! base^(sh j), the k >= 1 case of
     the three series factors."""
-    acc = StarSeries.zero()
-    power = StarSeries.one()
-    for j in range(1, k + 1):
-        power = shuffle_star(power, base)
-        acc += stirling2(k, j) * factorial(j) * power
-    return shuffle_star(shift, acc)
+
+    def parts():
+        power = StarSeries.one()
+        for j in range(1, k + 1):
+            power = shuffle_star(power, base)
+            yield _part(stirling2(k, j) * factorial(j), power)
+
+    return shuffle_star(shift, StarSeries._trusted(_combine(parts())))
 
 
 def _route_factor(route: str, k: int) -> StarSeries:
@@ -88,16 +99,18 @@ def build_neg_series(s: Iterable[int], route: str = "T") -> StarSeries:
     if not s:
         return StarSeries.one()
     factors: dict = {}
-    acc = StarSeries.zero()
-    for indices, coeff in _nested_indices(s):
-        for k in indices:
-            if k not in factors:
-                factors[k] = _route_factor(route, k)
-        term = factors[indices[0]]
-        for k in indices[1:]:
-            term = shuffle_star(term, factors[k])
-        acc += coeff * term
-    return acc
+
+    def parts():
+        for indices, coeff in _nested_indices(s):
+            for k in indices:
+                if k not in factors:
+                    factors[k] = _route_factor(route, k)
+            term = factors[indices[0]]
+            for k in indices[1:]:
+                term = shuffle_star(term, factors[k])
+            yield _part(coeff, term)
+
+    return StarSeries._trusted(_combine(parts()))
 
 
 def _closed_form_from_series(series: StarSeries) -> list:

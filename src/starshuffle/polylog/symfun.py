@@ -12,7 +12,16 @@ are equal functions and conversely.
 
 The product is the star-series product on (k, l, w) keys, a pair rule
 (word parts shuffle, exponents add) handed to linear._bilinear, followed
-by the reduction of the raw keys on insertion.
+by the reduction of the merged raw keys (_canonical) on their int sums.
+
+d/dz, theta_0 = z d/dz and theta_1 = (1-z) d/dz are linear, so each is a
+rule on canonical keys, key -> {canonical key: int}, handed to
+linear._linear.  A rule reduces its own raw keys with reduce_exponents,
+so the results are already canonical and are wrapped without a second
+pass through _insert.  theta_i is the rule of d/dz followed by the rule
+of the factor z or 1-z on the int sums, not one fused rule per key,
+because a key of d/dz that cancels across terms must place none of its
+images: that keeps the order of the output keys.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from ..linear import LinearCombination, _bilinear
+from ..linear import LinearCombination, _bilinear, _linear, _sum_rule
 from ..rewrite import reduce_exponents
 from ..shuffle_core import NCPoly, _shuffle_words, shuffle
 from ..words import EPSILON, Word
@@ -56,7 +65,7 @@ class SymFun(LinearCombination):
 
     def __mul__(self, other):
         if isinstance(other, SymFun):
-            return SymFun(_bilinear(self.terms, other.terms, _symfun_pair))
+            return SymFun._trusted(_bilinear(self.terms, other.terms, _symfun_pair, _canonical))
         if isinstance(other, Rational):
             return self.scale(other)
         return NotImplemented
@@ -70,6 +79,14 @@ def _symfun_pair(x: tuple, y: tuple) -> dict:
     return {(k, l, w): m for w, m in _shuffle_words(w1, w2).items()}
 
 
+def _canonical(key: tuple) -> dict:
+    """A raw key (k, l, w) with integer k and l, as {canonical key: int}."""
+    k, l, w = key
+    if l >= 0 and k * l == 0:
+        return {key: 1}
+    return {(k2, l2, w): m for (k2, l2), m in reduce_exponents(k, l).items()}
+
+
 def lambda_fun() -> SymFun:
     """The function z / (1 - z) = 1/(1-z) - 1."""
     return SymFun({(0, 1, EPSILON): 1, (0, 0, EPSILON): -1})
@@ -80,30 +97,46 @@ def inv_lambda_fun() -> SymFun:
     return SymFun({(-1, 0, EPSILON): 1, (0, 0, EPSILON): -1})
 
 
+# The ideal workload differentiates about 140 distinct keys, 98 % of the
+# calls hitting the table.
+@lru_cache(maxsize=1024)
+def _d_rule(key: tuple) -> dict:
+    """d/dz on one canonical key.  An image key whose multiplicities sum
+    to zero is kept, so that it holds its place in the output order.
+    Cached, treat as read-only."""
+    k, l, w = key
+    raw = []
+    if k:
+        raw.append(((k - 1, l, w), k))
+    if l:
+        raw.append(((k, l + 1, w), l))
+    if len(w):
+        u = w[1:]
+        raw.append(((k - 1, l, u) if w[0] == 0 else (k, l + 1, u), 1))
+    return _sum_rule(raw, _canonical)
+
+
+def _times_z(key: tuple) -> dict:
+    k, l, w = key
+    return _canonical((k + 1, l, w))
+
+
+def _times_one_minus_z(key: tuple) -> dict:
+    k, l, w = key
+    return _canonical((k, l - 1, w))
+
+
 def derivative(f: SymFun) -> SymFun:
     """d/dz, using d Li_{x0 u} = Li_u dz/z and d Li_{x1 u} = Li_u dz/(1-z)."""
-    out: list = []
-    for (k, l, w), c in f.terms.items():
-        if k:
-            out.append(((k - 1, l, w), c * k))
-        if l:
-            out.append(((k, l + 1, w), c * l))
-        if len(w):
-            if w[0] == 0:
-                out.append(((k - 1, l, w[1:]), c))
-            else:
-                out.append(((k, l + 1, w[1:]), c))
-    return SymFun(out)
+    return SymFun._trusted(_linear(f.terms, _d_rule))
 
 
 def theta(i: int, f: SymFun) -> SymFun:
     """theta_0 = z d/dz and theta_1 = (1-z) d/dz."""
     if i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
-    d = derivative(f)
-    if i == 0:
-        return SymFun([((k + 1, l, w), c) for (k, l, w), c in d.terms.items()])
-    return SymFun([((k, l - 1, w), c) for (k, l, w), c in d.terms.items()])
+    factor = _times_z if i == 0 else _times_one_minus_z
+    return SymFun._trusted(_linear(f.terms, _d_rule, factor))
 
 
 # Bounded above the 2,143 words the test suite reduces; the ideal workload

@@ -87,17 +87,16 @@ class Word:
         return isinstance(other, Word) and self.bits == other.bits and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash((self.bits, self.n))
+        # bits < 2^n, so the sentinel bit makes this int unique to the word
+        return hash(self.bits | 1 << self.n)
 
     def __lt__(self, other: "Word") -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        m = min(self.n, other.n)
-        for i in range(m):
-            a = (self.bits >> i) & 1
-            b = (other.bits >> i) & 1
-            if a != b:
-                return a < b
+        diff = (self.bits ^ other.bits) & ((1 << min(self.n, other.n)) - 1)
+        if diff:
+            # the lowest differing bit is the first differing letter
+            return not self.bits & diff & -diff
         return self.n < other.n
 
     def count(self, letter: int) -> int:

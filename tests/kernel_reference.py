@@ -12,6 +12,13 @@ The *_loop functions are the products as each one kept its own double
 loop over pairs of terms: shuffle and stuffle summing int numerators over
 a common denominator, the other four summing Fractions.  Every product now
 goes through linear._bilinear, and must give what these loops give.
+
+The *_ref functions are the linear operators as they were computed term
+by term, every intermediate result built through the SymFun and
+StarSeries constructors and summed with +: d/dz, theta, iota and their
+word strings, the SymFun product (raw keys merged, then reduced on
+insertion), and the star series of the lineg routes.  Each new form must
+give their values, raised exception classes and dict order.
 """
 
 from __future__ import annotations
@@ -19,11 +26,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import factorial, lcm
 
-from starshuffle.polylog.symfun import SymFun
+from starshuffle.polylog.integrate import _antiderivative, _piece_index, limit_at_one, limit_at_zero
+from starshuffle.polylog.negindex import _nested_indices
+from starshuffle.polylog.series import _check_composition, stirling2
+from starshuffle.polylog.symfun import SymFun, _symfun_pair, to_pieces
 from starshuffle.shuffle_core import NCPoly, YPoly, _shuffle_words, _stuffle_words, unshuffle
-from starshuffle.star_series import StarSeries, StarTerm, _exponent
+from starshuffle.star_series import StarSeries, StarTerm, _exponent, plane_star, shuffle_star
 from starshuffle.words import EPSILON, Word
 
 
@@ -149,6 +159,115 @@ def conc_loop(p, q):
             key = u + v
             out[key] = out.get(key, 0) + cu * cv
     return type(p)(out)
+
+
+def symfun_mul_ref(f: SymFun, g: SymFun) -> SymFun:
+    return SymFun(_int_numerator_loop(f, g, _symfun_pair))
+
+
+def derivative_ref(f: SymFun) -> SymFun:
+    out: list = []
+    for (k, l, w), c in f.terms.items():
+        if k:
+            out.append(((k - 1, l, w), c * k))
+        if l:
+            out.append(((k, l + 1, w), c * l))
+        if len(w):
+            if w[0] == 0:
+                out.append(((k - 1, l, w[1:]), c))
+            else:
+                out.append(((k, l + 1, w[1:]), c))
+    return SymFun(out)
+
+
+def theta_ref(i: int, f: SymFun) -> SymFun:
+    if i not in (0, 1):
+        raise ValueError("operator index must be 0 or 1")
+    d = derivative_ref(f)
+    if i == 0:
+        return SymFun([((k + 1, l, w), c) for (k, l, w), c in d.terms.items()])
+    return SymFun([((k, l - 1, w), c) for (k, l, w), c in d.terms.items()])
+
+
+def from_piece_ref(k: int, l: int, u: Word, n: int) -> SymFun:
+    return symfun_mul_ref(SymFun.monomial(k, l, u), SymFun.from_li(Word([0] * n)))
+
+
+def iota_ref(i: int, f: SymFun, *, numeric_constants: bool = False):
+    """iota re-integrating and re-anchoring every reduced piece per call."""
+    if i not in (0, 1):
+        raise ValueError("operator index must be 0 or 1")
+    if i == 1:
+        anti = _antiderivative(1, f)
+        base = limit_at_zero(anti)
+        result = anti - base * SymFun.one()
+        return (result, 0.0) if numeric_constants else result
+    sym = SymFun.zero()
+    numeric = 0.0
+    for (k, l, u, n), c in sorted(
+        to_pieces(f).items(), key=lambda g: (g[0][0], g[0][1], len(g[0][2]), tuple(g[0][2]), g[0][3])
+    ):
+        anti = _antiderivative(0, from_piece_ref(k, l, u, n))
+        if _piece_index(k, u) >= 1:
+            base = limit_at_zero(anti)
+        else:
+            base = limit_at_one(anti, numeric_fallback=numeric_constants)
+        if isinstance(base, Fraction):
+            sym += c * (anti - base * SymFun.one())
+        else:
+            sym += c * anti
+            numeric -= float(c) * base
+    return (sym, numeric) if numeric_constants else sym
+
+
+def apply_word_op_ref(kind: str, w: Word, f: SymFun) -> SymFun:
+    op = {"theta": theta_ref, "iota": iota_ref}[kind]
+    for a in reversed(list(w)):
+        f = op(a, f)
+    return f
+
+
+def _stirling_block_ref(k: int, base: StarSeries, shift: StarSeries) -> StarSeries:
+    acc = StarSeries.zero()
+    power = StarSeries.one()
+    for j in range(1, k + 1):
+        power = shuffle_star(power, base)
+        acc += stirling2(k, j) * factorial(j) * power
+    return shuffle_star(shift, acc)
+
+
+def _route_factor_ref(route: str, k: int) -> StarSeries:
+    if route == "T":
+        if k == 0:
+            return plane_star(1, 1)
+        return _stirling_block_ref(k, plane_star(1, 1), plane_star(0, 1))
+    if route == "R":
+        both = shuffle_star(plane_star(1, 0), plane_star(0, 1))
+        if k == 0:
+            return both
+        return _stirling_block_ref(k, both, plane_star(0, 1))
+    lam = plane_star(0, 1) - StarSeries.one()
+    if k == 0:
+        return lam
+    return _stirling_block_ref(k, lam, plane_star(0, 1))
+
+
+def build_neg_series_ref(s, route: str = "T") -> StarSeries:
+    """The lineg series summed with acc += coeff * term."""
+    s = _check_composition(s, 0)
+    if not s:
+        return StarSeries.one()
+    factors: dict = {}
+    acc = StarSeries.zero()
+    for indices, coeff in _nested_indices(s):
+        for k in indices:
+            if k not in factors:
+                factors[k] = _route_factor_ref(route, k)
+        term = factors[indices[0]]
+        for k in indices[1:]:
+            term = shuffle_star(term, factors[k])
+        acc += coeff * term
+    return acc
 
 
 def words_up_to(n: int) -> list:

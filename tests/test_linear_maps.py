@@ -1,0 +1,147 @@
+"""d/dz, theta and iota are linear maps fixed by their values on basis keys,
+and the sums of the lineg routes are summed in one dict.  Each must give
+what its term-by-term reference in kernel_reference gives: the same
+values, or the same raised exception class, and the same dict order."""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from kernel_reference import (
+    apply_word_op_ref,
+    build_neg_series_ref,
+    derivative_ref,
+    iota_ref,
+    symfun_mul_ref,
+    theta_ref,
+)
+from starshuffle.errors import DomainError
+from starshuffle.polylog.integrate import _section, apply_word_op, iota
+from starshuffle.polylog.negindex import build_neg_series
+from starshuffle.polylog.symfun import SymFun, derivative, theta
+from starshuffle.words import Word
+
+CASES = 300
+
+
+def _word(rng, n=4):
+    return Word([rng.randint(0, 1) for _ in range(rng.randint(0, n))])
+
+
+def _key(rng):
+    if rng.random() < 0.3:
+        return 0, rng.randint(1, 4), _word(rng)
+    return rng.randint(-4, 4), 0, _word(rng)
+
+
+def _coeff(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+
+
+def _symfun(rng):
+    return SymFun({_key(rng): _coeff(rng) for _ in range(rng.randint(1, 4))})
+
+
+def _outcome(fn, *args, **kwargs):
+    """("ok", items) for a SymFun, ("ok", items, float) for a (SymFun,
+    float) pair, ("raise", class) for an exception."""
+    try:
+        res = fn(*args, **kwargs)
+    except Exception as exc:  # the class is compared, whatever it is
+        return ("raise", type(exc))
+    if isinstance(res, tuple):
+        sym, num = res
+        return ("ok", list(sym.terms.items()), num)
+    return ("ok", list(res.terms.items()))
+
+
+def _cases(seed, cancelling):
+    """Random SymFuns; every third one is cancelling(rng, f) plus a random
+    term, so that terms of the operator's images cancel across keys."""
+    rng = random.Random(seed)
+    for n in range(CASES):
+        f = _symfun(rng)
+        if n % 3 == 0:
+            try:
+                f = cancelling(rng, f) + SymFun({_key(rng): _coeff(rng)})
+            except DomainError:
+                pass
+        yield rng, f
+
+
+def _integrated(rng, f):
+    return iota_ref(rng.randint(0, 1), f, numeric_constants=True)[0]
+
+
+def _differentiated(rng, f):
+    return theta_ref(rng.randint(0, 1), f)
+
+
+def test_derivative_and_theta_match_their_references():
+    for _, f in _cases(1, _integrated):
+        assert _outcome(derivative, f) == _outcome(derivative_ref, f)
+        for i in (0, 1):
+            assert _outcome(theta, i, f) == _outcome(theta_ref, i, f)
+
+
+def test_iota_matches_its_reference():
+    for _, f in _cases(2, _differentiated):
+        for i in (0, 1):
+            for numeric in (False, True):
+                got = _outcome(iota, i, f, numeric_constants=numeric)
+                assert got == _outcome(iota_ref, i, f, numeric_constants=numeric), (i, numeric, f)
+
+
+def test_word_op_strings_match_their_references():
+    for rng, f in _cases(3, _differentiated):
+        w = _word(rng, 3)
+        got = _outcome(apply_word_op, "iota", w, f)
+        assert got == _outcome(apply_word_op_ref, "iota", w, f), (w, f)
+        if got[0] == "ok":
+            g = SymFun(got[1])
+            v = Word(list(w)[::-1])
+            assert _outcome(apply_word_op, "theta", v, g) == _outcome(apply_word_op_ref, "theta", v, g)
+
+
+def test_symfun_product_keeps_the_merged_order():
+    rng = random.Random(4)
+    for _ in range(CASES):
+        f = _symfun(rng)
+        # every third right factor shares the left one's keys, so that
+        # whole raw keys cancel
+        g = _symfun(rng) if rng.randrange(3) else f.scale(_coeff(rng)) - _symfun(rng)
+        assert list((f * g).terms.items()) == list(symfun_mul_ref(f, g).terms.items())
+
+
+def test_iota_returns_fresh_results_and_its_table_is_bounded():
+    f = SymFun({(0, 1, Word("01")): Fraction(1, 2), (2, 0, Word("1")): Fraction(-3)})
+    first = iota(0, f)
+    want = list(first.terms.items())
+    first.terms.clear()
+    assert list(iota(0, f).terms.items()) == want
+    assert _section.cache_info().maxsize is not None
+
+
+def _compositions(weight_max, depth_max):
+    yield ()
+    frontier = [()]
+    for _ in range(depth_max):
+        frontier = [s + (part,) for s in frontier for part in range(weight_max - sum(s) + 1)]
+        yield from frontier
+
+
+def test_neg_series_match_their_summed_loop():
+    for s in _compositions(6, 3):
+        for route in "TRF":
+            got = list(build_neg_series(s, route).terms.items())
+            assert got == list(build_neg_series_ref(s, route).terms.items()), (s, route)
+
+
+def test_word_order_is_tuple_order_and_equal_words_hash_equal():
+    words = [Word(t) for m in range(8) for t in product((0, 1), repeat=m)]
+    tuples = [tuple(w) for w in words]
+    for u, tu in zip(words, tuples):
+        for v, tv in zip(words, tuples):
+            assert (u < v, u <= v, u > v, u >= v) == (tu < tv, tu <= tv, tu > tv, tu >= tv)
+        twin = (Word("1") + u)[1:]
+        assert twin == u and hash(twin) == hash(u)
