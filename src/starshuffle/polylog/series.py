@@ -109,15 +109,20 @@ def _check_composition(s: Sequence[int], minimum: int) -> tuple:
     return s
 
 
-def _step_product(s: tuple, a: int, b: int) -> tuple:
+def _step_product(s: tuple, a: int, b: int, rows: int, first: int) -> tuple:
     """The steps n = a..b of harmonic_sum's recurrence, M_b ... M_a, as
     (D, U) with M_b ... M_a = I + U / D: D = prod n^max(s) and U a strictly
-    upper triangular integer matrix.
+    upper triangular integer matrix, of which only the entries (i, j) with
+    i < rows and j >= first are asked for.
 
     Step n adds h[j+1] / n^s_j to h[j]: over the denominator n^max(s) it is
     the integer matrix n^max(s) I + C_n with C_n[j][j+1] = n^(max(s) - s_j).
     Ranges are split in halves, so the big integers meet in balanced
     products; depth 1 is the sum of 1/n^s over unreduced (num, den) pairs.
+    Entry (i, j) of a product reads row i of the high half and column j of
+    the low half, so a split asks its high half for the same rows and its
+    low half for the same columns.  harmonic_sum asks for entry (0, r)
+    alone.  Short ranges fill the whole matrix.
     """
     r = len(s)
     if b - a < 8:
@@ -137,12 +142,12 @@ def _step_product(s: tuple, a: int, b: int) -> tuple:
             den *= d
         return den, u
     mid = (a + b) // 2
-    dl, ul = _step_product(s, a, mid)
-    dh, uh = _step_product(s, mid + 1, b)
+    dl, ul = _step_product(s, a, mid, r, first)
+    dh, uh = _step_product(s, mid + 1, b, rows, 1)
     # (dh I + uh)(dl I + ul) = dh dl I + dh ul + uh dl + uh ul
     u = [[0] * (r + 1) for _ in range(r + 1)]
-    for i in range(r):
-        for j in range(i + 1, r + 1):
+    for i in range(rows):
+        for j in range(max(i + 1, first), r + 1):
             acc = dh * ul[i][j] + uh[i][j] * dl
             for k in range(i + 1, j):
                 acc += uh[i][k] * ul[k][j]
@@ -165,7 +170,7 @@ def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
         return Fraction(1)
     if n_max < r:
         return Fraction(0)
-    den, u = _step_product(s, 1, n_max)
+    den, u = _step_product(s, 1, n_max, 1, r)
     return Fraction(u[0][r], den)
 
 

@@ -17,12 +17,20 @@ for the closed form:
     (k, l) -> (k, l - 1) + (k + 1, l)            for k <= -1, l >= 1
 
 Each step strictly decreases |k| + l on the rewritten monomial and adds
-a shuffle multiple of the generator.
+a shuffle multiple of the generator.  So no monomial of a level appears
+or vanishes while that level is rewritten, and the "measure" strategy
+(always a monomial of maximal |k| + l, the largest in term order first)
+is level order: from the top level down, each level's rewritable
+monomials sorted once.  The loop runs on int numerators over the input's
+common denominator, so a step is O(1) dict work plus the copy of the
+state it records.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from .errors import DomainError
@@ -55,6 +63,10 @@ def reduce_exponents(k: int, l: int) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+# _term(StarTerm, (w, k, l)) builds the key without NamedTuple's Python-level __new__
+_term = tuple.__new__
+
+
 def _check_laurent(s: StarSeries) -> None:
     if not s.is_laurent():
         raise DomainError(
@@ -67,31 +79,6 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _rewritable(terms: dict) -> list:
-    return [t for t in terms if t.a0 != 0 and t.a1 >= 1]
-
-
-def _apply_rule(terms: dict, t: StarTerm) -> None:
-    c = terms.pop(t)
-    k, l = t.a0, t.a1
-    if k >= 1:
-        pieces = (
-            (StarTerm(t.w, k - 1, l), c),
-            (StarTerm(t.w, k - 1, l - 1), -c),
-        )
-    else:
-        pieces = (
-            (StarTerm(t.w, k, l - 1), c),
-            (StarTerm(t.w, k + 1, l), c),
-        )
-    for key, dc in pieces:
-        nc = terms.get(key, 0) + dc
-        if nc:
-            terms[key] = nc
-        else:
-            terms.pop(key, None)
-
-
 def rewrite_trace(
     s: StarSeries, strategy: str = "measure", rng: random.Random | None = None
 ) -> list[StarSeries]:
@@ -101,24 +88,105 @@ def rewrite_trace(
     strategy "measure" always rewrites a monomial of maximal |k| + l (ties
     broken by term order), which is deterministic; strategy "random" picks
     any rewritable monomial using rng.
+
+    Every step strictly lowers |k| + l, so no term of a level appears or
+    vanishes while that level is rewritten: "measure" takes the levels
+    from the top and sorts each level's rewritable terms once, in
+    descending term order.  A step is O(1) dict work plus the copy of the
+    state.  "random" sorts the rewritable terms at every step, as
+    rng.choice must see them in term order.
     """
     _check_laurent(s)
     _check_strategy(strategy)
     if strategy == "random" and rng is None:
         rng = random.Random()
-    terms = dict(s.terms)
-    states = [StarSeries._trusted(dict(terms))]
+    # The loop runs on keys (i, k, l), with i the rank of the word in term
+    # order, so that plain tuple order is term order and hashing stays in
+    # C; values holds the state's StarTerm -> Fraction map in the same dict
+    # order, one Fraction per distinct numerator over the common den.
+    words = sorted({t.w for t in s.terms}, key=lambda w: term_sort_key(StarTerm(w, 0, 0)))
+    rank = {w: i for i, w in enumerate(words)}
+    nums, den = _common_scale(s.terms.values())
+    live = {(rank[w], int(k), int(l)): c for (w, k, l), c in zip(s.terms, nums)}
+    values = dict(s.terms)
+    made: dict = {}
+    levels: dict = {}  # |k| + l -> set of the live rewritable keys of that level
+    for key in live:
+        _, k, l = key
+        if k and l:
+            levels.setdefault(abs(k) + l, set()).add(key)
+    states = [_state(dict(values))]
+    todo: list = []  # the keys left to rewrite, the next one last
     while True:
-        candidates = _rewritable(terms)
-        if not candidates:
-            return states
-        if strategy == "measure":
-            top = max(abs(t.a0) + t.a1 for t in candidates)
-            t = max((t for t in candidates if abs(t.a0) + t.a1 == top), key=term_sort_key)
+        if not todo:
+            if not levels:
+                return states
+            if strategy == "measure":
+                todo = sorted(levels.pop(max(levels)))
+            else:
+                todo = [rng.choice(sorted(chain.from_iterable(levels.values())))]
+        key = todo.pop()
+        i, k, l = key
+        c = live.pop(key)
+        w = words[i]
+        del values[_term(StarTerm, (w, k, l))]
+        level = abs(k) + l
+        _drop(levels, level, key)  # a no-op under "measure", which popped the level
+        # each piece with its level, 0 when it is already reduced
+        if k >= 1:
+            pieces = ((k - 1, l, c, level - 1 if k > 1 else 0),
+                      (k - 1, l - 1, -c, level - 2 if k > 1 and l > 1 else 0))
         else:
-            t = rng.choice(sorted(candidates, key=term_sort_key))
-        _apply_rule(terms, t)
-        states.append(StarSeries._trusted(dict(terms)))
+            pieces = ((k, l - 1, c, level - 1 if l > 1 else 0),
+                      (k + 1, l, c, level - 1 if k < -1 else 0))
+        for k, l, dc, level in pieces:
+            key = (i, k, l)
+            old = live.get(key, 0)
+            nc = old + dc
+            if nc:
+                live[key] = nc
+                f = made.get(nc)
+                if f is None:
+                    f = made[nc] = Fraction(nc, den)
+                values[_term(StarTerm, (w, k, l))] = f
+                if level and not old:
+                    levels.setdefault(level, set()).add(key)
+            else:
+                del live[key], values[_term(StarTerm, (w, k, l))]
+                if level:
+                    _drop(levels, level, key)
+        states.append(_state(dict(values)))
+
+
+def _drop(levels: dict, level: int, key: tuple) -> None:
+    """Take key out of its level's set, and an emptied set out of levels."""
+    bucket = levels.get(level)
+    if bucket is not None:
+        bucket.discard(key)
+        if not bucket:
+            del levels[level]
+
+
+def _state(terms: dict) -> StarSeries:
+    """Wrap a state of rewrite_trace without a zero check: neither the
+    input nor the live terms ever hold a zero."""
+    obj = StarSeries.__new__(StarSeries)
+    obj.terms = terms
+    return obj
+
+
+def _reduced(s: StarSeries) -> tuple:
+    """The normal form of the Laurent series s as int sums {(w, k, l): n}
+    over one denominator, and that denominator; a sum may be 0.  Summed on
+    plain tuples, so no StarTerm or Fraction is built."""
+    nums, den = _common_scale(s.terms.values())
+    acc: dict = {}
+    for t, c in zip(s.terms, nums):
+        w = t.w
+        for (k, l), m in reduce_exponents(int(t.a0), int(t.a1)).items():
+            key = (w, k, l)
+            acc[key] = acc.get(key, 0) + c * m
+    return acc, den
 
 
 def normal_form(
@@ -132,19 +200,13 @@ def normal_form(
     """
     _check_laurent(s)
     _check_strategy(strategy)
-    # Summed on plain (w, k, l) tuples with int numerators; each StarTerm is
-    # built once, with the reducer's int exponents.
-    nums, den = _common_scale(s.terms.values())
-    acc: dict = {}
-    for t, c in zip(s.terms, nums):
-        w = t.w
-        for (k, l), m in reduce_exponents(int(t.a0), int(t.a1)).items():
-            key = (w, k, l)
-            acc[key] = acc.get(key, 0) + c * m
+    acc, den = _reduced(s)
     return StarSeries._trusted({StarTerm(w, k, l): c
                                 for (w, k, l), c in _fractions(acc, den).items()})
 
 
 def kernel_member(s: StarSeries) -> bool:
     """Does s lie in the ideal generated by x0* sh x1* - x1* + 1?"""
-    return not normal_form(s)
+    _check_laurent(s)
+    acc, _ = _reduced(s)
+    return not any(acc.values())

@@ -140,6 +140,97 @@ def test_rewrite_trace_follows_the_fraction_loop(strategy):
             assert all_int(state)
 
 
+def _workload_laurent(rng, cancel):
+    """1-3 terms shaped like the ideal workload's traces: |k| <= 12,
+    1 <= l <= 12, words of up to 3 letters.  With cancel, a base term
+    (k, l) comes with a partner that its first step cancels, and with a
+    neighbour of the next level that sends to the partner's key again, so
+    that the key drops out of the trace and comes back."""
+    w = Word([rng.randint(0, 1) for _ in range(rng.randint(0, 3))])
+    c = Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 2))
+    d = Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 2))
+    if not cancel:
+        terms = {star_term(w, rng.choice((1, -1)) * rng.randint(1, 12), rng.randint(1, 12)): c}
+        for _ in range(rng.randint(0, 2)):
+            u = Word([rng.randint(0, 1) for _ in range(rng.randint(0, 3))])
+            terms[star_term(u, rng.randint(-12, 12), rng.randint(1, 12))] = d
+        return StarSeries(terms)
+    l = rng.randint(2, 12)
+    if rng.random() < 0.5:  # (k, l) -> (k-1, l) - (k-1, l-1); (k, l-1) sends to (k-1, l-1)
+        k = rng.randint(2, 12)
+        return StarSeries({star_term(w, k, l): c, star_term(w, k - 1, l - 1): c,
+                           star_term(w, k, l - 1): d})
+    # (k, l) -> (k, l-1) + (k+1, l), and (k-1, l-1), of the same level, sends to (k, l-1)
+    k = -rng.randint(1, 11)
+    return StarSeries({star_term(w, k, l): c, star_term(w, k, l - 1): -c,
+                       star_term(w, k - 1, l - 1): d})
+
+
+def _comes_back(states):
+    """Some key leaves the trace and is present again in a later state."""
+    gone = set()
+    for before, after in zip(states, states[1:]):
+        if gone & after.terms.keys():
+            return True
+        gone |= before.terms.keys() - after.terms.keys()
+    return False
+
+
+@pytest.mark.parametrize("strategy", ["measure", "random"])
+def test_rewrite_trace_follows_the_fraction_loop_on_workload_shapes(strategy):
+    gen = random.Random(31)
+    came_back = 0
+    for case in range(80):
+        s = _workload_laurent(gen, cancel=case % 2 == 1)
+        got = rewrite_trace(s, strategy, random.Random(case))
+        want = _fraction_trace(s, strategy, random.Random(case))
+        assert len(got) == len(want), s
+        for state, ref in zip(got, want):
+            assert list(state.terms.items()) == list(ref.items()), s
+            # Fraction(3) == 3, so the comparison above would let an int through
+            assert all(type(c) is Fraction for c in state.terms.values()), s
+        came_back += _comes_back(got)
+    assert came_back >= 20
+
+
+@pytest.mark.parametrize("strategy", ["measure", "random"])
+def test_rewrite_trace_states_are_independent(strategy):
+    s = StarSeries({star_term(Word("01"), 3, 4): Fraction(1, 2),
+                    star_term(EPSILON, -2, 3): 3, star_term(Word("1"), 0, 2): -1})
+    before = dict(s.terms)
+    states = rewrite_trace(s, strategy, random.Random(4))
+    snapshot = [dict(state.terms) for state in states]
+    for i, state in enumerate(states):
+        state.terms[star_term(Word("111"), 5, 5)] = Fraction(7)
+        state.terms.pop(next(iter(state.terms)))
+        for j, other in enumerate(states):
+            if j != i:
+                assert other.terms == snapshot[j], (i, j)
+        state.terms.clear()
+        state.terms.update(snapshot[i])
+    assert s.terms == before
+
+
+def _level(t):
+    return abs(t.a0) + t.a1
+
+
+def test_measure_trace_rewrites_in_level_order():
+    gen = random.Random(77)
+    for case in range(60):
+        s = _workload_laurent(gen, cancel=case % 2 == 1)
+        states = rewrite_trace(s)
+        rewritten = []
+        for before, after in zip(states, states[1:]):
+            # the rewritten term leaves the state; a piece that cancels
+            # leaves it too, but sits at least one level lower
+            gone = [t for t in before.terms if t not in after.terms and t.a0 and t.a1 >= 1]
+            rewritten.append(max(gone, key=_level))
+        levels = [_level(t) for t in rewritten]
+        assert levels == sorted(levels, reverse=True), s
+        assert len(set(rewritten)) == len(rewritten), s
+
+
 def test_series_routes_match_the_recursion_up_to_weight_7_depth_3():
     comps = [c for depth in range(1, 4) for c in itertools.product(range(8), repeat=depth)
              if sum(c) <= 7]
