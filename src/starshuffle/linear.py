@@ -36,6 +36,8 @@ from math import lcm
 from numbers import Rational
 from typing import Iterable, Tuple
 
+from .words import Word
+
 
 class LinearCombination:
     """Finite basis-key -> Fraction map with zero coefficients pruned."""
@@ -47,6 +49,8 @@ class LinearCombination:
         if terms is not None:
             items: Iterable[Tuple] = terms.items() if hasattr(terms, "items") else terms
             for key, coeff in items:
+                if isinstance(coeff, Word):
+                    raise TypeError(f"a Word is not a coefficient: {coeff!r}")
                 self._insert(data, key, Fraction(coeff))
         self.terms = {k: c for k, c in data.items() if c}
 
@@ -55,13 +59,15 @@ class LinearCombination:
         """Wrap an internally built key -> coefficient dict without checking it.
 
         Precondition: every key is already what _insert would store it
-        under and every value is a Fraction.  Only internal results meet
-        it: never pass user input, and never keys that _insert still has
-        to canonicalize (such as the raw exponents of a SymFun product).
-        The dict is handed over, not copied; zero values are pruned.
+        under and every value is a nonzero Fraction.  Only internal
+        results meet it: never pass user input, and never keys that
+        _insert still has to canonicalize (such as the raw exponents of a
+        SymFun product).  The results of _bilinear, _linear, _combine and
+        _fractions hold no zero; a caller whose sums can cancel prunes
+        them first.  The dict is handed over, not copied.
         """
         obj = cls.__new__(cls)
-        obj.terms = data if all(data.values()) else {k: c for k, c in data.items() if c}
+        obj.terms = data
         return obj
 
     @classmethod
@@ -96,7 +102,11 @@ class LinearCombination:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
+            c = out.get(k, 0) + c
+            if c:
+                out[k] = c
+            else:  # k was in out, and no later term brings it back
+                del out[k]
         return self._trusted(out)
 
     def __sub__(self, other):
@@ -104,28 +114,42 @@ class LinearCombination:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
+            c = out.get(k, 0) - c
+            if c:
+                out[k] = c
+            else:  # k was in out, and no later term brings it back
+                del out[k]
         return self._trusted(out)
 
     def __neg__(self):
         return self._trusted({k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar) -> "LinearCombination":
+        if isinstance(scalar, Word):
+            raise TypeError(f"a Word is not a scalar: {scalar!r}")
         scalar = Fraction(scalar)
+        if not scalar:
+            return self._trusted({})
         return self._trusted({k: scalar * c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Rational):
+        if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, Rational):
+        if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.terms!r})"
+
+
+def _is_scalar(x) -> bool:
+    """True for a rational number.  A Word is an int only as a basis key,
+    so it is not one."""
+    return isinstance(x, Rational) and not isinstance(x, Word)
 
 
 def _common_scale(coeffs) -> tuple:

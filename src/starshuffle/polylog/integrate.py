@@ -113,7 +113,7 @@ def _against_dz(pieces: dict, w: Word) -> SymFun:
         table = _A(l, w) if l else _P(k, w)
         for key, v in table.terms.items():
             out[key] = out.get(key, 0) + c * v
-    return SymFun._trusted(out)
+    return SymFun._trusted({key: v for key, v in out.items() if v})
 
 
 def _antiderivative(i: int, f: SymFun) -> SymFun:

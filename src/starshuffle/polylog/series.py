@@ -51,6 +51,8 @@ from ..star_series import StarSeries, term_sort_key
 from ..words import Word, composition_of_word
 from .symfun import SymFun, _reduce_trailing_x0
 
+_new = int.__new__
+
 
 class EvalParams:
     """Where and how precisely to sum a series.
@@ -72,7 +74,8 @@ class EvalParams:
             raise DomainError("evaluation point must avoid the negative real axis")
         if not 0 < eps < math.inf:
             raise DomainError("eps must be positive and finite")
-        if isinstance(max_terms, bool) or not isinstance(max_terms, int) or max_terms < 1:
+        if (isinstance(max_terms, (bool, Word)) or not isinstance(max_terms, int)
+                or max_terms < 1):
             raise DomainError(f"max_terms must be an integer >= 1, got {max_terms!r}")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "eps", eps)
@@ -102,7 +105,7 @@ class EvalParams:
 def _check_composition(s: Sequence[int], minimum: int) -> tuple:
     s = tuple(s)
     for part in s:
-        if not isinstance(part, int) or part < minimum:
+        if not isinstance(part, int) or isinstance(part, Word) or part < minimum:
             raise DomainError(
                 f"composition parts must be integers >= {minimum}, got {part!r}"
             )
@@ -352,10 +355,10 @@ def _path(z: complex) -> tuple:
 
 
 def _suffix_trie(words: list) -> list:
-    """Every distinct nonempty suffix of the words as (bits, length),
-    shorter first; the child of (bits, n) is (bits >> 1, n - 1)."""
-    return sorted({(u.bits >> i, len(u) - i) for u in words for i in range(len(u))},
-                  key=lambda node: (node[1], node[0]))
+    """Every distinct nonempty suffix of the words, shorter first and then
+    by letter bits, which is the order of their int values; the child of a
+    node u is u[1:], whose int value is u >> 1."""
+    return [_new(Word, u) for u in sorted({u >> i for u in words for i in range(len(u))})]
 
 
 def _walk_plan(nodes: list, z: complex, eps: float) -> tuple:
@@ -384,7 +387,7 @@ def _walk_plan(nodes: list, z: complex, eps: float) -> tuple:
     points, length = _path(z)
     steps = len(points) - 1
     weight, term = 1.0, 1.0
-    for m in range(1, max(n for _, n in nodes) + 1):
+    for m in range(1, len(nodes[-1]) + 1):
         term *= length / m
         weight += term
     eps0 = max(eps / (4 * weight), _TINY)
@@ -392,8 +395,8 @@ def _walk_plan(nodes: list, z: complex, eps: float) -> tuple:
     sizes = [max(2.0, math.log(tau) / math.log(abs(q - p) / min(abs(p), abs(1 - p))))
              for p, q in zip(points, points[1:])]
     first = math.log2(1 / eps0) + 1
-    letters = len({bits & 1 for bits, _ in nodes})
-    predicted = (sum(first * bin(bits).count("1") for bits, _ in nodes)
+    letters = len({u & 1 for u in nodes})
+    predicted = (sum(first * u.count(1) for u in nodes)
                  + (len(nodes) + letters) * sum(sizes))
     return points, eps0, tau, sizes, predicted
 
@@ -420,10 +423,10 @@ def _walk(nodes: list, points: list, eps0: float, tau: float, sizes: list,
     raised.
     """
     start = EvalParams(points[0], eps=eps0, max_terms=p.max_terms)
-    values = [_li_series(Word._raw(bits, n), start) for bits, n in nodes]
-    index = {node: i for i, node in enumerate(nodes)}
-    children = [index.get((bits >> 1, n - 1)) for bits, n in nodes]
-    letters = [bits & 1 for bits, _ in nodes]
+    values = [_li_series(u, start) for u in nodes]
+    index = {int(u): i for i, u in enumerate(nodes)}  # u >> 1 is a plain int
+    children = [index.get(u >> 1) for u in nodes]
+    letters = [u & 1 for u in nodes]
     budget = p.max_terms
     for a, q, size in zip(points, points[1:], sizes):
         h = q - a
@@ -457,7 +460,7 @@ def _walk(nodes: list, points: list, eps0: float, tau: float, sizes: list,
                 raise _no_convergence(p.max_terms, p.eps * (1.0 - abs(p.z)))
             taylor.append(b)
         values = [sum(reversed(b)) for b in taylor]
-    return {Word._raw(bits, n): v for (bits, n), v in zip(nodes, values)}
+    return dict(zip(nodes, values))
 
 
 def _grow(cks: list, oks: list, c: complex, letter: int, n: int) -> None:

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
 
-from ..linear import LinearCombination, _bilinear, _linear, _sum_rule
+from ..linear import LinearCombination, _bilinear, _is_scalar, _linear, _sum_rule
 from ..rewrite import reduce_exponents
 from ..shuffle_core import NCPoly, _shuffle_words, shuffle
 from ..words import EPSILON, Word
@@ -42,7 +41,8 @@ class SymFun(LinearCombination):
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
         k, l, w = key
-        if not isinstance(k, int) or not isinstance(l, int):
+        if (not isinstance(k, int) or not isinstance(l, int)
+                or isinstance(k, Word) or isinstance(l, Word)):
             raise ValueError("powers k and l must be integers")
         if l >= 0 and k * l == 0:  # already canonical, the common case
             data[key] = data.get(key, 0) + coeff
@@ -66,7 +66,7 @@ class SymFun(LinearCombination):
     def __mul__(self, other):
         if isinstance(other, SymFun):
             return SymFun._trusted(_bilinear(self.terms, other.terms, _symfun_pair, _canonical))
-        if isinstance(other, Rational):
+        if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
 

@@ -56,10 +56,19 @@ def reduce_exponents(k: int, l: int) -> dict:
         for j in range(1, l + 1):
             out[(0, j)] = comb(m + l - j - 1, m - 1)
         return out
+    # k, l >= 1: the terms of the expansion of (1 - (1-z))^k (1-z)^-l
+    # with i <= l are (1-z)^-(l-i); with i > l, (1-z)^(i-l) is expanded in
+    # turn, into z^j.
     out: dict = {}
     for i in range(k + 1):
-        for key, c in reduce_exponents(0, l - i).items():
-            out[key] = out.get(key, 0) + (-1) ** i * comb(k, i) * c
+        c = (-1) ** i * comb(k, i)
+        if i <= l:
+            key = (0, l - i)
+            out[key] = out.get(key, 0) + c
+        else:
+            for j in range(i - l + 1):
+                key = (j, 0)
+                out[key] = out.get(key, 0) + c * (-1) ** j * comb(i - l, j)
     return {key: c for key, c in out.items() if c}
 
 

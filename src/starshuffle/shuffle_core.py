@@ -7,11 +7,11 @@ as module functions.  YPoly is the analogue over the indexed alphabet
 {y_k : k >= 1}, whose words are tuples of positive integers, with the
 quasi-shuffle (stuffle) product.
 
-The kernels run on packed integers and build Words only at the public
-boundary.  A word of length n is the int of its letter bits (bit i is
-letter i, as in Word.bits); where words of different lengths share a
-dict, the key carries a sentinel top bit, ``bits | 1 << n``, so that
-x0-padded words stay apart.  _shuffle_bits is a dynamic programme over
+A Word is its sentinel key, the int ``bits | 1 << n`` (bit i is letter
+i, and the top bit keeps x0-padded words apart), so the kernels take
+Words as ints and return plain-int keys, which one int.__new__(Word, key)
+call per key turns back into Words without decoding.  _shuffle_bits
+reads the lengths from bit_length and is a dynamic programme over
 prefix lengths: cell (i, j) of its table holds u[:i] sh v[:j], filled
 from (i - 1, j) by appending u[i-1] and from (i, j - 1) by appending
 v[j-1], in that order.  Appending a letter at position i + j - 1 ors in
@@ -37,10 +37,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from numbers import Rational
 
-from .linear import LinearCombination, _bilinear, _fractions
+from .linear import LinearCombination, _bilinear, _fractions, _is_scalar
 from .words import EPSILON, Word, composition_of_word, word_of_composition
+
+_new = int.__new__
 
 
 class NCPoly(LinearCombination):
@@ -65,7 +66,7 @@ class NCPoly(LinearCombination):
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             return conc(self, other)
-        if isinstance(other, Rational):
+        if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
 
@@ -83,12 +84,15 @@ def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     return NCPoly._trusted(_bilinear(p.terms, q.terms, _conc))
 
 
-def _shuffle_bits(ub: int, a: int, vb: int, b: int) -> dict:
-    """Shuffle of the words with letter bits ub (length a) and vb (length b)
-    as a {sentinel key: multiplicity} map; every key is bits | 1 << (a + b).
+def _shuffle_bits(ub: int, vb: int) -> dict:
+    """Shuffle of the words with sentinel keys ub and vb (Words or ints) as
+    a {sentinel key: multiplicity} map of plain ints.  Only the letter bits
+    below each sentinel are read.
 
     The caller owns the returned dict.
     """
+    a = ub.bit_length() - 1
+    b = vb.bit_length() - 1
     top = 1 << (a + b)
     prev = [{vb & ((1 << j) - 1) | top: 1} for j in range(b + 1)]
     for i in range(1, a + 1):
@@ -121,19 +125,13 @@ def _shuffle_words(u: Word, v: Word) -> dict:
 
     Cached; callers must treat the returned dict as read-only.
     """
-    return {_word(w): c for w, c in _shuffle_bits(u.bits, u.n, v.bits, v.n).items()}
-
-
-def _word(s: int) -> Word:
-    """The Word of a sentinel key bits | 1 << n."""
-    n = s.bit_length() - 1
-    return Word._raw(s ^ (1 << n), n)
+    return {_new(Word, w): c for w, c in _shuffle_bits(u, v).items()}
 
 
 def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
     """Shuffle product, extended bilinearly."""
-    out = _bilinear(p.terms, q.terms, lambda u, v: _shuffle_bits(u.bits, u.n, v.bits, v.n))
-    return NCPoly._trusted({_word(w): c for w, c in out.items()})
+    out = _bilinear(p.terms, q.terms, _shuffle_bits)
+    return NCPoly._trusted({_new(Word, w): c for w, c in out.items()})
 
 
 def unshuffle(w: Word) -> dict:
@@ -156,7 +154,7 @@ def unshuffle(w: Word) -> dict:
             k2 = (u, v + (a << (t - n)))
             nxt[k2] = nxt.get(k2, 0) + c
         out = nxt
-    return {(_word(u), _word(v)): c for (u, v), c in _fractions(out, 1).items()}
+    return {(_new(Word, u), _new(Word, v)): c for (u, v), c in _fractions(out, 1).items()}
 
 
 def left_residual(p: NCPoly, s: NCPoly) -> NCPoly:
@@ -205,7 +203,7 @@ class YPoly(LinearCombination):
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
         key = tuple(key)
-        if any(not isinstance(k, int) or k < 1 for k in key):
+        if any(not isinstance(k, int) or isinstance(k, Word) or k < 1 for k in key):
             raise ValueError(f"y-word indices must be positive integers, got {key!r}")
         data[key] = data.get(key, 0) + coeff
 
@@ -220,7 +218,7 @@ class YPoly(LinearCombination):
     def __mul__(self, other):
         if isinstance(other, YPoly):
             return YPoly._trusted(_bilinear(self.terms, other.terms, _conc))
-        if isinstance(other, Rational):
+        if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
 

@@ -40,6 +40,8 @@ class StarTerm(NamedTuple):
 def _exponent(a) -> int | Fraction:
     """An exact exponent: an int when integral, else a Fraction."""
     if type(a) is not int:
+        if isinstance(a, Word):
+            raise TypeError(f"a Word is not an exponent: {a!r}")
         a = Fraction(a)
         if a.denominator == 1:
             a = a.numerator

@@ -1,30 +1,64 @@
 """Words over the two-letter alphabet {x0, x1} and Lyndon-word machinery.
 
-Letters are the integers 0 and 1, ordered 0 < 1.  Words are immutable and
-hashable, so they can serve as basis keys of sparse linear combinations.
-A composition (s1, ..., sr) of positive integers is encoded as the word
+Letters are the integers 0 and 1, ordered 0 < 1.  A composition
+(s1, ..., sr) of positive integers is encoded as the word
 x0^(s1-1) x1 ... x0^(sr-1) x1, which always ends in x1.
+
+A Word is its sentinel key: the int bits | 1 << n, where bit i of bits is
+letter i and the top bit 1 << n marks the length, so that words differing
+only by trailing x0s stay apart.  The kernels in shuffle_core and
+polylog.series compute on these ints, and a key becomes a Word by one
+int.__new__(Word, key) call, with no decoding.  Hashing is int's.
+Everything else a Word does is a word's, not an int's:
+
+- equality holds only between Words, so Word("0") != 2 although its int
+  value is 2;
+- order is lexicographic with x0 < x1, a proper prefix first, and
+  comparing a Word with anything else raises TypeError;
+- len is the length, and the empty word EPSILON is false;
+- + concatenates Words and * k repeats; adding an int raises TypeError.
+
+A Word is still an int to isinstance and to int-only code, so the
+package's gates on numbers and on int arguments exclude it explicitly.
+int arithmetic on Words (such as w - 1 or w >> 1) is not part of the API.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterable, Iterator, Union
 
 Letters = Union[Iterable[int], str]
 
+_new = int.__new__
+_int_eq = int.__eq__
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-@total_ordering
-class Word:
-    """Immutable word over {x0, x1}, stored as packed bits plus a length.
 
-    Bit i of ``bits`` holds the i-th letter.  Comparison is lexicographic
-    with x0 < x1, a proper prefix sorting before its extensions.
+class Word(int):
+    """Immutable word over {x0, x1}, which is its sentinel key: the int
+    bits | 1 << n, bit i of bits holding letter i.
+
+    Comparison is lexicographic with x0 < x1, a proper prefix sorting
+    before its extensions.  Equality, order, len, truth, + and * are the
+    word's (see the module docstring); hashing is int's.
     """
 
-    __slots__ = ("bits", "n")
+    __slots__ = ()
 
-    def __init__(self, letters: Letters = ()):
+    def __new__(cls, letters: Letters = ()):
+        if isinstance(letters, str):
+            bad = letters.strip("01")
+            if bad:
+                raise ValueError(f"letter must be 0 or 1, got {bad[0]!r}")
+            return _new(cls, int("1" + letters[::-1], 2))
+        if type(letters) in (tuple, list):
+            try:
+                raw = bytes(letters)
+            except (TypeError, ValueError):  # letters such as "0" or 1.0
+                pass
+            else:
+                if not raw.strip(b"\0\1"):
+                    return _new(cls, int(b"1" + raw[::-1].translate(_DIGITS), 2))
         bits = 0
         n = 0
         for a in letters:
@@ -36,85 +70,121 @@ class Word:
                 raise ValueError(f"letter must be 0 or 1, got {a!r}")
             bits |= int(a) << n
             n += 1
-        self.bits = bits
-        self.n = n
+        return _new(cls, bits | 1 << n)
 
     @classmethod
     def _raw(cls, bits: int, n: int) -> "Word":
-        w = cls.__new__(cls)
-        w.bits = bits
-        w.n = n
-        return w
+        """The word of length n with letter bits bits < 2^n."""
+        return _new(cls, bits | 1 << n)
+
+    @property
+    def n(self) -> int:
+        """The length."""
+        return self.bit_length() - 1
+
+    @property
+    def bits(self) -> int:
+        """The letters as an int, bit i holding letter i."""
+        return self ^ 1 << self.bit_length() - 1
 
     def __len__(self) -> int:
-        return self.n
+        return self.bit_length() - 1
+
+    def __bool__(self) -> bool:
+        return self.bit_length() > 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        for _ in range(self.n):
-            yield bits & 1
-            bits >>= 1
+        s = int(self)
+        while s > 1:
+            yield s & 1
+            s >>= 1
 
     def __getitem__(self, i):
+        n = self.bit_length() - 1
         if isinstance(i, slice):
-            start, stop, step = i.indices(self.n)
+            start, stop, step = i.indices(n)
             if step != 1:
                 return Word(tuple(self)[i])
             m = max(stop - start, 0)
-            return Word._raw((self.bits >> start) & ((1 << m) - 1), m)
+            return _new(Word, (self >> start) & ((1 << m) - 1) | 1 << m)
         if i < 0:
-            i += self.n
-        if not 0 <= i < self.n:
+            i += n
+        if not 0 <= i < n:
             raise IndexError("word index out of range")
-        return (self.bits >> i) & 1
+        return (self >> i) & 1
 
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
-            return NotImplemented
-        return Word._raw(self.bits | (other.bits << self.n), self.n + other.n)
+            raise TypeError(f"can only concatenate Word (not {type(other).__name__!r}) to Word")
+        n = self.bit_length() - 1
+        return _new(Word, self ^ 1 << n | other << n)
+
+    def __radd__(self, other):
+        # int.__add__ would accept a Word, so this must raise, not defer.
+        raise TypeError(f"can only concatenate Word (not {type(other).__name__!r}) to Word")
 
     def __mul__(self, k: int) -> "Word":
-        if not isinstance(k, int):
-            return NotImplemented
-        out = EPSILON
-        for _ in range(k):
-            out = out + self
-        return out
+        if not isinstance(k, int) or isinstance(k, Word):
+            raise TypeError(f"can't multiply Word by non-int of type {type(k).__name__!r}")
+        return Word(str(self) * k)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.bits == other.bits and self.n == other.n
+        return isinstance(other, Word) and _int_eq(self, other)
 
-    def __hash__(self) -> int:
-        # bits < 2^n, so the sentinel bit makes this int unique to the word
-        return hash(self.bits | 1 << self.n)
+    def __ne__(self, other) -> bool:
+        return not (isinstance(other, Word) and _int_eq(self, other))
 
+    __hash__ = int.__hash__
+
+    # int's order would compare the ints, and int's reflected methods would
+    # accept a Word, so these raise on anything but a Word.
     def __lt__(self, other: "Word") -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        diff = (self.bits ^ other.bits) & ((1 << min(self.n, other.n)) - 1)
-        if diff:
-            # the lowest differing bit is the first differing letter
-            return not self.bits & diff & -diff
-        return self.n < other.n
+        return _precedes(self, other, False)
+
+    def __le__(self, other: "Word") -> bool:
+        return _precedes(self, other, True)
+
+    def __gt__(self, other: "Word") -> bool:
+        return _precedes(other, self, False)
+
+    def __ge__(self, other: "Word") -> bool:
+        return _precedes(other, self, True)
 
     def count(self, letter: int) -> int:
         """Number of occurrences of the given letter (0 or 1)."""
-        ones = bin(self.bits).count("1")
-        return ones if letter == 1 else self.n - ones
+        ones = self.bit_count() - 1
+        return ones if letter == 1 else self.bit_length() - 1 - ones
 
     def startswith(self, prefix: "Word") -> bool:
-        return prefix.n <= self.n and self.bits & ((1 << prefix.n) - 1) == prefix.bits
+        p = prefix.bit_length() - 1
+        return p < self.bit_length() and not (self ^ prefix) & ((1 << p) - 1)
 
     def endswith(self, suffix: "Word") -> bool:
-        return suffix.n <= self.n and self.bits >> (self.n - suffix.n) == suffix.bits
+        shift = self.bit_length() - suffix.bit_length()
+        return shift >= 0 and _int_eq(self >> shift, suffix)
 
     def __str__(self) -> str:
-        return "".join("1" if a else "0" for a in self)
+        return format(self, "b")[:0:-1]
 
     def __repr__(self) -> str:
         return f'Word("{self}")'
+
+    def __reduce__(self):
+        return (Word, (str(self),))
+
+
+def _precedes(u: Word, v: Word, or_equal: bool) -> bool:
+    """u < v, or u <= v with or_equal, in lexicographic order."""
+    if not (isinstance(u, Word) and isinstance(v, Word)):
+        raise TypeError(f"cannot order {type(u).__name__!r} and {type(v).__name__!r}")
+    n, m = u.bit_length(), v.bit_length()
+    diff = (u ^ v) & ((1 << min(n, m) - 1) - 1)
+    if diff:
+        # the lowest differing bit is the first differing letter
+        return not u & diff & -diff
+    return n < m or or_equal and n == m
 
 
 EPSILON = Word()
@@ -128,15 +198,13 @@ def lyndon_up_to(max_len: int) -> list[Word]:
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     out: list[Word] = []
-    w = [0]
+    w = "0"
     while w:
         if len(w) <= max_len:
-            out.append(Word(w))
-        w = [w[i % len(w)] for i in range(max_len)]
-        while w and w[-1] == 1:
-            w.pop()
+            out.append(_new(Word, int("1" + w[::-1], 2)))
+        w = (w * (max_len // len(w) + 1))[:max_len].rstrip("1")
         if w:
-            w[-1] += 1
+            w = w[:-1] + "1"
     return out
 
 
@@ -165,7 +233,7 @@ def word_of_composition(s: Iterable[int]) -> Word:
     empty word."""
     letters: list[int] = []
     for part in s:
-        if not isinstance(part, int) or part < 1:
+        if not isinstance(part, int) or isinstance(part, Word) or part < 1:
             raise ValueError(f"composition parts must be positive integers, got {part!r}")
         letters.extend([0] * (part - 1))
         letters.append(1)

@@ -13,6 +13,10 @@ loop over pairs of terms: shuffle and stuffle summing int numerators over
 a common denominator, the other four summing Fractions.  Every product now
 goes through linear._bilinear, and must give what these loops give.
 
+reduce_exponents_rec is rewrite.reduce_exponents as it expanded k >= 1
+through k + 1 recursive calls; the one loop that replaced them must give
+its values and dict order.
+
 The *_ref functions are the linear operators as they were computed term
 by term, every intermediate result built through the SymFun and
 StarSeries constructors and summed with +: d/dz, theta, iota and their
@@ -26,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from starshuffle.polylog.integrate import _antiderivative, _piece_index, limit_at_one, limit_at_zero
 from starshuffle.polylog.negindex import _nested_indices
@@ -268,6 +272,25 @@ def build_neg_series_ref(s, route: str = "T") -> StarSeries:
             term = shuffle_star(term, factors[k])
         acc += coeff * term
     return acc
+
+
+def reduce_exponents_rec(k: int, l: int) -> dict:
+    """z^k (1-z)^(-l) as {(k', l'): coeff} with k' * l' = 0 and l' >= 0."""
+    if l < 0:
+        return {(k + i, 0): (-1) ** i * comb(-l, i) for i in range(-l + 1)}
+    if k == 0 or l == 0:
+        return {(k, l): 1}
+    if k < 0:
+        m = -k
+        out = {(-i, 0): comb(m - i + l - 1, l - 1) for i in range(1, m + 1)}
+        for j in range(1, l + 1):
+            out[(0, j)] = comb(m + l - j - 1, m - 1)
+        return out
+    out: dict = {}
+    for i in range(k + 1):
+        for key, c in reduce_exponents_rec(0, l - i).items():
+            out[key] = out.get(key, 0) + (-1) ** i * comb(k, i) * c
+    return {key: c for key, c in out.items() if c}
 
 
 def words_up_to(n: int) -> list:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_reference import reduce_exponents_rec
 from starshuffle.errors import DomainError
 from starshuffle.polylog.symfun import SymFun
 from starshuffle.rewrite import kernel_member, normal_form, reduce_exponents, rewrite_trace
@@ -160,3 +161,10 @@ def test_reducer_is_fast_at_large_exponents():
     f = SymFun.monomial(-40, 40)
     assert time.perf_counter() - start < 1.0
     assert len(f) == 80
+
+
+def test_reduce_exponents_matches_the_recursion():
+    for k in range(-12, 13):
+        for l in range(-12, 13):
+            got = list(reduce_exponents(k, l).items())
+            assert got == list(reduce_exponents_rec(k, l).items()), (k, l)

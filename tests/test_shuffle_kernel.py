@@ -1,5 +1,6 @@
 """The packed-integer shuffle kernels against the plain recursions: contents
-and iteration order, exact coefficients, cancellation, cache bounds."""
+and iteration order, exact coefficients, cancellation, cache bounds; and
+no operation's result holding a zero coefficient."""
 
 import random
 from fractions import Fraction
@@ -11,14 +12,20 @@ from kernel_reference import (
     shuffle_ref,
     stuffle_ref,
 )
+from starshuffle.errors import DomainError, NonElementaryConstantError
+from starshuffle.polylog.integrate import iota
+from starshuffle.polylog.symfun import SymFun, derivative, theta
+from starshuffle.rewrite import normal_form
 from starshuffle.shuffle_core import (
     NCPoly,
     YPoly,
     _shuffle_words,
     _stuffle_words,
+    conc,
     shuffle,
     stuffle,
 )
+from starshuffle.star_series import StarSeries, shuffle_star
 from starshuffle.words import Word
 
 
@@ -110,10 +117,54 @@ def test_caches_are_bounded_and_hold_whole_products_only():
     assert info.currsize <= 1
 
 
-def test_trusted_constructor_prunes_zeros():
-    data = {Word("01"): Fraction(0), Word("1"): Fraction(2, 3)}
-    p = NCPoly._trusted(data)
-    assert p.terms == {Word("1"): Fraction(2, 3)}
-    q = NCPoly._trusted({Word("1"): Fraction(1)})
-    assert not (q - q).terms
-    assert (q + q).terms == {Word("1"): Fraction(2)}
+def test_no_result_holds_a_zero():
+    """_trusted wraps without a check, so every operation must prune what
+    it cancels.  Coefficients of +-1 on short words make cancellations
+    common."""
+    rng = random.Random(11)
+
+    def word():
+        return Word([rng.randint(0, 1) for _ in range(rng.randint(0, 2))])
+
+    def coeff():
+        return rng.choice((-1, 1, Fraction(1, 2)))
+
+    def poly():
+        return NCPoly({word(): coeff() for _ in range(3)})
+
+    def series():
+        return StarSeries({(word(), rng.randint(-2, 2), rng.randint(0, 2)): coeff()
+                           for _ in range(3)})
+
+    def symfun():
+        return SymFun({(rng.randint(-2, 2), rng.randint(0, 2), word()): coeff()
+                       for _ in range(3)})
+
+    def ypoly():
+        return YPoly({tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 2))): coeff()
+                      for _ in range(3)})
+
+    zeros = 0
+    for _ in range(300):
+        p, q = poly(), poly()
+        s, t = series(), series()
+        f, g = symfun(), symfun()
+        y, x = ypoly(), ypoly()
+        results = [
+            p + q, p - q, p - p, p + -p, p + (q - p), p.scale(0), p * 0, 0 * p,
+            shuffle(p, q), shuffle(p, p - q), conc(p, q), conc(p - q, p + q),
+            stuffle(y, x), stuffle(y - x, y + x), y - y,
+            s - s, s + t, shuffle_star(s, t), shuffle_star(s - t, s + t),
+            normal_form(s), normal_form(shuffle_star(s, t) - shuffle_star(t, s)),
+            f - f, f + g, f * g, (f - g) * (f + g), derivative(f), theta(0, f),
+            theta(1, f - g),
+        ]
+        for i in (0, 1):
+            try:
+                results.append(iota(i, f - g))
+            except (DomainError, NonElementaryConstantError):  # no elementary anchor
+                pass
+        for r in results:
+            assert all(r.terms.values()), r
+            zeros += not r.terms
+    assert zeros > 300  # the sums did cancel

@@ -1,11 +1,18 @@
 """Words, Lyndon generation, CLF factorization, composition encoding."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starshuffle.errors import DomainError
+from starshuffle.expressions import ExprTypeError, parse_value
+from starshuffle.polylog.series import EvalParams, harmonic_sum
+from starshuffle.polylog.symfun import SymFun
+from starshuffle.shuffle_core import NCPoly, YPoly
+from starshuffle.star_series import StarSeries, plane_star
 from starshuffle.words import (
     EPSILON,
     Word,
@@ -151,3 +158,95 @@ def test_composition_encoding():
 def test_composition_roundtrip(parts):
     s = tuple(parts)
     assert composition_of_word(word_of_composition(s)) == s
+
+
+# The Word contract: a Word is the int bits | 1 << n, yet it orders,
+# compares and measures as a word, and never passes as a number.
+
+def test_word_is_its_sentinel_key():
+    for w in all_words(6):
+        assert isinstance(w, int) and type(w) is Word
+        assert int(w) == w.bits | 1 << w.n
+        assert Word._raw(w.bits, w.n) == w and len(w) == w.n
+
+
+def test_comparisons_agree_with_tuple_order():
+    ws = list(all_words(6))
+    for u in ws:
+        tu = tuple(u)
+        for v in ws:
+            tv = tuple(v)
+            assert (u < v, u <= v, u > v, u >= v) == (tu < tv, tu <= tv, tu > tv, tu >= tv)
+
+
+def test_hashes_agree_exactly_when_words_are_equal():
+    ws = list(all_words(6))
+    copies = [Word(str(w)) for w in ws]
+    for u in ws:
+        for v in copies:
+            assert (hash(u) == hash(v)) == (u == v) == (str(u) == str(v))
+            assert (u != v) == (str(u) != str(v))
+
+
+def test_truth_is_nonemptiness():
+    assert bool(EPSILON) is False
+    assert not Word("")
+    assert all(bool(w) is True for w in all_words(4) if len(w))
+
+
+@pytest.mark.parametrize("protocol", range(6))
+def test_pickle_round_trip(protocol):
+    for w in (EPSILON, Word("0"), Word("0110"), Word("1" * 70)):
+        back = pickle.loads(pickle.dumps(w, protocol))
+        assert back == w and type(back) is Word and repr(back) == repr(w)
+
+
+def test_word_is_immutable():
+    w = Word("01")
+    for name in ("bits", "n", "letters"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 3)
+    assert w == Word("01")
+
+
+def test_word_never_equals_an_int():
+    assert Word("0") != 2 and 2 != Word("0")
+    assert not Word("0") == 2 and not 2 == Word("0")
+    assert int(Word("0")) == 2
+    assert {Word("0"): 1}.get(2) is None
+
+
+W01 = Word("01")
+# Each case raises the exception class it raised when Word was not an int.
+LOOKALIKES = {
+    "ncpoly_times_word": (TypeError, lambda: NCPoly.one() * W01),
+    "word_times_ncpoly": (TypeError, lambda: W01 * NCPoly.one()),
+    "ypoly_times_word": (TypeError, lambda: YPoly.one() * W01),
+    "symfun_times_word": (TypeError, lambda: SymFun.one() * W01),
+    "word_times_symfun": (TypeError, lambda: W01 * SymFun.one()),
+    "series_times_word": (TypeError, lambda: StarSeries.one() * W01),
+    "word_as_coefficient": (TypeError, lambda: NCPoly({EPSILON: W01})),
+    "word_as_scalar": (TypeError, lambda: NCPoly.one().scale(W01)),
+    "int_plus_word": (TypeError, lambda: 1 + W01),
+    "word_plus_int": (TypeError, lambda: W01 + 1),
+    "word_lt_int": (TypeError, lambda: W01 < 2),
+    "int_lt_word": (TypeError, lambda: 2 < W01),
+    "word_le_int": (TypeError, lambda: W01 <= 2),
+    "word_ge_int": (TypeError, lambda: W01 >= 2),
+    "word_gt_int": (TypeError, lambda: W01 > 2),
+    "word_times_word": (TypeError, lambda: W01 * W01),
+    "word_as_exponent": (TypeError, lambda: plane_star(W01, 1)),
+    "word_as_composition_part": (ValueError, lambda: word_of_composition((W01,))),
+    "word_as_sum_index": (DomainError, lambda: harmonic_sum((W01,), 3)),
+    "word_as_max_terms": (DomainError, lambda: EvalParams(0.25, max_terms=W01)),
+    "word_as_power": (ValueError, lambda: SymFun({(W01, 0, EPSILON): 1})),
+    "word_as_y_index": (ValueError, lambda: YPoly({(W01,): 1})),
+    "word_literal_times_word_literal": (ExprTypeError, lambda: parse_value('w"0" * w"1"')),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKALIKES))
+def test_a_word_is_refused_where_a_number_is_expected(case):
+    error, call = LOOKALIKES[case]
+    with pytest.raises(error):
+        call()
