@@ -161,9 +161,10 @@ def _common_scale(coeffs) -> tuple:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _fractions(num: dict, den: int) -> dict:
-    """{key: Fraction(value, den)} for the nonzero int values.  Terms of
-    equal value share one Fraction, which is immutable."""
+def _fractions(num: dict, den: int, wrap=None) -> dict:
+    """{key: Fraction(value, den)} for the nonzero int values, each key
+    passed through wrap(key) when wrap is given.  Terms of equal value
+    share one Fraction, which is immutable."""
     out = {}
     made: dict = {}
     for k, c in num.items():
@@ -171,7 +172,7 @@ def _fractions(num: dict, den: int) -> dict:
             f = made.get(c)
             if f is None:
                 f = made[c] = Fraction(c, den)
-            out[k] = f
+            out[k if wrap is None else wrap(k)] = f
     return out
 
 
@@ -197,12 +198,13 @@ def _linear(terms: dict, rule, then=None) -> dict:
     return _fractions(acc, den)
 
 
-def _bilinear(p: dict, q: dict, pair, then=None) -> dict:
+def _bilinear(p: dict, q: dict, pair, then=None, wrap=None) -> dict:
     """The bilinear extension of pair(u, v) -> {key: int} to the term maps
     p and q, as {key: Fraction} with the zero values dropped.  With a rule
     then(key) -> {key: int}, its linear extension is applied to the int
     sums first, in the order the pair loop met their keys; a key whose sum
-    is zero is skipped there, as if the product had been built first."""
+    is zero is skipped there, as if the product had been built first.
+    With wrap, each output key is wrap(key), as in _fractions."""
     p_nums, p_den = _common_scale(p.values())
     q_nums, q_den = _common_scale(q.values())
     acc: dict = {}
@@ -213,7 +215,7 @@ def _bilinear(p: dict, q: dict, pair, then=None) -> dict:
                 acc[w] = acc.get(w, 0) + c * m
     if then is not None:
         acc = _sum_rule(acc.items(), then)
-    return _fractions(acc, p_den * q_den)
+    return _fractions(acc, p_den * q_den, wrap)
 
 
 def _combine(parts) -> dict:

@@ -19,19 +19,31 @@ z^k (1-z)^(-l) Li_u log^n/n! of index k + |u| >= 1 is anchored at 0,
 otherwise at 1, which makes the string of operators read off a word
 reproduce the polylogarithm of that word.
 
-Because iota_0 is anchored piece by piece, it is linear on the reduced
-pieces, and a fifth table holds its values there:
+The sections and the limits are linear in their argument's terms, so
+each sums int numerators over bounded tables of rows, one row per
+canonical key (k, l, w) or reduced piece, with linear._combine:
 
-    _section(k, l, u, n)  the anchored section of the piece (k, l, u, n):
-                 _J's antiderivative of it minus its basepoint limit,
-                 as int numerators over one denominator, or, when the
-                 limit is a non-elementary constant, the antiderivative
-                 and that constant as a float.
+    _germ(key)     the germ of the key's function at 0: its coefficients
+                   of z^m log^n(z)/n! for m <= 0.  limit_at_zero sums the
+                   germs of its terms; the limit is the (0, 0) entry, and
+                   it exists exactly when no other entry survives.
+    _iota1_row(key)  _K of the key and that antiderivative's germ.
+                   iota_1 sums both, then subtracts the limit of the
+                   summed germ.  Its anchor is the limit of the whole
+                   antiderivative, taken per call, so divergences of
+                   single terms may cancel.
+    _at_one(l, w)  the trailing-x0 reduction of Li_w, keyed by the
+                   (u, n, -l) group it adds to at z = 1; limit_at_one
+                   sums them and walks the groups in sorted order.
+    _section(k, l, u, n)  iota_0's anchored section of a reduced piece:
+                   _J's antiderivative of it minus its basepoint limit
+                   or, when the limit is a non-elementary constant, the
+                   antiderivative and that constant as a float.  Because
+                   iota_0 is anchored piece by piece, it sums
+                   c * _section over the pieces of its argument.
 
-iota_0 sums c * _section over the pieces of its argument.  iota_1 has no
-such table: its one anchor at 0 is the limit of the whole antiderivative,
-which exists even where the limits of single terms diverge and cancel,
-so it is taken per call.
+Rows are tuples of (key, int) items over one denominator, so no caller
+can change an entry.
 """
 
 from __future__ import annotations
@@ -43,15 +55,16 @@ from math import factorial
 from ..errors import DomainError, NonElementaryConstantError
 from ..linear import _combine, _common_scale
 from ..rewrite import reduce_exponents
-from ..words import Word, composition_of_word
+from ..words import EPSILON, Word, composition_of_word
 from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
-from .symfun import SymFun, from_piece, theta, to_pieces
+from .symfun import SymFun, _reduce_trailing_x0, from_piece, theta, to_pieces
 
 X0 = Word("0")
 X1 = Word("1")
-# Entries per antiderivative table.  The ideal workload fills about 100 of
-# each, iota strings of every word up to 7 letters about 130, and the test
-# suite at most 476.
+_ONE = (0, 0, EPSILON)  # the key of the constant function 1
+# Entries per table.  The ideal workload fills about 100 of each
+# antiderivative table and about 220 germs, iota strings of every word up
+# to 7 letters about 130, and the test suite at most 642.
 _TABLE_SIZE = 1024
 
 
@@ -116,19 +129,18 @@ def _against_dz(pieces: dict, w: Word) -> SymFun:
     return SymFun._trusted({key: v for key, v in out.items() if v})
 
 
+def _items(terms: dict) -> tuple:
+    """A {key: Fraction} map as (items, den): the (key, int numerator)
+    items over the least common denominator den."""
+    nums, den = _common_scale(terms.values())
+    return tuple(zip(terms, nums)), den
+
+
 def _antiderivative(i: int, f: SymFun) -> SymFun:
+    """An antiderivative of f against dz/z (i = 0) or dz/(1-z) (i = 1):
+    the sum of c * _J or c * _K over its terms."""
     fn = _J if i == 0 else _K
-    out: dict = {}
-    for (k, l, w), c in f.terms.items():
-        for key, v in fn(k, l, w).terms.items():
-            v = out.get(key, 0) + c * v
-            # drop a key as soon as it cancels, so one that comes back
-            # is appended, as a sum of SymFuns would do
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return SymFun._trusted(out)
+    return SymFun._trusted(_combine((c, *_items(fn(*key).terms)) for key, c in f.terms.items()))
 
 
 def _li_coeffs(u: Word, p_max: int) -> list:
@@ -140,33 +152,63 @@ def _li_coeffs(u: Word, p_max: int) -> list:
     return [Fraction(0)] + [harmonic_sum(s[1:], p - 1) / p ** s[0] for p in range(1, p_max + 1)]
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
+def _germ(key: tuple) -> tuple:
+    """The germ at 0 of the canonical key (k, l, w): its coefficients of
+    z^m log^n(z)/n! for m <= 0, as ((n, m), int) items over one
+    denominator.  The orders m > 0 vanish at 0 and are left out."""
+    k, l, w = key
+    out: dict = {}
+    for (u, n), c in _reduce_trailing_x0(w).items():
+        dep = u.count(1)
+        if k + dep > 0:
+            continue
+        cs = _li_coeffs(u, -k)
+        for p in range(dep, -k + 1):
+            if cs[p]:
+                # k <= 0 and k*l = 0: only the constant term of (1-z)^(-l)
+                # reaches the orders <= 0
+                out[n, k + p] = out.get((n, k + p), 0) + c * cs[p]
+    return _items({g: c for g, c in out.items() if c})
+
+
+def _limit_of_germ(germ: dict) -> Fraction:
+    """The limit at 0 of the function whose germ is {(n, m): coeff}: its
+    constant term; DomainError when a pole or a logarithm survives."""
+    if any(g != (0, 0) for g in germ):
+        raise DomainError("divergent basepoint limit at z = 0")
+    return germ.get((0, 0), Fraction(0))
+
+
 def limit_at_zero(f: SymFun) -> Fraction:
     """The limit of f at 0 along the disc, exact; DomainError when it
     does not exist (a pole or a logarithm survives)."""
-    groups: dict = {}
-    for (k, l, u, n), c in to_pieces(f).items():
-        groups.setdefault(n, []).append((k, l, u, c))
-    total = Fraction(0)
-    for n, plist in groups.items():
-        orders: dict = {}
-        for (k, l, u, c) in plist:
-            dep = u.count(1)
-            if k + dep > 0:
-                continue
-            cs = _li_coeffs(u, -k)
-            for p in range(dep, -k + 1):
-                if cs[p]:
-                    # k <= 0 and k*l = 0: only the constant term of (1-z)^(-l)
-                    # reaches the orders <= 0
-                    orders[k + p] = orders.get(k + p, Fraction(0)) + c * cs[p]
-        if any(m < 0 and v for m, v in orders.items()):
-            raise DomainError("divergent basepoint limit at z = 0")
-        a0 = orders.get(0, Fraction(0))
-        if n == 0:
-            total += a0
-        elif a0:
-            raise DomainError("divergent basepoint limit at z = 0")
-    return total
+    return _limit_of_germ(_combine((c, *_germ(key)) for key, c in f.terms.items()))
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _iota1_row(key: tuple) -> tuple:
+    """iota_1's table row for the canonical key (k, l, w): the
+    antiderivative _K(k, l, w) and its germ at 0, as (items, den,
+    germ items, germ den)."""
+    anti = _K(*key).terms
+    germ = _combine((c, *_germ(g)) for g, c in anti.items())
+    return (*_items(anti), *_items(germ))
+
+
+def _iota1(f: SymFun) -> SymFun:
+    """iota_1: the antiderivative of f against dz/(1-z) minus its limit
+    at 0.  That limit is taken of the summed germ, so divergences of
+    single terms may cancel."""
+    rows = [(c, _iota1_row(key)) for key, c in f.terms.items()]
+    terms = _combine((c, row[0], row[1]) for c, row in rows)
+    base = _limit_of_germ(_combine((c, row[2], row[3]) for c, row in rows))
+    if base:
+        # no key of _K is the constant 1 (each has k != 0, l != 0 or a
+        # nonempty word), so the anchor is a new last key, as in
+        # anti - base * SymFun.one()
+        terms[_ONE] = -base
+    return SymFun._trusted(terms)
 
 
 # One float per convergent word; the numeric workload asks for about 12.
@@ -189,6 +231,15 @@ def _zeta_numeric(u: Word) -> float:
     return total
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
+def _at_one(l: int, w: Word) -> tuple:
+    """z^k (1-z)^(-l) Li_w near 1, for any k (z^k -> 1): the sum of
+    c (1-z)^(-l) Li_u log^n/n! over the trailing-x0 reduction of w, as
+    ((u, n, -l), int) items over one denominator."""
+    items, den = _items(_reduce_trailing_x0(w))
+    return tuple(((u, n, -l), c) for (u, n), c in items), den
+
+
 def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     """The limit of f at 1 along the disc.
 
@@ -201,16 +252,15 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     cancellations across different Li_u log^n groups are out of scope.
     """
     groups: dict = {}
-    for (k, l, u, n), c in to_pieces(f).items():
-        # z^k -> 1, so the piece contributes c (1-z)^(-l) (k*l = 0)
-        sig = groups.setdefault((u, n), {})
-        sig[-l] = sig.get(-l, Fraction(0)) + c
+    sums = _combine((c, *_at_one(l, w)) for (k, l, w), c in f.terms.items())
+    for (u, n, j), c in sums.items():
+        groups.setdefault((u, n), {})[j] = c
     exact = Fraction(0)
     constants = []
     for (u, n), sig in sorted(
         groups.items(), key=lambda g: (len(g[0][0]), tuple(g[0][0]), g[0][1])
     ):
-        neg_beyond = any(j < -n and v for j, v in sig.items())
+        neg_beyond = any(j < -n for j in sig)
         at = sig.get(-n, Fraction(0))
         if neg_beyond or (at and len(u) and u[0] == 1):
             raise DomainError("divergent basepoint limit at z = 1")
@@ -254,8 +304,7 @@ def _section(k: int, l: int, u: Word, n: int) -> tuple:
         anti = anti - base * SymFun.one()
     else:
         constant = base
-    nums, den = _common_scale(anti.terms.values())
-    return tuple(zip(anti.terms, nums)), den, constant
+    return (*_items(anti.terms), constant)
 
 
 def _piece_order(item: tuple) -> tuple:
@@ -277,9 +326,7 @@ def iota(i: int, f: SymFun, *, numeric_constants: bool = False):
     if i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
     if i == 1:
-        anti = _antiderivative(1, f)
-        base = limit_at_zero(anti)
-        result = anti - base * SymFun.one()
+        result = _iota1(f)
         return (result, 0.0) if numeric_constants else result
     parts = []
     numeric = 0.0

@@ -35,13 +35,14 @@ itself sums _shuffle_bits directly and does not read the cache.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .linear import LinearCombination, _bilinear, _fractions, _is_scalar
 from .words import EPSILON, Word, composition_of_word, word_of_composition
 
 _new = int.__new__
+_as_word = partial(_new, Word)  # a sentinel int key as a Word
 
 
 class NCPoly(LinearCombination):
@@ -130,8 +131,7 @@ def _shuffle_words(u: Word, v: Word) -> dict:
 
 def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
     """Shuffle product, extended bilinearly."""
-    out = _bilinear(p.terms, q.terms, _shuffle_bits)
-    return NCPoly._trusted({_new(Word, w): c for w, c in out.items()})
+    return NCPoly._trusted(_bilinear(p.terms, q.terms, _shuffle_bits, wrap=_as_word))
 
 
 def unshuffle(w: Word) -> dict:

@@ -41,6 +41,11 @@ class Word(int):
     Comparison is lexicographic with x0 < x1, a proper prefix sorting
     before its extensions.  Equality, order, len, truth, + and * are the
     word's (see the module docstring); hashing is int's.
+
+    Operators of other number types cannot refuse a Word: Fraction's and
+    float's run before any reflected method of Word and take it as its
+    sentinel int, so Fraction(1) + Word("01") == 7 and
+    1.5 * Word("0") == 3.0.  Keep Words out of such arithmetic.
     """
 
     __slots__ = ()

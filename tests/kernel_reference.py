@@ -21,8 +21,11 @@ The *_ref functions are the linear operators as they were computed term
 by term, every intermediate result built through the SymFun and
 StarSeries constructors and summed with +: d/dz, theta, iota and their
 word strings, the SymFun product (raw keys merged, then reduced on
-insertion), and the star series of the lineg routes.  Each new form must
-give their values, raised exception classes and dict order.
+insertion), and the star series of the lineg routes.  The antiderivative
+and the basepoint limits among them are the former Fraction loops over
+the reduced pieces, which took every limit's Taylor coefficients afresh.
+Each new form must give their values, raised exception classes and dict
+order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm
 
-from starshuffle.polylog.integrate import _antiderivative, _piece_index, limit_at_one, limit_at_zero
+from starshuffle.errors import DomainError, NonElementaryConstantError
+from starshuffle.polylog.integrate import _J, _K, _li_coeffs, _piece_index, _zeta_numeric
 from starshuffle.polylog.negindex import _nested_indices
 from starshuffle.polylog.series import _check_composition, stirling2
 from starshuffle.polylog.symfun import SymFun, _symfun_pair, to_pieces
@@ -197,13 +201,85 @@ def from_piece_ref(k: int, l: int, u: Word, n: int) -> SymFun:
     return symfun_mul_ref(SymFun.monomial(k, l, u), SymFun.from_li(Word([0] * n)))
 
 
+def _antiderivative_ref(i: int, f: SymFun) -> SymFun:
+    """The sum of c * _J (i = 0) or c * _K (i = 1) over the terms, in
+    Fractions, a key dropped as it cancels."""
+    fn = _J if i == 0 else _K
+    out: dict = {}
+    for (k, l, w), c in f.terms.items():
+        for key, v in fn(k, l, w).terms.items():
+            v = out.get(key, 0) + c * v
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return SymFun._trusted(out)
+
+
+def limit_at_zero_ref(f: SymFun) -> Fraction:
+    """The limit at 0 from the reduced pieces, recomputing the Taylor
+    coefficients of every piece in Fractions."""
+    groups: dict = {}
+    for (k, l, u, n), c in to_pieces(f).items():
+        groups.setdefault(n, []).append((k, l, u, c))
+    total = Fraction(0)
+    for n, plist in groups.items():
+        orders: dict = {}
+        for (k, l, u, c) in plist:
+            dep = u.count(1)
+            if k + dep > 0:
+                continue
+            cs = _li_coeffs(u, -k)
+            for p in range(dep, -k + 1):
+                if cs[p]:
+                    orders[k + p] = orders.get(k + p, Fraction(0)) + c * cs[p]
+        if any(m < 0 and v for m, v in orders.items()):
+            raise DomainError("divergent basepoint limit at z = 0")
+        a0 = orders.get(0, Fraction(0))
+        if n == 0:
+            total += a0
+        elif a0:
+            raise DomainError("divergent basepoint limit at z = 0")
+    return total
+
+
+def limit_at_one_ref(f: SymFun, *, numeric_fallback: bool = False):
+    """The limit at 1 from the reduced pieces grouped by (u, n), summed
+    in Fractions."""
+    groups: dict = {}
+    for (k, l, u, n), c in to_pieces(f).items():
+        sig = groups.setdefault((u, n), {})
+        sig[-l] = sig.get(-l, Fraction(0)) + c
+    exact = Fraction(0)
+    constants = []
+    for (u, n), sig in sorted(
+        groups.items(), key=lambda g: (len(g[0][0]), tuple(g[0][0]), g[0][1])
+    ):
+        neg_beyond = any(j < -n and v for j, v in sig.items())
+        at = sig.get(-n, Fraction(0))
+        if neg_beyond or (at and len(u) and u[0] == 1):
+            raise DomainError("divergent basepoint limit at z = 1")
+        if len(u) == 0:
+            exact += at * Fraction((-1) ** n, factorial(n))
+        elif at:
+            constants.append((u, n, at))
+    if not constants:
+        return exact
+    if not numeric_fallback:
+        raise NonElementaryConstantError()
+    approx = 0.0
+    for u, n, at in constants:
+        approx += float(at) * ((-1) ** n / factorial(n)) * _zeta_numeric(u)
+    return float(exact) + approx
+
+
 def iota_ref(i: int, f: SymFun, *, numeric_constants: bool = False):
     """iota re-integrating and re-anchoring every reduced piece per call."""
     if i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
     if i == 1:
-        anti = _antiderivative(1, f)
-        base = limit_at_zero(anti)
+        anti = _antiderivative_ref(1, f)
+        base = limit_at_zero_ref(anti)
         result = anti - base * SymFun.one()
         return (result, 0.0) if numeric_constants else result
     sym = SymFun.zero()
@@ -211,11 +287,11 @@ def iota_ref(i: int, f: SymFun, *, numeric_constants: bool = False):
     for (k, l, u, n), c in sorted(
         to_pieces(f).items(), key=lambda g: (g[0][0], g[0][1], len(g[0][2]), tuple(g[0][2]), g[0][3])
     ):
-        anti = _antiderivative(0, from_piece_ref(k, l, u, n))
+        anti = _antiderivative_ref(0, from_piece_ref(k, l, u, n))
         if _piece_index(k, u) >= 1:
-            base = limit_at_zero(anti)
+            base = limit_at_zero_ref(anti)
         else:
-            base = limit_at_one(anti, numeric_fallback=numeric_constants)
+            base = limit_at_one_ref(anti, numeric_fallback=numeric_constants)
         if isinstance(base, Fraction):
             sym += c * (anti - base * SymFun.one())
         else:

@@ -1,7 +1,8 @@
-"""d/dz, theta and iota are linear maps fixed by their values on basis keys,
-and the sums of the lineg routes are summed in one dict.  Each must give
-what its term-by-term reference in kernel_reference gives: the same
-values, or the same raised exception class, and the same dict order."""
+"""d/dz, theta, iota and the basepoint limits are linear maps fixed by their
+values on basis keys, and the sums of the lineg routes are summed in one
+dict.  Each must give what its term-by-term reference in kernel_reference
+gives: the same values, or the same raised exception class, and the same
+dict order; a float limit must be the same float, bit for bit."""
 
 import random
 from fractions import Fraction
@@ -12,14 +13,27 @@ from kernel_reference import (
     build_neg_series_ref,
     derivative_ref,
     iota_ref,
+    limit_at_one_ref,
+    limit_at_zero_ref,
     symfun_mul_ref,
     theta_ref,
+    words_up_to,
 )
 from starshuffle.errors import DomainError
-from starshuffle.polylog.integrate import _section, apply_word_op, iota
+from starshuffle.polylog.integrate import (
+    _K,
+    _at_one,
+    _germ,
+    _iota1_row,
+    _section,
+    apply_word_op,
+    iota,
+    limit_at_one,
+    limit_at_zero,
+)
 from starshuffle.polylog.negindex import build_neg_series
 from starshuffle.polylog.symfun import SymFun, derivative, theta
-from starshuffle.words import Word
+from starshuffle.words import EPSILON, Word
 
 CASES = 300
 
@@ -113,13 +127,53 @@ def test_symfun_product_keeps_the_merged_order():
         assert list((f * g).terms.items()) == list(symfun_mul_ref(f, g).terms.items())
 
 
+def _limit(fn, *args, **kwargs):
+    """("ok", type, value), a float as its hex string, or ("raise", class)."""
+    try:
+        res = fn(*args, **kwargs)
+    except Exception as exc:  # the class is compared, whatever it is
+        return ("raise", type(exc))
+    return ("ok", type(res), res.hex() if isinstance(res, float) else res)
+
+
+def test_limits_match_their_references():
+    seen = set()
+    cancelled = 0
+    for _, f in _cases(5, _differentiated):
+        got = _limit(limit_at_zero, f)
+        assert got == _limit(limit_at_zero_ref, f), f
+        seen.add(("zero", got[:2]))
+        if got[0] == "ok":
+            # the limit exists although the limit of some single term does not
+            cancelled += any(_limit(limit_at_zero, SymFun({key: c}))[0] == "raise"
+                             for key, c in f.terms.items())
+        for numeric in (False, True):
+            got = _limit(limit_at_one, f, numeric_fallback=numeric)
+            assert got == _limit(limit_at_one_ref, f, numeric_fallback=numeric), (numeric, f)
+            seen.add((numeric, got[:2]))
+    # every outcome of each limit is reached
+    assert len(seen) == 2 + 3 + 3, seen
+    assert cancelled > 0
+
+
 def test_iota_returns_fresh_results_and_its_table_is_bounded():
-    f = SymFun({(0, 1, Word("01")): Fraction(1, 2), (2, 0, Word("1")): Fraction(-3)})
-    first = iota(0, f)
-    want = list(first.terms.items())
-    first.terms.clear()
-    assert list(iota(0, f).terms.items()) == want
-    assert _section.cache_info().maxsize is not None
+    f = SymFun({(0, 1, Word("01")): Fraction(1, 2), (2, 0, Word("1")): Fraction(-3),
+                (0, 2, Word("10")): Fraction(2, 5)})
+    for i in (0, 1):
+        first = iota(i, f)
+        want = list(first.terms.items())
+        first.terms.clear()
+        assert list(iota(i, f).terms.items()) == want
+    for table in (_section, _germ, _iota1_row, _at_one):
+        assert table.cache_info().maxsize is not None
+
+
+def test_no_dz_over_one_minus_z_antiderivative_has_a_constant_term():
+    # so iota_1 appends its anchor at 0 as a new key, as anti - base * 1 does
+    for k, l in product(range(-4, 5), range(5)):
+        if k * l == 0:
+            for w in words_up_to(3):
+                assert (0, 0, EPSILON) not in _K(k, l, w).terms, (k, l, w)
 
 
 def _compositions(weight_max, depth_max):

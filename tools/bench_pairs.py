@@ -17,7 +17,11 @@ neither side), and a verdict:
                 than the metric's bound;
     within      neither.
 
-Every run and the summary go to the --out JSON file.  Stdlib only.
+It also prints each side's failed and attempted operations per
+workload, and stops, naming the side, workload and seed, at the first
+run that reports a wrong answer ("correct": false), so that no record
+summarises wrong answers.  Every run and the summary go to the --out
+JSON file.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -41,11 +45,16 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(side: str, checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run of a checkout; exits naming the side, workload and
+    seed when the run reports a wrong answer."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if result["correct"] is not True:
+        raise SystemExit(f"{side} ({checkout}) gave wrong answers on {workload} seed {seed}: "
+                         f"{result['failed']} of {result['attempted']} operations failed")
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
@@ -90,8 +99,17 @@ def summarise(pairs: list, spec: dict) -> dict:
     return out
 
 
-def print_summary(workload: str, summary: dict) -> None:
+def failure_shares(pairs: list) -> dict:
+    """Each side's failed and attempted operations summed over the pairs."""
+    return {side: {"failed": sum(p[side]["failed"] for p in pairs),
+                   "attempted": sum(p[side]["attempted"] for p in pairs)}
+            for side in ("parent", "change")}
+
+
+def print_summary(workload: str, summary: dict, failures: dict) -> None:
     print(f"\n{workload}")
+    print("  failed/attempted: " + ", ".join(
+        f"{side} {f['failed']}/{f['attempted']}" for side, f in failures.items()))
     print(f"  {'metric':15s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
           f" {'change':>8s} {'wins':>6s}  verdict")
     for name, s in summary.items():
@@ -127,14 +145,16 @@ def main() -> None:
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": sides[0]}
             for side in sides:
-                pair[side] = run_once(getattr(args, side), workload, seed, seconds)
+                pair[side] = run_once(side, getattr(args, side), workload, seed, seconds)
             pairs.append(pair)
             print(f"{workload} seed {seed}: ops_per_s parent "
                   f"{pair['parent']['metrics']['ops_per_s']:.1f}, change "
                   f"{pair['change']['metrics']['ops_per_s']:.1f}", flush=True)
         summary = summarise(pairs, spec)
-        workloads[workload] = {"date": time.strftime("%Y-%m-%d"), "pairs": pairs, "summary": summary}
-        print_summary(workload, summary)
+        failures = failure_shares(pairs)
+        workloads[workload] = {"date": time.strftime("%Y-%m-%d"), "pairs": pairs,
+                               "failures": failures, "summary": summary}
+        print_summary(workload, summary, failures)
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w") as fh:
             json.dump(record, fh, indent=1)
