@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .expressions import ExprSyntaxError, ExprTypeError, _as_series, format_value, parse_value
+from .linear import _signed_sum
 from .polylog import (
     ROUTES,
     EvalParams,
@@ -75,16 +76,8 @@ def _format_complex(v: complex) -> str:
 
 def _format_den_powers(coeffs: Sequence) -> str:
     """Render closed-form coefficients as a polynomial in (1-z)^-1."""
-    parts = []
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        body = str(abs(c)) if j == 0 else f"{abs(c)}*(1-z)^-{j}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+    return _signed_sum((c, str(abs(c)) if j == 0 else f"{abs(c)}*(1-z)^-{j}")
+                       for j, c in enumerate(coeffs) if c)
 
 
 def _json_coeff(c) -> object:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import DomainError
+from .linear import _signed_sum
 from .shuffle_core import NCPoly, YPoly, conc, stuffle
 from .star_series import StarSeries, embed, plane_star, shuffle_star, star, star_term
 from .words import Word
@@ -411,19 +412,12 @@ def format_series(s: StarSeries) -> str:
     """Canonical parseable rendering; terms sorted by (|w|, w, a0, a1)."""
     from .star_series import term_sort_key
 
-    if not s.terms:
-        return "0"
-    parts = []
-    for t in sorted(s.terms, key=term_sort_key):
-        c = s.terms[t]
-        atoms = _format_star_atoms(t)
-        body = " # ".join(atoms) if atoms else ""
-        text = f"{abs(c)}*{body}" if body else str(abs(c))
-        if not parts:
-            parts.append(("-" if c < 0 else "") + text)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + text)
-    return " ".join(parts)
+    def text(t, c) -> str:
+        body = " # ".join(_format_star_atoms(t))
+        return f"{abs(c)}*{body}" if body else str(abs(c))
+
+    items = sorted(s.terms.items(), key=lambda item: term_sort_key(item[0]))
+    return _signed_sum((c, text(t, c)) for t, c in items)
 
 
 def format_value(v: Value) -> str:

@@ -5,28 +5,38 @@ polynomials, star series, symbolic function spaces) is a finite map from
 basis keys to Fractions.  This base class supplies the vector-space part;
 subclasses may canonicalize keys on insertion.
 
-Two loops extend rules on basis keys to whole combinations, and every
-operation with a fixed rule goes through one of them:
+Every operator in the package is a linear or bilinear map fixed by its
+values on basis keys, and three loops apply such maps to whole
+combinations; no other code does:
 
     _bilinear  a rule on pairs of keys, pair(u, v) -> {key: int}: every
-               product in the package (shuffle, stuffle, star shuffle, the
-               SymFun product, concatenation);
-    _linear    a rule on single keys, rule(u) -> {key: int}: the
-               operators theta_0, theta_1 and d/dz on SymFuns.
+               product (shuffle, stuffle, star shuffle, the SymFun
+               product, concatenation) and the left and right residuals;
+    _linear    a rule on single keys, rule(u) -> {key: int}: theta_0,
+               theta_1 and d/dz on SymFuns, the reduction modulo the
+               kernel ideal (rewrite._canonical, through _sum_rule), the
+               projections pi_y and pi_x, and delta_left;
+    _combine   a sum of scaled rows, c * (sum of n/d over keys): the
+               sections iota_0 and iota_1, the basepoint limits, the
+               antiderivative tables, to_pieces, the trailing-x0
+               reduction of a word and the lineg series.
 
-Both scale the coefficients of each operand to one common denominator
-(_common_scale), sum the products with the rule's multiplicities as plain
-ints, and build one Fraction per distinct nonzero value at the end
-(_fractions).  Output keys keep the order in which the loop first meets
-them; a key whose sum is zero is dropped only at the end, as
+_bilinear and _linear scale the coefficients of each operand to one
+common denominator (_common_scale), sum the products with the rule's
+multiplicities, and build one Fraction per distinct nonzero value at the
+end (_fractions).  Output keys keep the order in which the loop first
+meets them; a key whose sum is zero is dropped only at the end, as
 LinearCombination's constructor drops it.  Both can apply a second
-linear rule to their int sums before the Fractions are built: the SymFun
+linear rule to their sums before the Fractions are built: the SymFun
 product reduces its raw keys that way, and theta_i multiplies d/dz by z
 or 1-z.
 
 _combine sums scaled combinations, c * (sum of n/d over keys), as a chain
 of + would: a key is dropped the moment it cancels, and appended again if
-a later summand brings it back.
+a later summand brings it back.  A row is the (items, den) pair that
+_items makes of a {key: Fraction} map, so cached tables hold rows.
+
+_signed_sum is the one renderer of a signed sum of terms.
 """
 
 from __future__ import annotations
@@ -176,6 +186,14 @@ def _fractions(num: dict, den: int, wrap=None) -> dict:
     return out
 
 
+def _items(terms: dict) -> tuple:
+    """A {key: Fraction} map as a row (items, den): the (key, int
+    numerator) items over the least common denominator den, in the map's
+    order."""
+    nums, den = _common_scale(terms.values())
+    return tuple(zip(terms, nums)), den
+
+
 def _sum_rule(nums, rule) -> dict:
     """sum of c * rule(u) over the (u, c) pairs of int numerators, as
     {key: int}.  A zero c is skipped, so it places no key."""
@@ -190,7 +208,10 @@ def _sum_rule(nums, rule) -> dict:
 def _linear(terms: dict, rule, then=None) -> dict:
     """The linear extension of rule(u) -> {key: int} to the term map terms,
     as {key: Fraction} with the zero values dropped.  With a second rule
-    then, its linear extension is applied to the int sums first."""
+    then, its linear extension is applied to the int sums first.  The
+    multiplicities may be rationals, as delta_left's eigenvalues (star
+    exponents) are: _sum_rule sums them exactly, and _fractions divides a
+    Fraction sum by den as it divides an int."""
     nums, den = _common_scale(terms.values())
     acc = _sum_rule(zip(terms, nums), rule)
     if then is not None:
@@ -245,3 +266,16 @@ def _combine(parts) -> dict:
             else:
                 acc.pop(key, None)
     return _fractions(acc, den)
+
+
+def _signed_sum(terms) -> str:
+    """Render (c, body) pairs, body being the text of |c| times its basis
+    element, as a signed sum: the first term takes a bare "-" when c < 0,
+    later ones " + " or " - ", and no terms give "0"."""
+    parts = []
+    for c, body in terms:
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + body)
+        else:
+            parts.append(("-" if c < 0 else "") + body)
+    return " ".join(parts) if parts else "0"

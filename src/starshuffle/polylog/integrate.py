@@ -21,20 +21,20 @@ reproduce the polylogarithm of that word.
 
 The sections and the limits are linear in their argument's terms, so
 each sums int numerators over bounded tables of rows, one row per
-canonical key (k, l, w) or reduced piece, with linear._combine:
+canonical key (k, l, w) or reduced piece, with linear._combine, the one
+loop that sums rows:
 
     _germ(key)     the germ of the key's function at 0: its coefficients
-                   of z^m log^n(z)/n! for m <= 0.  limit_at_zero sums the
-                   germs of its terms; the limit is the (0, 0) entry, and
-                   it exists exactly when no other entry survives.
+                   of z^m log^n(z)/n! for m <= 0, read off the word's
+                   reduced row symfun._reduce_trailing_x0.  limit_at_zero
+                   sums the germs of its terms; the limit is the (0, 0)
+                   entry, and it exists exactly when no other entry
+                   survives.
     _iota1_row(key)  _K of the key and that antiderivative's germ.
                    iota_1 sums both, then subtracts the limit of the
                    summed germ.  Its anchor is the limit of the whole
                    antiderivative, taken per call, so divergences of
                    single terms may cancel.
-    _at_one(l, w)  the trailing-x0 reduction of Li_w, keyed by the
-                   (u, n, -l) group it adds to at z = 1; limit_at_one
-                   sums them and walks the groups in sorted order.
     _section(k, l, u, n)  iota_0's anchored section of a reduced piece:
                    _J's antiderivative of it minus its basepoint limit
                    or, when the limit is a non-elementary constant, the
@@ -42,8 +42,14 @@ canonical key (k, l, w) or reduced piece, with linear._combine:
                    iota_0 is anchored piece by piece, it sums
                    c * _section over the pieces of its argument.
 
-Rows are tuples of (key, int) items over one denominator, so no caller
-can change an entry.
+limit_at_one needs no table of its own: it re-keys each word's reduced
+row by the (u, n, -l) group it adds to at z = 1, sums the rows, and
+walks the groups in sorted order.  The antiderivative tables _J and _K
+sum the rows of _P and _A over the pieces of reduce_exponents the same
+way.
+
+Rows are tuples of (key, int) items over one denominator (linear._items),
+so no caller can change an entry.
 """
 
 from __future__ import annotations
@@ -53,11 +59,11 @@ from functools import lru_cache
 from math import factorial
 
 from ..errors import DomainError, NonElementaryConstantError
-from ..linear import _combine, _common_scale
+from ..linear import _combine, _items
 from ..rewrite import reduce_exponents
 from ..words import EPSILON, Word, composition_of_word
 from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
-from .symfun import SymFun, _reduce_trailing_x0, from_piece, theta, to_pieces
+from .symfun import SymFun, _piece_order, _reduce_trailing_x0, from_piece, theta, to_pieces
 
 X0 = Word("0")
 X1 = Word("1")
@@ -121,19 +127,8 @@ def _P(i: int, w: Word) -> SymFun:
 def _against_dz(pieces: dict, w: Word) -> SymFun:
     """An antiderivative against dz of the sum of c z^k (1-z)^(-l) Li_w
     over canonical pieces {(k, l): c} with k*l = 0."""
-    out: dict = {}
-    for (k, l), c in pieces.items():
-        table = _A(l, w) if l else _P(k, w)
-        for key, v in table.terms.items():
-            out[key] = out.get(key, 0) + c * v
-    return SymFun._trusted({key: v for key, v in out.items() if v})
-
-
-def _items(terms: dict) -> tuple:
-    """A {key: Fraction} map as (items, den): the (key, int numerator)
-    items over the least common denominator den."""
-    nums, den = _common_scale(terms.values())
-    return tuple(zip(terms, nums)), den
+    tables = ((c, _A(l, w) if l else _P(k, w)) for (k, l), c in pieces.items())
+    return SymFun._trusted(_combine((c, *_items(table.terms)) for c, table in tables))
 
 
 def _antiderivative(i: int, f: SymFun) -> SymFun:
@@ -158,8 +153,9 @@ def _germ(key: tuple) -> tuple:
     z^m log^n(z)/n! for m <= 0, as ((n, m), int) items over one
     denominator.  The orders m > 0 vanish at 0 and are left out."""
     k, l, w = key
+    items, den = _reduce_trailing_x0(w)
     out: dict = {}
-    for (u, n), c in _reduce_trailing_x0(w).items():
+    for (u, n), c in items:
         dep = u.count(1)
         if k + dep > 0:
             continue
@@ -169,7 +165,7 @@ def _germ(key: tuple) -> tuple:
                 # k <= 0 and k*l = 0: only the constant term of (1-z)^(-l)
                 # reaches the orders <= 0
                 out[n, k + p] = out.get((n, k + p), 0) + c * cs[p]
-    return _items({g: c for g, c in out.items() if c})
+    return _items({g: c / den for g, c in out.items() if c})
 
 
 def _limit_of_germ(germ: dict) -> Fraction:
@@ -231,15 +227,6 @@ def _zeta_numeric(u: Word) -> float:
     return total
 
 
-@lru_cache(maxsize=_TABLE_SIZE)
-def _at_one(l: int, w: Word) -> tuple:
-    """z^k (1-z)^(-l) Li_w near 1, for any k (z^k -> 1): the sum of
-    c (1-z)^(-l) Li_u log^n/n! over the trailing-x0 reduction of w, as
-    ((u, n, -l), int) items over one denominator."""
-    items, den = _items(_reduce_trailing_x0(w))
-    return tuple(((u, n, -l), c) for (u, n), c in items), den
-
-
 def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     """The limit of f at 1 along the disc.
 
@@ -251,15 +238,16 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     Divergences are detected group by group in the reduced basis;
     cancellations across different Li_u log^n groups are out of scope.
     """
+    # each word's row re-keyed by the group (u, n, -l) a piece adds to at 1
+    rows = ((c, l, *_reduce_trailing_x0(w)) for (k, l, w), c in f.terms.items())
+    sums = _combine((c, [((u, n, -l), m) for (u, n), m in items], den)
+                    for c, l, items, den in rows)
     groups: dict = {}
-    sums = _combine((c, *_at_one(l, w)) for (k, l, w), c in f.terms.items())
     for (u, n, j), c in sums.items():
         groups.setdefault((u, n), {})[j] = c
     exact = Fraction(0)
     constants = []
-    for (u, n), sig in sorted(
-        groups.items(), key=lambda g: (len(g[0][0]), tuple(g[0][0]), g[0][1])
-    ):
+    for (u, n), sig in sorted(groups.items(), key=_piece_order):
         neg_beyond = any(j < -n for j in sig)
         at = sig.get(-n, Fraction(0))
         if neg_beyond or (at and len(u) and u[0] == 1):
@@ -307,7 +295,7 @@ def _section(k: int, l: int, u: Word, n: int) -> tuple:
     return (*_items(anti.terms), constant)
 
 
-def _piece_order(item: tuple) -> tuple:
+def _section_order(item: tuple) -> tuple:
     """Sort key of a (piece, coeff) item: k, l, then u by length and
     letters, then n."""
     (k, l, u, n), _ = item
@@ -330,7 +318,7 @@ def iota(i: int, f: SymFun, *, numeric_constants: bool = False):
         return (result, 0.0) if numeric_constants else result
     parts = []
     numeric = 0.0
-    for piece, c in sorted(to_pieces(f).items(), key=_piece_order):
+    for piece, c in sorted(to_pieces(f).items(), key=_section_order):
         items, den, constant = _section(*piece)
         if constant is not None:
             if not numeric_constants:

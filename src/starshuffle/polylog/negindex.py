@@ -28,18 +28,12 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from ..errors import DomainError
-from ..linear import _combine, _common_scale
+from ..linear import _combine, _items
 from ..rewrite import normal_form
 from ..star_series import StarSeries, plane_star, shuffle_star
 from .series import _check_composition, stirling2
 
 ROUTES = ("T", "R", "F", "recursion")
-
-
-def _part(c: int, series: StarSeries) -> tuple:
-    """c * series as a part for linear._combine."""
-    nums, den = _common_scale(series.terms.values())
-    return c, zip(series.terms, nums), den
 
 
 def _stirling_block(k: int, base: StarSeries, shift: StarSeries) -> StarSeries:
@@ -50,7 +44,7 @@ def _stirling_block(k: int, base: StarSeries, shift: StarSeries) -> StarSeries:
         power = StarSeries.one()
         for j in range(1, k + 1):
             power = shuffle_star(power, base)
-            yield _part(stirling2(k, j) * factorial(j), power)
+            yield stirling2(k, j) * factorial(j), *_items(power.terms)
 
     return shuffle_star(shift, StarSeries._trusted(_combine(parts())))
 
@@ -108,7 +102,7 @@ def build_neg_series(s: Iterable[int], route: str = "T") -> StarSeries:
             term = factors[indices[0]]
             for k in indices[1:]:
                 term = shuffle_star(term, factors[k])
-            yield _part(coeff, term)
+            yield coeff, *_items(term.terms)
 
     return StarSeries._trusted(_combine(parts()))
 

@@ -541,27 +541,29 @@ def _walk_may_win(comps: list, radius: float, cutoff: float, eps: float) -> bool
 
 
 def _reduced(w: Word, p: EvalParams, words: dict) -> list:
-    """Li_w as pieces (u, n, c), meaning c Li_u log^n(z) / n!, u empty or
-    ending in x1, in a fixed order.  Adds each nonempty u to words, and
-    raises at once on the logarithm's pole at z = 0."""
-    pieces = _reduce_trailing_x0(w)
+    """Li_w as pieces (u, n, c), meaning c Li_u log^n(z) / n! with c a
+    float, u empty or ending in x1, in the piece order of the word's
+    reduced row.  Adds each nonempty u to words, and raises at once on the
+    logarithm's pole at z = 0."""
+    items, den = _reduce_trailing_x0(w)
     out = []
-    for (u, n) in sorted(pieces, key=lambda t: (len(t[0]), tuple(t[0]), t[1])):
+    for (u, n), c in items:
         if len(u):
             words[u] = None
         if n and p.z == 0:
             raise DomainError("logarithm pole at z = 0")
-        out.append((u, n, pieces[(u, n)]))
+        out.append((u, n, c / den))  # int / int rounds once, as float(Fraction) does
     return out
 
 
-def _combine(pieces: list, li: dict, z: complex) -> complex:
+def _sum_pieces(pieces: list, li: dict, z: complex) -> complex:
+    """The float sum of the pieces (u, n, c) of _reduced, Li_u read off li."""
     total = 0j
     for u, n, c in pieces:
         val = li[u] if len(u) else 1.0 + 0j
         if n:
             val *= cmath.log(z) ** n / math.factorial(n)
-        total += float(c) * val
+        total += c * val
     return total
 
 
@@ -571,7 +573,7 @@ def eval_li_word(w: Word, p: EvalParams) -> complex:
     _eval_terms."""
     words: dict = {}
     pieces = _reduced(w, p, words)
-    return _combine(pieces, _li_values(list(words), p), p.z)
+    return _sum_pieces(pieces, _li_values(list(words), p), p.z)
 
 
 def _eval_terms(terms: Iterable, p: EvalParams) -> complex:
@@ -593,7 +595,7 @@ def _eval_terms(terms: Iterable, p: EvalParams) -> complex:
         if a1:
             val *= (1.0 - z) ** (-float(a1))
         if pieces is not None:
-            val *= _combine(pieces, li, z)
+            val *= _sum_pieces(pieces, li, z)
         total += float(c) * val
     return total
 

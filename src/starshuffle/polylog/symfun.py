@@ -3,25 +3,34 @@
 Keys are triples (k, l, w): an integer power of z, a nonnegative integer
 power of 1/(1-z), and the word indexing the polylogarithm (the empty word
 gives Li_epsilon = 1, and Li_{x0^n} = log^n(z)/n!).  Keys are canonicalized
-on insertion to k*l = 0 and l >= 0 by rewrite.reduce_exponents, the
-closed-form reducer modulo the kernel ideal, so they are exactly the
-exponents of rewriting normal forms.  Reducing trailing x0 letters of the
+on insertion to k*l = 0 and l >= 0 by rewrite._canonical, the reduction
+rule modulo the kernel ideal, so they are exactly the exponents of
+rewriting normal forms.  Reducing trailing x0 letters of the
 word part is triangular with unit diagonal, so the canonical keys are
 linearly independent as functions on the slit disc: equal SymFun objects
 are equal functions and conversely.
 
 The product is the star-series product on (k, l, w) keys, a pair rule
 (word parts shuffle, exponents add) handed to linear._bilinear, followed
-by the reduction of the merged raw keys (_canonical) on their int sums.
+by the reduction of the merged raw keys on their int sums with
+rewrite._canonical, the package's one reduction rule.  The constructor
+sends the keys that are not canonical yet through the same rule; a
+canonical key is stored as it is, without a multiplication.
 
 d/dz, theta_0 = z d/dz and theta_1 = (1-z) d/dz are linear, so each is a
 rule on canonical keys, key -> {canonical key: int}, handed to
-linear._linear.  A rule reduces its own raw keys with reduce_exponents,
+linear._linear.  A rule reduces its own raw keys with _canonical,
 so the results are already canonical and are wrapped without a second
 pass through _insert.  theta_i is the rule of d/dz followed by the rule
 of the factor z or 1-z on the int sums, not one fused rule per key,
 because a key of d/dz that cancels across terms must place none of its
 images: that keeps the order of the output keys.
+
+_reduce_trailing_x0(w) is the one reduced row per word: Li_w over the
+basis Li_u log^n(z)/n!, u empty or ending in x1, as ((u, n), int) items
+over one denominator, in the fixed piece order (|u|, u, n).  to_pieces,
+the germs and limits of integrate, the numeric evaluator and the public
+reduce_trailing_x0 all read it.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ..linear import LinearCombination, _bilinear, _is_scalar, _linear, _sum_rule
-from ..rewrite import reduce_exponents
+from ..linear import LinearCombination, _bilinear, _combine, _is_scalar, _items, _linear, _sum_rule
+from ..rewrite import _canonical
 from ..shuffle_core import NCPoly, _shuffle_words, shuffle
 from ..words import EPSILON, Word
 
@@ -47,8 +56,7 @@ class SymFun(LinearCombination):
         if l >= 0 and k * l == 0:  # already canonical, the common case
             data[key] = data.get(key, 0) + coeff
             return
-        for (k2, l2), m in reduce_exponents(k, l).items():
-            canon = (k2, l2, w)
+        for canon, m in _canonical(key).items():
             data[canon] = data.get(canon, 0) + coeff * m
 
     @classmethod
@@ -77,14 +85,6 @@ def _symfun_pair(x: tuple, y: tuple) -> dict:
     (k1, l1, w1), (k2, l2, w2) = x, y
     k, l = k1 + k2, l1 + l2
     return {(k, l, w): m for w, m in _shuffle_words(w1, w2).items()}
-
-
-def _canonical(key: tuple) -> dict:
-    """A raw key (k, l, w) with integer k and l, as {canonical key: int}."""
-    k, l, w = key
-    if l >= 0 and k * l == 0:
-        return {key: 1}
-    return {(k2, l2, w): m for (k2, l2), m in reduce_exponents(k, l).items()}
 
 
 def lambda_fun() -> SymFun:
@@ -142,34 +142,42 @@ def theta(i: int, f: SymFun) -> SymFun:
 # Bounded above the 2,143 words the test suite reduces; the ideal workload
 # reduces about 125.
 @lru_cache(maxsize=4096)
-def _reduce_trailing_x0(w: Word) -> dict:
+def _reduce_trailing_x0(w: Word) -> tuple:
     """Expand Li_w over the basis Li_u log^n(z)/n! with u empty or ending
     in x1, via  u x1 x0^n = u x1 sh x0^n - sum_k (u sh x0^k) x1 x0^(n-k).
 
-    Returns {(u, n): coeff}; cached, treat as read-only.
+    Returns the row ((((u, n), int), ...), den), in the piece order
+    (|u|, u, n); cached, and a tuple, so no caller can change it.
     """
     if w.count(1) == 0:
-        return {(EPSILON, len(w)): Fraction(1)}
+        return (((EPSILON, len(w)), 1),), 1
     n = 0
     while w[len(w) - 1 - n] == 0:
         n += 1
     if n == 0:
-        return {(w, 0): Fraction(1)}
+        return (((w, 0), 1),), 1
     head = w[: len(w) - n]
     u = head[:-1]
-    out = {(head, n): Fraction(1)}
+    parts = [(1, (((head, n), 1),), 1)]
     for k in range(1, n + 1):
         shuffled = shuffle(NCPoly.from_word(u), NCPoly.from_word(Word([0] * k)))
         tail = Word([1] + [0] * (n - k))
-        for t, c in shuffled.terms.items():
-            for key, c2 in _reduce_trailing_x0(t + tail).items():
-                out[key] = out.get(key, 0) - c * c2
-    return {key: c for key, c in out.items() if c}
+        parts += ((-c, *_reduce_trailing_x0(t + tail)) for t, c in shuffled.terms.items())
+    items, den = _items(_combine(parts))
+    return tuple(sorted(items, key=_piece_order)), den
+
+
+def _piece_order(item: tuple) -> tuple:
+    """Sort key of a ((u, n), value) item: u by length and letters, then n."""
+    (u, n), _ = item
+    return len(u), tuple(u), n
 
 
 def reduce_trailing_x0(w: Word) -> dict:
-    """Public copy-returning wrapper around the cached reduction."""
-    return dict(_reduce_trailing_x0(w))
+    """Li_w over the basis Li_u log^n(z)/n!, u empty or ending in x1, as
+    {(u, n): Fraction} in the piece order (|u|, u, n)."""
+    items, den = _reduce_trailing_x0(w)
+    return {key: Fraction(c, den) for key, c in items}
 
 
 def from_piece(k: int, l: int, u: Word, n: int) -> SymFun:
@@ -181,16 +189,9 @@ def from_piece(k: int, l: int, u: Word, n: int) -> SymFun:
 def to_pieces(f: SymFun) -> dict:
     """Decompose into the reduced basis: {(k, l, u, n): coeff} where u is
     empty or ends in x1 and the piece means z^k (1-z)^(-l) Li_u log^n/n!."""
-    out: dict = {}
-    for (k, l, w), c in f.terms.items():
-        for (u, n), c2 in _reduce_trailing_x0(w).items():
-            key = (k, l, u, n)
-            val = out.get(key, 0) + c * c2
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
+    rows = ((c, k, l, *_reduce_trailing_x0(w)) for (k, l, w), c in f.terms.items())
+    return _combine((c, [((k, l, u, n), m) for (u, n), m in items], den)
+                    for c, k, l, items, den in rows)
 
 
 def index_of(f: SymFun) -> int:

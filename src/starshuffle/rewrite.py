@@ -6,9 +6,13 @@ the algebra of the functions z^k (1-z)^(-l).  Working in the Laurent
 subalgebra (integer x0-exponents k, natural x1-exponents l), the terms
 with k * l = 0 are a basis of the quotient: they are the functions z^k
 and (1-z)^(-l), which are linearly independent.  reduce_exponents writes
-z^k (1-z)^(-l) in that basis in closed form, and normal_form applies it
-term by term; a series lies in the ideal exactly when its normal form
-is 0.
+z^k (1-z)^(-l) in that basis in closed form.  _canonical is the one
+reduction rule of the package: on a key (k, l, w) it gives the canonical
+keys, k * l = 0 and l >= 0, with their int multiplicities.  normal_form
+and kernel_member sum it over a series with linear._sum_rule, the SymFun
+product applies it to its raw keys, and SymFun's constructor to the keys
+that are not canonical yet; a series lies in the ideal exactly when its
+normal form is 0.
 
 rewrite_trace keeps the step rules as an opt-in trace and as a reference
 for the closed form:
@@ -34,7 +38,7 @@ from itertools import chain
 from math import comb
 
 from .errors import DomainError
-from .linear import _common_scale, _fractions
+from .linear import _common_scale, _fractions, _sum_rule
 from .star_series import StarSeries, StarTerm, term_sort_key
 
 
@@ -70,6 +74,15 @@ def reduce_exponents(k: int, l: int) -> dict:
                 key = (j, 0)
                 out[key] = out.get(key, 0) + c * (-1) ** j * comb(i - l, j)
     return {key: c for key, c in out.items() if c}
+
+
+def _canonical(key: tuple) -> dict:
+    """The reduction rule: a key (k, l, w) with integer k and l as
+    {canonical key (k', l', w): int}, k' * l' = 0 and l' >= 0."""
+    k, l, w = key
+    if l >= 0 and k * l == 0:
+        return {key: 1}
+    return {(k2, l2, w): m for (k2, l2), m in reduce_exponents(k, l).items()}
 
 
 # _term(StarTerm, (w, k, l)) builds the key without NamedTuple's Python-level __new__
@@ -185,17 +198,11 @@ def _state(terms: dict) -> StarSeries:
 
 
 def _reduced(s: StarSeries) -> tuple:
-    """The normal form of the Laurent series s as int sums {(w, k, l): n}
-    over one denominator, and that denominator; a sum may be 0.  Summed on
-    plain tuples, so no StarTerm or Fraction is built."""
+    """The normal form of the Laurent series s as int sums {(k, l, w): n}
+    over one denominator, and that denominator; a sum may be 0."""
     nums, den = _common_scale(s.terms.values())
-    acc: dict = {}
-    for t, c in zip(s.terms, nums):
-        w = t.w
-        for (k, l), m in reduce_exponents(int(t.a0), int(t.a1)).items():
-            key = (w, k, l)
-            acc[key] = acc.get(key, 0) + c * m
-    return acc, den
+    keys = ((int(k), int(l), w) for w, k, l in s.terms)
+    return _sum_rule(zip(keys, nums), _canonical), den
 
 
 def normal_form(
@@ -211,7 +218,7 @@ def normal_form(
     _check_strategy(strategy)
     acc, den = _reduced(s)
     return StarSeries._trusted({StarTerm(w, k, l): c
-                                for (w, k, l), c in _fractions(acc, den).items()})
+                                for (k, l, w), c in _fractions(acc, den).items()})
 
 
 def kernel_member(s: StarSeries) -> bool:

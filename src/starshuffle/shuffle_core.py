@@ -25,7 +25,8 @@ result dicts keep that recursion's iteration order.
 shuffle, stuffle and conc (and the YPoly product) are pair rules,
 _shuffle_bits, _stuffle_words and _conc, handed to linear._bilinear, the
 package's one loop over pairs of terms, which keeps multiplicities and
-numerators as ints.
+numerators as ints; so are the left and right residuals.  pi_y and pi_x
+are rules on single words handed to linear._linear.
 
 _shuffle_words and _stuffle_words cache whole products, never the
 prefix or suffix pairs of a table, in lru caches of fixed size; shuffle
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
 
-from .linear import LinearCombination, _bilinear, _fractions, _is_scalar
+from .linear import LinearCombination, _bilinear, _fractions, _is_scalar, _linear, _signed_sum
 from .words import EPSILON, Word, composition_of_word, word_of_composition
 
 _new = int.__new__
@@ -157,26 +158,24 @@ def unshuffle(w: Word) -> dict:
     return {(_new(Word, u), _new(Word, v)): c for (u, v), c in _fractions(out, 1).items()}
 
 
+def _left_pair(v: Word, u: Word) -> dict:
+    """The left residual rule: v = w u gives w, other pairs nothing."""
+    return {v[: len(v) - len(u)]: 1} if v.endswith(u) else {}
+
+
+def _right_pair(v: Word, u: Word) -> dict:
+    """The right residual rule: v = u w gives w, other pairs nothing."""
+    return {v[len(u) :]: 1} if v.startswith(u) else {}
+
+
 def left_residual(p: NCPoly, s: NCPoly) -> NCPoly:
     """p left-divides s: the polynomial with <p \\ s | w> = <s | w p>."""
-    out: dict = {}
-    for v, cv in s.terms.items():
-        for u, cu in p.terms.items():
-            if v.endswith(u):
-                key = v[: len(v) - len(u)]
-                out[key] = out.get(key, 0) + cu * cv
-    return NCPoly(out)
+    return NCPoly._trusted(_bilinear(s.terms, p.terms, _left_pair))
 
 
 def right_residual(s: NCPoly, p: NCPoly) -> NCPoly:
     """p right-divides s: the polynomial with <s / p | w> = <s | p w>."""
-    out: dict = {}
-    for v, cv in s.terms.items():
-        for u, cu in p.terms.items():
-            if v.startswith(u):
-                key = v[len(u) :]
-                out[key] = out.get(key, 0) + cu * cv
-    return NCPoly(out)
+    return NCPoly._trusted(_bilinear(s.terms, p.terms, _right_pair))
 
 
 def is_exchangeable(p: NCPoly) -> bool:
@@ -223,20 +222,10 @@ class YPoly(LinearCombination):
         return NotImplemented
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for yw in sorted(self.terms, key=lambda t: (len(t), t)):
-            c = self.terms[yw]
-            body = "y[" + ",".join(map(str, yw)) + "]"
-            bits.append((c, f"{abs(c)}*{body}"))
-        parts = []
-        for i, (c, text) in enumerate(bits):
-            if i == 0:
-                parts.append(("-" if c < 0 else "") + text)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + text)
-        return " ".join(parts)
+        return _signed_sum(
+            (c, f"{abs(c)}*y[" + ",".join(map(str, yw)) + "]")
+            for yw, c in sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
+        )
 
 
 @lru_cache(maxsize=256)
@@ -275,42 +264,35 @@ def stuffle(p: YPoly, q: YPoly) -> YPoly:
     return YPoly._trusted(_bilinear(p.terms, q.terms, _stuffle_words))
 
 
+def _pi_y_rule(w: Word) -> dict:
+    if len(w) and w[-1] != 1:
+        return {}
+    return {composition_of_word(w): 1}
+
+
+def _pi_x_rule(yw: tuple) -> dict:
+    return {word_of_composition(yw): 1}
+
+
 def pi_y(p: NCPoly) -> YPoly:
     """Project onto words ending in x1 (plus the empty word) and transcribe
     them to y-words; words ending in x0 are sent to zero."""
-    out: dict = {}
-    for w, c in p.terms.items():
-        if len(w) and w[-1] != 1:
-            continue
-        key = composition_of_word(w)
-        out[key] = out.get(key, 0) + c
-    return YPoly(out)
+    return YPoly._trusted(_linear(p.terms, _pi_y_rule))
 
 
 def pi_x(q: YPoly) -> NCPoly:
     """Transcribe y-words back to words over {x0, x1}; right adjoint of
     pi_y for the canonical scalar products on both sides."""
-    out: dict = {}
-    for yw, c in q.terms.items():
-        key = word_of_composition(yw)
-        out[key] = out.get(key, 0) + c
-    return NCPoly(out)
+    return NCPoly._trusted(_linear(q.terms, _pi_x_rule))
 
 
 def format_poly(p: NCPoly) -> str:
     """Render as ``3/2*011 + 1*0 - 2`` (bare rationals are coefficients of
     the empty word); the zero polynomial prints as ``0``."""
-    if not p.terms:
-        return "0"
-    parts = []
-    for w in sorted(p.terms, key=lambda w: (len(w), tuple(w))):
-        c = p.terms[w]
-        body = str(abs(c)) if len(w) == 0 else f"{abs(c)}*{w}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+    return _signed_sum(
+        (c, str(abs(c)) if len(w) == 0 else f"{abs(c)}*{w}")
+        for w, c in sorted(p.terms.items(), key=lambda item: (len(item[0]), tuple(item[0])))
+    )
 
 
 def parse_poly(text: str) -> NCPoly:

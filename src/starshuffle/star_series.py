@@ -18,6 +18,7 @@ on it, since Fraction(3) == 3 and hash(Fraction(3)) == hash(3).
 
 shuffle_star is a pair rule handed to linear._bilinear, the package's one
 loop over pairs of terms: word parts shuffle and exponents add.
+delta_left is a rule on single terms handed to linear._linear.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .linear import LinearCombination, _bilinear
+from .linear import LinearCombination, _bilinear, _linear
 from .shuffle_core import NCPoly, _shuffle_words
 from .words import EPSILON, Word
 
@@ -142,15 +143,17 @@ def delta_left(letter: int, s: StarSeries) -> StarSeries:
     part and add the eigenvalue contribution of each star factor."""
     if letter not in (0, 1):
         raise ValueError("letter must be 0 or 1")
-    out: dict = {}
-    for t, c in s.terms.items():
+
+    def rule(t: StarTerm) -> dict:
+        out = {}
         if len(t.w) and t.w[0] == letter:
-            key = StarTerm(t.w[1:], t.a0, t.a1)
-            out[key] = out.get(key, 0) + c
+            out[StarTerm(t.w[1:], t.a0, t.a1)] = 1
         eig = t.a0 if letter == 0 else t.a1
         if eig:
-            out[t] = out.get(t, 0) + c * eig
-    return StarSeries(out)
+            out[t] = eig  # a rational exponent, summed exactly
+        return out
+
+    return StarSeries._trusted(_linear(s.terms, rule))
 
 
 def expand(s: StarSeries, n: int) -> NCPoly:

@@ -8,14 +8,24 @@ the item lists.  Stdlib only, so it runs where pytest is not installed:
 
     PYTHONPATH=src python tests/kernel_reference.py
 
-The *_loop functions are the products as each one kept its own double
-loop over pairs of terms: shuffle and stuffle summing int numerators over
+The product *_loop functions are the products as each one kept its own
+double loop over pairs of terms: shuffle and stuffle summing int numerators over
 a common denominator, the other four summing Fractions.  Every product now
 goes through linear._bilinear, and must give what these loops give.
 
 reduce_exponents_rec is rewrite.reduce_exponents as it expanded k >= 1
 through k + 1 recursive calls; the one loop that replaced them must give
 its values and dict order.
+
+The other *_loop functions are the linear maps as each kept its own
+loop over terms before every map went through linear._bilinear, _linear
+or _combine: the left and right residuals, pi_y, pi_x, delta_left, the
+normal-form sums of rewrite, the antiderivative against dz of the
+integrate tables, to_pieces, and the trailing-x0 reduction of a word.
+Each new form must give their values and value types; the dict order
+too, except that a word's reduced row is now stored in the piece order
+(|u|, u, n), so to_pieces must give what its loop gives over the sorted
+rows.
 
 The *_ref functions are the linear operators as they were computed term
 by term, every intermediate result built through the SymFun and
@@ -36,13 +46,20 @@ from itertools import product
 from math import comb, factorial, lcm
 
 from starshuffle.errors import DomainError, NonElementaryConstantError
-from starshuffle.polylog.integrate import _J, _K, _li_coeffs, _piece_index, _zeta_numeric
+from starshuffle.polylog.integrate import _A, _J, _K, _P, _li_coeffs, _piece_index, _zeta_numeric
 from starshuffle.polylog.negindex import _nested_indices
 from starshuffle.polylog.series import _check_composition, stirling2
-from starshuffle.polylog.symfun import SymFun, _symfun_pair, to_pieces
-from starshuffle.shuffle_core import NCPoly, YPoly, _shuffle_words, _stuffle_words, unshuffle
+from starshuffle.polylog.symfun import SymFun, _symfun_pair
+from starshuffle.shuffle_core import (
+    NCPoly,
+    YPoly,
+    _shuffle_words,
+    _stuffle_words,
+    shuffle,
+    unshuffle,
+)
 from starshuffle.star_series import StarSeries, StarTerm, _exponent, plane_star, shuffle_star
-from starshuffle.words import EPSILON, Word
+from starshuffle.words import EPSILON, Word, composition_of_word, word_of_composition
 
 
 @lru_cache(maxsize=None)
@@ -173,6 +190,140 @@ def symfun_mul_ref(f: SymFun, g: SymFun) -> SymFun:
     return SymFun(_int_numerator_loop(f, g, _symfun_pair))
 
 
+def left_residual_loop(p: NCPoly, s: NCPoly) -> NCPoly:
+    out: dict = {}
+    for v, cv in s.terms.items():
+        for u, cu in p.terms.items():
+            if v.endswith(u):
+                key = v[: len(v) - len(u)]
+                out[key] = out.get(key, 0) + cu * cv
+    return NCPoly(out)
+
+
+def right_residual_loop(s: NCPoly, p: NCPoly) -> NCPoly:
+    out: dict = {}
+    for v, cv in s.terms.items():
+        for u, cu in p.terms.items():
+            if v.startswith(u):
+                key = v[len(u) :]
+                out[key] = out.get(key, 0) + cu * cv
+    return NCPoly(out)
+
+
+def pi_y_loop(p: NCPoly) -> YPoly:
+    out: dict = {}
+    for w, c in p.terms.items():
+        if len(w) and w[-1] != 1:
+            continue
+        key = composition_of_word(w)
+        out[key] = out.get(key, 0) + c
+    return YPoly(out)
+
+
+def pi_x_loop(q: YPoly) -> NCPoly:
+    out: dict = {}
+    for yw, c in q.terms.items():
+        key = word_of_composition(yw)
+        out[key] = out.get(key, 0) + c
+    return NCPoly(out)
+
+
+def delta_left_loop(letter: int, s: StarSeries) -> StarSeries:
+    if letter not in (0, 1):
+        raise ValueError("letter must be 0 or 1")
+    out: dict = {}
+    for t, c in s.terms.items():
+        if len(t.w) and t.w[0] == letter:
+            key = StarTerm(t.w[1:], t.a0, t.a1)
+            out[key] = out.get(key, 0) + c
+        eig = t.a0 if letter == 0 else t.a1
+        if eig:
+            out[t] = out.get(t, 0) + c * eig
+    return StarSeries(out)
+
+
+def normal_sums_loop(s: StarSeries) -> tuple:
+    """rewrite's normal form of a Laurent series as int sums
+    {(w, k, l): n} over one denominator, and that denominator."""
+    den = 1
+    for c in s.terms.values():
+        den = lcm(den, c.denominator)
+    acc: dict = {}
+    for t, c in s.terms.items():
+        c = c.numerator * (den // c.denominator)
+        for (k, l), m in reduce_exponents_rec(int(t.a0), int(t.a1)).items():
+            key = (t.w, k, l)
+            acc[key] = acc.get(key, 0) + c * m
+    return acc, den
+
+
+def normal_form_loop(s: StarSeries) -> StarSeries:
+    acc, den = normal_sums_loop(s)
+    return StarSeries._trusted({StarTerm(w, k, l): Fraction(c, den)
+                                for (w, k, l), c in acc.items() if c})
+
+
+def kernel_member_loop(s: StarSeries) -> bool:
+    acc, _ = normal_sums_loop(s)
+    return not any(acc.values())
+
+
+def against_dz_loop(pieces: dict, w: Word) -> SymFun:
+    """An antiderivative against dz of the sum of c z^k (1-z)^(-l) Li_w
+    over canonical pieces {(k, l): c}, from the integrate tables."""
+    out: dict = {}
+    for (k, l), c in pieces.items():
+        table = _A(l, w) if l else _P(k, w)
+        for key, v in table.terms.items():
+            out[key] = out.get(key, 0) + c * v
+    return SymFun._trusted({key: v for key, v in out.items() if v})
+
+
+@lru_cache(maxsize=None)
+def reduce_trailing_x0_loop(w: Word) -> dict:
+    """Li_w over the basis Li_u log^n(z)/n!, u empty or ending in x1, via
+    u x1 x0^n = u x1 sh x0^n - sum_k (u sh x0^k) x1 x0^(n-k), in the order
+    the recursion meets the pieces; treat as read-only."""
+    if w.count(1) == 0:
+        return {(EPSILON, len(w)): Fraction(1)}
+    n = 0
+    while w[len(w) - 1 - n] == 0:
+        n += 1
+    if n == 0:
+        return {(w, 0): Fraction(1)}
+    head = w[: len(w) - n]
+    u = head[:-1]
+    out = {(head, n): Fraction(1)}
+    for k in range(1, n + 1):
+        shuffled = shuffle(NCPoly.from_word(u), NCPoly.from_word(Word([0] * k)))
+        tail = Word([1] + [0] * (n - k))
+        for t, c in shuffled.terms.items():
+            for key, c2 in reduce_trailing_x0_loop(t + tail).items():
+                out[key] = out.get(key, 0) - c * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def sorted_row(w: Word) -> dict:
+    """reduce_trailing_x0_loop(w) in the piece order (|u|, u, n)."""
+    row = reduce_trailing_x0_loop(w)
+    return dict(sorted(row.items(), key=lambda item: (len(item[0][0]), tuple(item[0][0]), item[0][1])))
+
+
+def to_pieces_loop(f: SymFun, row=reduce_trailing_x0_loop) -> dict:
+    """{(k, l, u, n): coeff} over the reduced pieces of each term's word,
+    a key dropped the moment it cancels; row(w) gives a word's pieces."""
+    out: dict = {}
+    for (k, l, w), c in f.terms.items():
+        for (u, n), c2 in row(w).items():
+            key = (k, l, u, n)
+            val = out.get(key, 0) + c * c2
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    return out
+
+
 def derivative_ref(f: SymFun) -> SymFun:
     out: list = []
     for (k, l, w), c in f.terms.items():
@@ -220,7 +371,7 @@ def limit_at_zero_ref(f: SymFun) -> Fraction:
     """The limit at 0 from the reduced pieces, recomputing the Taylor
     coefficients of every piece in Fractions."""
     groups: dict = {}
-    for (k, l, u, n), c in to_pieces(f).items():
+    for (k, l, u, n), c in to_pieces_loop(f).items():
         groups.setdefault(n, []).append((k, l, u, c))
     total = Fraction(0)
     for n, plist in groups.items():
@@ -247,7 +398,7 @@ def limit_at_one_ref(f: SymFun, *, numeric_fallback: bool = False):
     """The limit at 1 from the reduced pieces grouped by (u, n), summed
     in Fractions."""
     groups: dict = {}
-    for (k, l, u, n), c in to_pieces(f).items():
+    for (k, l, u, n), c in to_pieces_loop(f).items():
         sig = groups.setdefault((u, n), {})
         sig[-l] = sig.get(-l, Fraction(0)) + c
     exact = Fraction(0)
@@ -285,7 +436,7 @@ def iota_ref(i: int, f: SymFun, *, numeric_constants: bool = False):
     sym = SymFun.zero()
     numeric = 0.0
     for (k, l, u, n), c in sorted(
-        to_pieces(f).items(), key=lambda g: (g[0][0], g[0][1], len(g[0][2]), tuple(g[0][2]), g[0][3])
+        to_pieces_loop(f).items(), key=lambda g: (g[0][0], g[0][1], len(g[0][2]), tuple(g[0][2]), g[0][3])
     ):
         anti = _antiderivative_ref(0, from_piece_ref(k, l, u, n))
         if _piece_index(k, u) >= 1:

@@ -1,28 +1,42 @@
-"""d/dz, theta, iota and the basepoint limits are linear maps fixed by their
+"""d/dz, theta, iota, the basepoint limits, the residuals, the projections,
+delta_left, the normal form and to_pieces are linear maps fixed by their
 values on basis keys, and the sums of the lineg routes are summed in one
-dict.  Each must give what its term-by-term reference in kernel_reference
-gives: the same values, or the same raised exception class, and the same
-dict order; a float limit must be the same float, bit for bit."""
+dict.  Each must give what its term-by-term reference or former loop in
+kernel_reference gives: the same values and value types, or the same
+raised exception class, and the same dict order; a float limit must be
+the same float, bit for bit."""
 
 import random
 from fractions import Fraction
 from itertools import product
 
 from kernel_reference import (
+    against_dz_loop,
     apply_word_op_ref,
     build_neg_series_ref,
+    delta_left_loop,
     derivative_ref,
     iota_ref,
+    kernel_member_loop,
+    left_residual_loop,
     limit_at_one_ref,
     limit_at_zero_ref,
+    normal_form_loop,
+    pi_x_loop,
+    pi_y_loop,
+    reduce_exponents_rec,
+    reduce_trailing_x0_loop,
+    right_residual_loop,
+    sorted_row,
     symfun_mul_ref,
     theta_ref,
+    to_pieces_loop,
     words_up_to,
 )
 from starshuffle.errors import DomainError
 from starshuffle.polylog.integrate import (
+    _J,
     _K,
-    _at_one,
     _germ,
     _iota1_row,
     _section,
@@ -32,7 +46,16 @@ from starshuffle.polylog.integrate import (
     limit_at_zero,
 )
 from starshuffle.polylog.negindex import build_neg_series
-from starshuffle.polylog.symfun import SymFun, derivative, theta
+from starshuffle.polylog.symfun import SymFun, derivative, reduce_trailing_x0, theta, to_pieces
+from starshuffle.rewrite import kernel_member, normal_form
+from starshuffle.shuffle_core import NCPoly, YPoly, left_residual, pi_x, pi_y, right_residual
+from starshuffle.star_series import (
+    StarSeries,
+    delta_left,
+    plane_star,
+    shuffle_star,
+    star_term,
+)
 from starshuffle.words import EPSILON, Word
 
 CASES = 300
@@ -164,7 +187,7 @@ def test_iota_returns_fresh_results_and_its_table_is_bounded():
         want = list(first.terms.items())
         first.terms.clear()
         assert list(iota(i, f).terms.items()) == want
-    for table in (_section, _germ, _iota1_row, _at_one):
+    for table in (_section, _germ, _iota1_row):
         assert table.cache_info().maxsize is not None
 
 
@@ -182,6 +205,91 @@ def _compositions(weight_max, depth_max):
     for _ in range(depth_max):
         frontier = [s + (part,) for s in frontier for part in range(weight_max - sum(s) + 1)]
         yield from frontier
+
+
+def _typed(items):
+    """The items of a combination or a dict with each value's type, since
+    Fraction(1) == 1."""
+    items = items.terms if hasattr(items, "terms") else items
+    return [(k, type(v), v) for k, v in items.items()]
+
+
+def _ncpoly(rng, n, terms):
+    return NCPoly({_word(rng, n): _coeff(rng) for _ in range(rng.randint(0, terms))})
+
+
+def test_residuals_and_projections_match_their_loops():
+    rng = random.Random(6)
+    for _ in range(CASES):
+        # short divisors, so that words divide and keys meet and cancel
+        p, s = _ncpoly(rng, 2, 3), _ncpoly(rng, 5, 6)
+        assert _typed(left_residual(p, s)) == _typed(left_residual_loop(p, s)), (p, s)
+        assert _typed(right_residual(s, p)) == _typed(right_residual_loop(s, p)), (p, s)
+        assert _typed(pi_y(s)) == _typed(pi_y_loop(s)), s
+        q = YPoly({tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))): _coeff(rng)
+                   for _ in range(rng.randint(0, 4))})
+        assert _typed(pi_x(q)) == _typed(pi_x_loop(q)), q
+
+
+def _exponent(rng):
+    return rng.choice((0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+
+
+def test_delta_left_matches_its_loop_with_rational_exponents():
+    rng = random.Random(7)
+    for _ in range(CASES):
+        s = StarSeries({star_term(_word(rng, 3), _exponent(rng), _exponent(rng)): _coeff(rng)
+                        for _ in range(rng.randint(0, 4))})
+        if s and rng.randrange(2):
+            # x_letter t with coefficient -c a: its stripped key cancels the
+            # eigenvalue term c a of t, for letter 0
+            (w, a0, a1), c = next(iter(s.terms.items()))
+            s += StarSeries({star_term(Word("0") + w, a0, a1): -c * a0 if a0 else c})
+        for letter in (0, 1):
+            assert _typed(delta_left(letter, s)) == _typed(delta_left_loop(letter, s)), s
+
+
+def _laurent(rng):
+    s = StarSeries({star_term(_word(rng, 3), rng.randint(-4, 4), rng.randint(0, 4)): _coeff(rng)
+                    for _ in range(rng.randint(0, 4))})
+    if rng.randrange(3) == 0:
+        # a multiple of the generator of the kernel ideal, with or without s
+        gen = shuffle_star(plane_star(1, 0), plane_star(0, 1)) - plane_star(0, 1) + StarSeries.one()
+        mult = StarSeries({star_term(_word(rng, 2), rng.randint(-3, 3), rng.randint(0, 3)):
+                           _coeff(rng)})
+        s = shuffle_star(gen, mult) + (s if rng.randrange(2) else StarSeries.zero())
+    return s
+
+
+def test_normal_form_and_kernel_member_match_their_loop():
+    rng = random.Random(8)
+    members = 0
+    for _ in range(CASES):
+        s = _laurent(rng)
+        assert _typed(normal_form(s)) == _typed(normal_form_loop(s)), s
+        assert kernel_member(s) is kernel_member_loop(s), s
+        members += kernel_member(s)
+    assert members > 0
+
+
+def test_reduced_rows_and_pieces_match_their_loops():
+    for w in words_up_to(8):
+        assert _typed(reduce_trailing_x0(w)) == _typed(sorted_row(w)), w
+        assert reduce_trailing_x0(w) == reduce_trailing_x0_loop(w), w
+    for _, f in _cases(9, _integrated):
+        got = to_pieces(f)
+        assert _typed(got) == _typed(to_pieces_loop(f, sorted_row)), f
+        assert got == to_pieces_loop(f), f
+
+
+def test_antiderivative_tables_match_their_loop():
+    for k, l in product(range(-4, 5), range(5)):
+        if k * l == 0:
+            for w in words_up_to(3):
+                want = against_dz_loop(reduce_exponents_rec(k - 1, l), w)
+                assert _typed(_J(k, l, w)) == _typed(want), (k, l, w)
+                want = against_dz_loop(reduce_exponents_rec(k, l + 1), w)
+                assert _typed(_K(k, l, w)) == _typed(want), (k, l, w)
 
 
 def test_neg_series_match_their_summed_loop():
