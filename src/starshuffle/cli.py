@@ -33,7 +33,7 @@ from .polylog import (
 )
 from .rewrite import kernel_member, normal_form
 from .star_series import StarSeries
-from .words import lyndon_up_to
+from .words import lyndon_up_to, shortlex_key
 
 TAYLOR_CHECK_DEPTH = 20
 HSUM_COLUMNS = (5, 10, 20)
@@ -124,7 +124,7 @@ def _hsum_compositions(bound: int) -> list[tuple[int, ...]]:
 
 
 def _do_lyndon(args) -> tuple[dict, str, tuple]:
-    words = sorted(lyndon_up_to(args.max_len), key=lambda w: (len(w), tuple(w)))
+    words = sorted(lyndon_up_to(args.max_len), key=shortlex_key)
     names = [str(w) for w in words]
     data = {"max_len": args.max_len, "count": len(names), "words": names}
     rows = (["word", "length"], [[n, len(n)] for n in names])
@@ -202,7 +202,7 @@ def _do_table(args) -> tuple[dict, str, tuple]:
     if args.bound < 0:
         raise DomainError("table bound must be nonnegative")
     if args.kind == "lyndon":
-        words = sorted(lyndon_up_to(args.bound), key=lambda w: (len(w), tuple(w)))
+        words = sorted(lyndon_up_to(args.bound), key=shortlex_key)
         header = ["word", "length"]
         rows = [[str(w), len(w)] for w in words]
         entries = [{"word": str(w), "length": len(w)} for w in words]

@@ -31,6 +31,14 @@ linear rule to their sums before the Fractions are built: the SymFun
 product reduces its raw keys that way, and theta_i multiplies d/dz by z
 or 1-z.
 
+When both operands of _bilinear have one term, as in a product of two
+words, the pair rule's dict already holds the int sums, in the loop's
+order: it goes to _fractions as it is, or scaled by a copy when the
+numerators' product is not 1, with no accumulation loop.  Rules may
+return cached dicts (_shuffle_words, _stuffle_words), so the loops read
+every dict a rule returns and never write to it or hand it out as a
+result.
+
 _combine sums scaled combinations, c * (sum of n/d over keys), as a chain
 of + would: a key is dropped the moment it cancels, and appended again if
 a later summand brings it back.  A row is the (items, den) pair that
@@ -225,18 +233,30 @@ def _bilinear(p: dict, q: dict, pair, then=None, wrap=None) -> dict:
     then(key) -> {key: int}, its linear extension is applied to the int
     sums first, in the order the pair loop met their keys; a key whose sum
     is zero is skipped there, as if the product had been built first.
-    With wrap, each output key is wrap(key), as in _fractions."""
-    p_nums, p_den = _common_scale(p.values())
-    q_nums, q_den = _common_scale(q.values())
-    acc: dict = {}
-    for u, cu in zip(p, p_nums):
-        for v, cv in zip(q, q_nums):
-            c = cu * cv
-            for w, m in pair(u, v).items():
-                acc[w] = acc.get(w, 0) + c * m
+    With wrap, each output key is wrap(key), as in _fractions.  Two
+    one-term operands skip the accumulation (see the module docstring);
+    what pair returns is never written to."""
+    if len(p) == 1 and len(q) == 1:
+        ((u, cu),) = p.items()
+        ((v, cv),) = q.items()
+        acc = pair(u, v)
+        c = cu.numerator * cv.numerator
+        if c != 1:
+            acc = {w: c * m for w, m in acc.items()}
+        den = cu.denominator * cv.denominator
+    else:
+        p_nums, p_den = _common_scale(p.values())
+        q_nums, q_den = _common_scale(q.values())
+        acc = {}
+        for u, cu in zip(p, p_nums):
+            for v, cv in zip(q, q_nums):
+                c = cu * cv
+                for w, m in pair(u, v).items():
+                    acc[w] = acc.get(w, 0) + c * m
+        den = p_den * q_den
     if then is not None:
         acc = _sum_rule(acc.items(), then)
-    return _fractions(acc, p_den * q_den, wrap)
+    return _fractions(acc, den, wrap)
 
 
 def _combine(parts) -> dict:

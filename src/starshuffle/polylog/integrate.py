@@ -61,7 +61,7 @@ from math import factorial
 from ..errors import DomainError, NonElementaryConstantError
 from ..linear import _combine, _items
 from ..rewrite import reduce_exponents
-from ..words import EPSILON, Word, composition_of_word
+from ..words import EPSILON, Word, composition_of_word, shortlex_key
 from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
 from .symfun import SymFun, _piece_order, _reduce_trailing_x0, from_piece, theta, to_pieces
 
@@ -299,7 +299,7 @@ def _section_order(item: tuple) -> tuple:
     """Sort key of a (piece, coeff) item: k, l, then u by length and
     letters, then n."""
     (k, l, u, n), _ = item
-    return k, l, len(u), tuple(u), n
+    return (k, l, *shortlex_key(u), n)
 
 
 def iota(i: int, f: SymFun, *, numeric_constants: bool = False):

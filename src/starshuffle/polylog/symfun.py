@@ -41,7 +41,7 @@ from functools import lru_cache
 from ..linear import LinearCombination, _bilinear, _combine, _is_scalar, _items, _linear, _sum_rule
 from ..rewrite import _canonical
 from ..shuffle_core import NCPoly, _shuffle_words, shuffle
-from ..words import EPSILON, Word
+from ..words import EPSILON, Word, shortlex_key
 
 
 class SymFun(LinearCombination):
@@ -170,7 +170,7 @@ def _reduce_trailing_x0(w: Word) -> tuple:
 def _piece_order(item: tuple) -> tuple:
     """Sort key of a ((u, n), value) item: u by length and letters, then n."""
     (u, n), _ = item
-    return len(u), tuple(u), n
+    return (*shortlex_key(u), n)
 
 
 def reduce_trailing_x0(w: Word) -> dict:

@@ -39,7 +39,8 @@ from math import comb
 
 from .errors import DomainError
 from .linear import _common_scale, _fractions, _sum_rule
-from .star_series import StarSeries, StarTerm, term_sort_key
+from .star_series import StarSeries, StarTerm
+from .words import shortlex_key
 
 
 def reduce_exponents(k: int, l: int) -> dict:
@@ -126,7 +127,7 @@ def rewrite_trace(
     # order, so that plain tuple order is term order and hashing stays in
     # C; values holds the state's StarTerm -> Fraction map in the same dict
     # order, one Fraction per distinct numerator over the common den.
-    words = sorted({t.w for t in s.terms}, key=lambda w: term_sort_key(StarTerm(w, 0, 0)))
+    words = sorted({t.w for t in s.terms}, key=shortlex_key)
     rank = {w: i for i, w in enumerate(words)}
     nums, den = _common_scale(s.terms.values())
     live = {(rank[w], int(k), int(l)): c for (w, k, l), c in zip(s.terms, nums)}

@@ -22,6 +22,16 @@ _stuffle_words runs the same programme over suffix lengths.  Both fill
 their cells in the order of the first-letter recursion they replace, so
 result dicts keep that recursion's iteration order.
 
+Parts of a cell that end (or, for the stuffle, start) in different
+letters share no key, so they are merged by dict.update, in C: a shuffle
+cell whose two letters differ, where the x0 part keeps its keys and the
+x1 part takes its bit in one comprehension; and a stuffle cell's
+(u[i] + v[j]) part always, since u[i] + v[j] exceeds both letters, and
+its v[j] part whenever u[i] != v[j].  update appends new keys in the
+order of its argument with their own values, which is what the per-term
+loop did for keys it had not met, so values and dict order are the
+loop's.  Only the parts with equal letters are summed term by term.
+
 shuffle, stuffle and conc (and the YPoly product) are pair rules,
 _shuffle_bits, _stuffle_words and _conc, handed to linear._bilinear, the
 package's one loop over pairs of terms, which keeps multiplicities and
@@ -31,6 +41,8 @@ are rules on single words handed to linear._linear.
 _shuffle_words and _stuffle_words cache whole products, never the
 prefix or suffix pairs of a table, in lru caches of fixed size; shuffle
 itself sums _shuffle_bits directly and does not read the cache.
+unshuffle builds its (Word, Word) -> Fraction result from the int pairs
+in one pass, making each distinct subword a Word once.
 """
 
 from __future__ import annotations
@@ -39,8 +51,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
 
-from .linear import LinearCombination, _bilinear, _fractions, _is_scalar, _linear, _signed_sum
-from .words import EPSILON, Word, composition_of_word, word_of_composition
+from .linear import LinearCombination, _bilinear, _is_scalar, _linear, _signed_sum
+from .words import EPSILON, Word, composition_of_word, shortlex_key, word_of_composition
 
 _new = int.__new__
 _as_word = partial(_new, Word)  # a sentinel int key as a Word
@@ -108,7 +120,11 @@ def _shuffle_bits(ub: int, vb: int) -> dict:
                 out = {w | pos: c for w, c in prev[j].items()}
             else:
                 out = prev[j]
-            if (vb >> (j - 1)) & 1:
+            v_letter = (vb >> (j - 1)) & 1
+            if v_letter != u_letter:
+                # The two parts end in different letters, so share no key.
+                out.update({w | pos: c for w, c in left.items()} if v_letter else left)
+            elif v_letter:
                 for w, c in left.items():
                     w |= pos
                     out[w] = out.get(w, 0) + c
@@ -155,7 +171,10 @@ def unshuffle(w: Word) -> dict:
             k2 = (u, v + (a << (t - n)))
             nxt[k2] = nxt.get(k2, 0) + c
         out = nxt
-    return {(_new(Word, u), _new(Word, v)): c for (u, v), c in _fractions(out, 1).items()}
+    # One Word per distinct subword and one Fraction per distinct count.
+    words = {k: _new(Word, k) for k in {k for pair in out for k in pair}}
+    counts = {c: Fraction(c) for c in set(out.values())}
+    return {(words[u], words[v]): counts[c] for (u, v), c in out.items()}
 
 
 def _left_pair(v: Word, u: Word) -> dict:
@@ -245,13 +264,15 @@ def _stuffle_words(u: tuple, v: tuple) -> dict:
         for j in range(b - 1, -1, -1):
             y = v[j]
             out = {(x,) + w: c for w, c in below[j].items()}
-            for w, c in right.items():
-                w = (y,) + w
-                out[w] = out.get(w, 0) + c
+            if x != y:
+                out.update({(y,) + w: c for w, c in right.items()})
+            else:
+                for w, c in right.items():
+                    w = (y,) + w
+                    out[w] = out.get(w, 0) + c
+            # x + y exceeds both x and y, so this part shares no key.
             xy = (x + y,)
-            for w, c in below[j + 1].items():
-                w = xy + w
-                out[w] = out.get(w, 0) + c
+            out.update({xy + w: c for w, c in below[j + 1].items()})
             row.append(out)
             right = out
         row.reverse()
@@ -291,7 +312,7 @@ def format_poly(p: NCPoly) -> str:
     the empty word); the zero polynomial prints as ``0``."""
     return _signed_sum(
         (c, str(abs(c)) if len(w) == 0 else f"{abs(c)}*{w}")
-        for w, c in sorted(p.terms.items(), key=lambda item: (len(item[0]), tuple(item[0])))
+        for w, c in sorted(p.terms.items(), key=lambda item: shortlex_key(item[0]))
     )
 
 

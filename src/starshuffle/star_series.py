@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .errors import DomainError
 from .linear import LinearCombination, _bilinear, _linear
 from .shuffle_core import NCPoly, _shuffle_words
-from .words import EPSILON, Word
+from .words import EPSILON, Word, shortlex_key
 
 
 class StarTerm(NamedTuple):
@@ -55,7 +55,7 @@ def star_term(w: Word = EPSILON, a0=0, a1=0) -> StarTerm:
 
 def term_sort_key(t: StarTerm):
     w, a0, a1 = t
-    return (len(w), tuple(w), a0, a1)
+    return (*shortlex_key(w), a0, a1)
 
 
 class StarSeries(LinearCombination):

@@ -192,6 +192,15 @@ def _precedes(u: Word, v: Word, or_equal: bool) -> bool:
     return n < m or or_equal and n == m
 
 
+def shortlex_key(w: Word) -> tuple:
+    """Sort key of a word: by length, then lexicographically with x0 < x1.
+
+    It orders as (len(w), str(w)) does, since "0" < "1", and is built by
+    int's bit_length and format, with no Python-level call per letter.
+    """
+    return w.bit_length(), format(w, "b")[:0:-1]
+
+
 EPSILON = Word()
 X0 = Word("0")
 X1 = Word("1")

@@ -12,6 +12,9 @@ The product *_loop functions are the products as each one kept its own
 double loop over pairs of terms: shuffle and stuffle summing int numerators over
 a common denominator, the other four summing Fractions.  Every product now
 goes through linear._bilinear, and must give what these loops give.
+symfun_mul_canonical_loop is the SymFun product's double loop followed
+by the reduction of each raw key in the order the loop met it, which the
+product must give item for item.
 
 reduce_exponents_rec is rewrite.reduce_exponents as it expanded k >= 1
 through k + 1 recursive calls; the one loop that replaced them must give
@@ -50,6 +53,7 @@ from starshuffle.polylog.integrate import _A, _J, _K, _P, _li_coeffs, _piece_ind
 from starshuffle.polylog.negindex import _nested_indices
 from starshuffle.polylog.series import _check_composition, stirling2
 from starshuffle.polylog.symfun import SymFun, _symfun_pair
+from starshuffle.rewrite import _canonical
 from starshuffle.shuffle_core import (
     NCPoly,
     YPoly,
@@ -184,6 +188,16 @@ def conc_loop(p, q):
             key = u + v
             out[key] = out.get(key, 0) + cu * cv
     return type(p)(out)
+
+
+def symfun_mul_canonical_loop(f: SymFun, g: SymFun) -> SymFun:
+    """The SymFun product as its pair loop on int numerators, then each raw
+    key's reduction summed in the order the loop met the keys."""
+    out: dict = {}
+    for key, c in _int_numerator_loop(f, g, _symfun_pair).items():
+        for canon, m in _canonical(key).items():
+            out[canon] = out.get(canon, 0) + c * m
+    return SymFun._trusted({k: c for k, c in out.items() if c})
 
 
 def symfun_mul_ref(f: SymFun, g: SymFun) -> SymFun:

@@ -10,7 +10,10 @@ from kernel_reference import (
     check_stuffle_words,
     check_unshuffle,
     shuffle_ref,
+    shuffle_words_rec,
     stuffle_ref,
+    stuffle_words_rec,
+    unshuffle_rec,
 )
 from starshuffle.errors import DomainError, NonElementaryConstantError
 from starshuffle.polylog.integrate import iota
@@ -24,6 +27,7 @@ from starshuffle.shuffle_core import (
     conc,
     shuffle,
     stuffle,
+    unshuffle,
 )
 from starshuffle.star_series import StarSeries, shuffle_star
 from starshuffle.words import Word
@@ -39,6 +43,35 @@ def test_unshuffle_matches_the_recursion_exhaustively():
 
 def test_stuffle_words_match_the_recursion_exhaustively():
     assert check_stuffle_words(4) == 121**2
+
+
+def test_longer_inputs_match_the_recursions():
+    """Seeded inputs past the exhaustive bounds, where the kernels merge long
+    disjoint cells with dict.update: items, order and value types."""
+    rng = random.Random(14)
+
+    def word():
+        return Word([rng.randint(0, 1) for _ in range(rng.randint(6, 12))])
+
+    for _ in range(8):
+        u, v = word(), word()
+        want = shuffle_words_rec(u, v)
+        assert list(_shuffle_words(u, v).items()) == list(want.items())
+        c = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        got = shuffle(NCPoly.from_word(u, c), NCPoly.from_word(v))
+        assert list(got.terms.items()) == [(w, c * m) for w, m in want.items()]
+        assert _all_fractions(got)
+    equal_letters = 0
+    for _ in range(40):
+        u, v = (tuple(rng.randint(1, 4) for _ in range(rng.randint(3, 6))) for _ in range(2))
+        equal_letters += bool(set(u) & set(v))
+        assert list(_stuffle_words(u, v).items()) == list(stuffle_words_rec(u, v).items())
+    assert equal_letters > 30  # the summing branch runs too
+    for _ in range(10):
+        w = word()
+        got = list(unshuffle(w).items())
+        assert got == list(unshuffle_rec(w).items())
+        assert all(type(c) is Fraction for _, c in got)
 
 
 def _all_fractions(p):
