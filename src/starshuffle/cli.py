@@ -76,8 +76,7 @@ def _format_complex(v: complex) -> str:
 
 def _format_den_powers(coeffs: Sequence) -> str:
     """Render closed-form coefficients as a polynomial in (1-z)^-1."""
-    return _signed_sum((c, str(abs(c)) if j == 0 else f"{abs(c)}*(1-z)^-{j}")
-                       for j, c in enumerate(coeffs) if c)
+    return _signed_sum((c, f"(1-z)^-{j}" if j else "") for j, c in enumerate(coeffs) if c)
 
 
 def _json_coeff(c) -> object:
@@ -340,6 +339,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Exact values print in full: the limit on int-to-str conversion
+    # (4,300 digits by default, on Python >= 3.10.7) is lifted while the
+    # CLI runs and restored after.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     args = build_parser().parse_args(argv)
     try:
         data, text, rows = args.handler(args)

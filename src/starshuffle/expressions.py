@@ -412,12 +412,8 @@ def format_series(s: StarSeries) -> str:
     """Canonical parseable rendering; terms sorted by (|w|, w, a0, a1)."""
     from .star_series import term_sort_key
 
-    def text(t, c) -> str:
-        body = " # ".join(_format_star_atoms(t))
-        return f"{abs(c)}*{body}" if body else str(abs(c))
-
     items = sorted(s.terms.items(), key=lambda item: term_sort_key(item[0]))
-    return _signed_sum((c, text(t, c)) for t, c in items)
+    return _signed_sum((c, " # ".join(_format_star_atoms(t))) for t, c in items)
 
 
 def format_value(v: Value) -> str:

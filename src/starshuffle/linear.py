@@ -289,13 +289,26 @@ def _combine(parts) -> dict:
 
 
 def _signed_sum(terms) -> str:
-    """Render (c, body) pairs, body being the text of |c| times its basis
-    element, as a signed sum: the first term takes a bare "-" when c < 0,
-    later ones " + " or " - ", and no terms give "0"."""
+    """Render (c, basis) pairs, basis being the text of a basis element,
+    as a signed sum of |c|*basis, or of a bare |c| where basis is "": the
+    first term takes a bare "-" when c < 0, later ones " + " or " - ", and
+    no terms give "0".
+
+    The terms of a combination share one coefficient object per distinct
+    value, so each object's sign and text are worked out once, keyed by
+    its id; the table holds the object, so no id is reused meanwhile.
+    """
+    rendered: dict = {}
     parts = []
-    for c, body in terms:
+    for c, basis in terms:
+        hit = rendered.get(id(c))
+        if hit is None:
+            hit = rendered[id(c)] = (c, c < 0, str(abs(c)))
+        _, negative, text = hit
+        if basis:
+            text += "*" + basis
         if parts:
-            parts.append(("- " if c < 0 else "+ ") + body)
+            parts.append(("- " if negative else "+ ") + text)
         else:
-            parts.append(("-" if c < 0 else "") + body)
+            parts.append(("-" if negative else "") + text)
     return " ".join(parts) if parts else "0"

@@ -2,7 +2,14 @@
 
 harmonic_sum computes the finite multiple harmonic sum
 H_s(N) = sum over N >= n1 > ... > nr >= 1 of 1 / (n1^s1 ... nr^sr),
-exactly, as a product of integer step matrices split in halves.
+exactly, as a product of step matrices split in halves.  Entry (i, j) of
+the product over a range R of n is the same nested sum over
+s_i, ..., s_{j-1} with the n in R, so it is an integer over two
+denominators: the product denominator (prod_R n)^max(s), and L_R^w with
+L_R = lcm(R) and w = s_i + ... + s_{j-1}, since each n^s_k divides
+L_R^s_k.  Short ranges carry the first, which is smaller while the n are
+few; longer ones the second, which grows like e^|R| where the first
+grows like |R|!^max(s).
 neg_taylor_coeff gives the N-th Taylor coefficient of the polylogarithm at
 nonpositive indices, which is the same nested sum with the powers flipped
 above the line.
@@ -42,8 +49,9 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import add
 from typing import Iterable, Sequence
 
 from ..errors import ConvergenceError, DomainError
@@ -74,8 +82,7 @@ class EvalParams:
             raise DomainError("evaluation point must avoid the negative real axis")
         if not 0 < eps < math.inf:
             raise DomainError("eps must be positive and finite")
-        if (isinstance(max_terms, (bool, Word)) or not isinstance(max_terms, int)
-                or max_terms < 1):
+        if not _is_int(max_terms) or max_terms < 1:
             raise DomainError(f"max_terms must be an integer >= 1, got {max_terms!r}")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "eps", eps)
@@ -102,6 +109,11 @@ class EvalParams:
         return (EvalParams, self._key())
 
 
+def _is_int(n) -> bool:
+    """True for an int that is neither a bool nor a Word."""
+    return isinstance(n, int) and not isinstance(n, (bool, Word))
+
+
 def _check_composition(s: Sequence[int], minimum: int) -> tuple:
     s = tuple(s)
     for part in s:
@@ -110,6 +122,13 @@ def _check_composition(s: Sequence[int], minimum: int) -> tuple:
                 f"composition parts must be integers >= {minimum}, got {part!r}"
             )
     return s
+
+
+# A range of at most _LEAF numbers is multiplied out step by step; one of
+# at most _SWITCH numbers is split over its product denominator, a longer
+# one over lcm denominators (see harmonic_sum).
+_LEAF = 16
+_SWITCH = 128
 
 
 def _step_product(s: tuple, a: int, b: int, rows: int, first: int) -> tuple:
@@ -121,14 +140,13 @@ def _step_product(s: tuple, a: int, b: int, rows: int, first: int) -> tuple:
     Step n adds h[j+1] / n^s_j to h[j]: over the denominator n^max(s) it is
     the integer matrix n^max(s) I + C_n with C_n[j][j+1] = n^(max(s) - s_j).
     Ranges are split in halves, so the big integers meet in balanced
-    products; depth 1 is the sum of 1/n^s over unreduced (num, den) pairs.
-    Entry (i, j) of a product reads row i of the high half and column j of
-    the low half, so a split asks its high half for the same rows and its
-    low half for the same columns.  harmonic_sum asks for entry (0, r)
-    alone.  Short ranges fill the whole matrix.
+    products.  Entry (i, j) of a product reads row i of the high half and
+    column j of the low half, so a split asks its high half for the same
+    rows and its low half for the same columns.  Leaves of up to _LEAF
+    numbers fill the whole matrix.
     """
     r = len(s)
-    if b - a < 8:
+    if b - a < _LEAF:
         top = max(s)
         gaps = [top - t for t in s]
         den, u = 1, [[0] * (r + 1) for _ in range(r + 1)]
@@ -158,22 +176,88 @@ def _step_product(s: tuple, a: int, b: int, rows: int, first: int) -> tuple:
     return dh * dl, u
 
 
+def _step_lcm(s: tuple, w: list, a: int, b: int, rows: int, first: int) -> tuple:
+    """M_b ... M_a as (L, U) with L = lcm(a..b) and M_b ... M_a = I + V,
+    V[i][j] = U[i][j] / L^w[i][j]: the entries of _step_product over lcm
+    denominators, w[i][j] = s_i + ... + s_{j-1}.
+
+    Up to _SWITCH numbers, _step_product's U / D is brought over L^w by
+    one exact division.  A longer range is split in halves with lcms L_l
+    (low) and L_h (high), g = gcd(L_l, L_h), and L = L_h (L_l/g) =
+    L_l (L_h/g); since w[i][j] = w[i][k] + w[k][j], entry (i, j) of
+    (I + V_h)(I + V_l), times L^w[i][j], is
+    A[i][j] + B[i][j] + sum over i < k < j of A[i][k] B[k][j]
+    with A = U_h scaled by (L_l/g)^w and B = U_l scaled by (L_h/g)^w.
+    """
+    r = len(s)
+    if b - a < _SWITCH:
+        den, u = _step_product(s, a, b, rows, first)
+        lcm = math.lcm(*range(a, b + 1))
+        for i in range(rows):
+            row, weights = u[i], w[i]
+            for j in range(max(i + 1, first), r + 1):
+                row[j] = row[j] * lcm ** weights[j] // den
+        return lcm, u
+    mid = (a + b) // 2
+    ll, ul = _step_lcm(s, w, a, mid, r, first)
+    lh, uh = _step_lcm(s, w, mid + 1, b, rows, 1)
+    g = math.gcd(ll, lh)
+    _rescale(uh, w, ll // g, range(rows), 1)
+    _rescale(ul, w, lh // g, range(r), first)
+    u = [[0] * (r + 1) for _ in range(r + 1)]
+    for i in range(rows):
+        for j in range(max(i + 1, first), r + 1):
+            acc = uh[i][j] + ul[i][j]
+            for k in range(i + 1, j):
+                acc += uh[i][k] * ul[k][j]
+            u[i][j] = acc
+    return lh * (ll // g), u
+
+
+def _rescale(u: list, w: list, x: int, rows: range, first: int) -> None:
+    """Multiply each entry (i, j), i in rows and j >= first, by x^w[i][j]."""
+    powers: dict = {}
+    for i in rows:
+        row, weights = u[i], w[i]
+        for j in range(max(i + 1, first), len(row)):
+            e = weights[j]
+            if e not in powers:
+                powers[e] = x**e
+            row[j] *= powers[e]
+
+
 def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
     """H_s(n_max), exact.  The empty composition gives 1.
 
     h[j] = H_{s_j..s_r}(n) obeys h[j] += h[j+1] / n^s_j for n = 1..n_max,
     ascending in j, from h = (0, ..., 0, 1); so H_s(n_max) is entry
-    (0, r) of M_{n_max} ... M_1, one Fraction at the end (_step_product).
+    (0, r) of M_{n_max} ... M_1, one Fraction at the end.
+
+    Two denominators carry the entries of a product over a range R of
+    numbers.  Entry (i, j) is the sum over n_i > ... > n_{j-1} in R of
+    prod_k n_k^-s_k, so it is an integer over the product denominator
+    (prod_R n)^max(s) (_step_product), and also over L_R^w with
+    L_R = lcm(R) and w = s_i + ... + s_{j-1}, as each n_k^s_k divides
+    L_R^s_k.  On short ranges the n are distinct enough that the product
+    denominator is the smaller; on long ones L_R grows like e^|R| while
+    prod_R n grows like |R|!, so ranges past _SWITCH numbers are merged
+    over lcms (_step_lcm), and the result is U / lcm(1..n_max)^(s_1 + ... + s_r).
     """
     s = _check_composition(s, 1)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    if not _is_int(n_max) or n_max < 0:
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     r = len(s)
     if r == 0:
         return Fraction(1)
     if n_max < r:
         return Fraction(0)
-    den, u = _step_product(s, 1, n_max, 1, r)
+    if n_max <= _SWITCH:
+        den, u = _step_product(s, 1, n_max, 1, r)
+    else:
+        ends = [0, *accumulate(s)]
+        w = [[end - start for end in ends] for start in ends]
+        lcm, u = _step_lcm(s, w, 1, n_max, 1, r)
+        den = lcm ** w[0][r]
     return Fraction(u[0][r], den)
 
 
@@ -181,8 +265,8 @@ def neg_taylor_coeff(s: Iterable[int], n: int) -> int:
     """N-th Taylor coefficient of the nonpositive-index polylogarithm:
     sum over n = n1 > n2 > ... > nr >= 1 of n1^s1 ... nr^sr, an integer."""
     s = _check_composition(s, 0)
-    if n < 1:
-        raise ValueError("Taylor coefficients are indexed by n >= 1")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"Taylor coefficients are indexed by integers n >= 1, got {n!r}")
     if not s:
         return 0
     tail = s[1:]
@@ -195,17 +279,20 @@ def neg_taylor_coeff(s: Iterable[int], n: int) -> int:
     return n ** s[0] * h[0]
 
 
-# Holds every S2(n, k) with n <= 42; past that, rows recompute a little.
 @lru_cache(maxsize=1024)
 def stirling2(n: int, k: int) -> int:
-    """Stirling numbers of the second kind."""
+    """Stirling numbers of the second kind, from S2(m, j) =
+    j S2(m-1, j) + S2(m-1, j-1) one row m at a time."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs nonnegative arguments")
-    if n == 0 or k == 0:
-        return int(n == k)
     if k > n:
         return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    row = [1] + [0] * k  # S2(0, j)
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
 
 
 # Terms are added in blocks of this many; block sums go to math.fsum.
@@ -276,43 +363,56 @@ def _li_series(u: Word, p: EvalParams) -> complex:
     """
     s = composition_of_word(u)
     cutoff = p.eps * (1.0 - abs(p.z))
-    if _cannot_stop(s, p.z, cutoff, p.max_terms):
-        raise _no_convergence(p.max_terms, cutoff)
+    _refuse_hopeless([s], p.z, cutoff, p.max_terms)
     return _series_sum(s, p.z, cutoff, p.max_terms)
 
 
-def _series_sum(s: tuple, z: complex, cutoff: float, n_max: int) -> complex:
-    """_li_series past its up-front refusal."""
+def _refuse_hopeless(comps: list, z, cutoff: float, max_terms: int) -> None:
+    """Raise ConvergenceError when _cannot_stop proves it for a composition."""
+    for s in comps:
+        if _cannot_stop(s, z, cutoff, max_terms):
+            raise _no_convergence(max_terms, cutoff)
+
+
+def _series_sum(s: tuple, z, cutoff: float, n_max: int):
+    """_li_series past its up-front refusal, in the number type of z:
+    float for a real point (see _li_values), else complex."""
+    number = type(z)
     s1 = s[0]
     tail = s[1:]
-    h = [0j] * len(tail) + [1.0 + 0j]
-    zn = 1.0 + 0j
+    h = [number(0)] * len(tail) + [number(1)]
+    zn = number(1)
     depth = len(s)
     rows = range(len(tail))
-    re_parts, im_parts = [], []
+    blocks = []
     try:
         for start in range(1, n_max + 1, _BLOCK):
-            block = 0j
+            block = number(0)
             for n in range(start, min(start + _BLOCK, n_max + 1)):
                 zn *= z
                 term = zn / n**s1 * h[0]
                 block += term
                 if n >= depth and abs(term) < cutoff:
-                    re_parts.append(block.real)
-                    im_parts.append(block.imag)
-                    return complex(math.fsum(re_parts), math.fsum(im_parts))
+                    blocks.append(block)
+                    return _fsum(blocks, number)
                 for j in rows:
                     try:
                         h[j] += h[j + 1] / n ** tail[j]
                     except OverflowError:  # h[j] stays put from here on
                         rows = range(j)
                         break
-            re_parts.append(block.real)
-            im_parts.append(block.imag)
+            blocks.append(block)
     except OverflowError:  # of n**s1; caught out here so that terms cost no more
-        return complex(math.fsum(re_parts + [block.real]),
-                       math.fsum(im_parts + [block.imag]))
+        blocks.append(block)
+        return _fsum(blocks, number)
     raise _no_convergence(n_max, cutoff)
+
+
+def _fsum(blocks: list, number: type):
+    """math.fsum of the block sums' real parts and, for complex blocks, of
+    their imaginary parts."""
+    real = math.fsum(b.real for b in blocks)
+    return real if number is float else complex(real, math.fsum(b.imag for b in blocks))
 
 
 def _no_convergence(n_max: int, cutoff: float) -> ConvergenceError:
@@ -421,9 +521,17 @@ def _walk(nodes: list, points: list, eps0: float, tau: float, sizes: list,
     first.  The first leg is _li_series at p_0; the Taylor terms of all
     steps count against p.max_terms, and past it ConvergenceError is
     raised.
+
+    The walk computes in the number type of its points, float on the real
+    axis and complex elsewhere.  Each value is the sum of its terms from
+    the last, added left to right on every Python version (sum() of floats
+    is compensated from 3.12 on, and of complex numbers is not).
     """
-    start = EvalParams(points[0], eps=eps0, max_terms=p.max_terms)
-    values = [_li_series(u, start) for u in nodes]
+    start = points[0]
+    cutoff = eps0 * (1.0 - abs(start))
+    comps = [composition_of_word(u) for u in nodes]
+    _refuse_hopeless(comps, start, cutoff, p.max_terms)
+    values = [_series_sum(s, start, cutoff, p.max_terms) for s in comps]
     index = {int(u): i for i, u in enumerate(nodes)}  # u >> 1 is a plain int
     children = [index.get(u >> 1) for u in nodes]
     letters = [u & 1 for u in nodes]
@@ -459,7 +567,7 @@ def _walk(nodes: list, points: list, eps0: float, tau: float, sizes: list,
             if budget < 0:
                 raise _no_convergence(p.max_terms, p.eps * (1.0 - abs(p.z)))
             taylor.append(b)
-        values = [sum(reversed(b)) for b in taylor]
+        values = [reduce(add, reversed(b), 0) for b in taylor]
     return dict(zip(nodes, values))
 
 
@@ -497,14 +605,19 @@ def _li_values(words: list, p: EvalParams) -> dict:
     refused before any summing, and a walk that would pass max_terms
     leaves the words to the direct series, so the walk only ever turns
     a refusal into an answer.
+
+    A real point is summed in floats, and its values come back as complex
+    numbers with imaginary part +0.0.  Complex products, quotients, sums
+    and moduli whose imaginary parts are zero round exactly like the float
+    ones, so the real parts are those of the complex sums bitwise; and
+    every caller adds the values to a sum that starts at +0j, where the
+    sign of a zero imaginary part is lost.
     """
-    z = p.z
-    radius = abs(z)
+    radius = abs(p.z)
     cutoff = p.eps * (1.0 - radius)
     comps = [composition_of_word(u) for u in words]
-    for s in comps:
-        if _cannot_stop(s, z, cutoff, p.max_terms):
-            raise _no_convergence(p.max_terms, cutoff)
+    _refuse_hopeless(comps, p.z, cutoff, p.max_terms)
+    z = p.z.real if p.z.imag == 0 else p.z
     if radius > 0.5 and comps and _walk_may_win(comps, radius, cutoff, p.eps):
         per_s1 = {s1: _direct_terms(s1, radius, cutoff) for s1 in {s[0] for s in comps}}
         direct = sum(len(s) * per_s1[s[0]] for s in comps)
@@ -516,8 +629,8 @@ def _li_values(words: list, p: EvalParams) -> dict:
             except ConvergenceError:  # past max_terms: the direct series decides
                 pass
             else:
-                return {u: values[u] for u in words}
-    return {u: _series_sum(s, z, cutoff, p.max_terms) for u, s in zip(words, comps)}
+                return {u: complex(values[u]) for u in words}
+    return {u: complex(_series_sum(s, z, cutoff, p.max_terms)) for u, s in zip(words, comps)}
 
 
 def _walk_may_win(comps: list, radius: float, cutoff: float, eps: float) -> bool:

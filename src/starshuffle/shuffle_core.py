@@ -242,7 +242,7 @@ class YPoly(LinearCombination):
 
     def __str__(self) -> str:
         return _signed_sum(
-            (c, f"{abs(c)}*y[" + ",".join(map(str, yw)) + "]")
+            (c, "y[" + ",".join(map(str, yw)) + "]")
             for yw, c in sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
         )
 
@@ -311,7 +311,7 @@ def format_poly(p: NCPoly) -> str:
     """Render as ``3/2*011 + 1*0 - 2`` (bare rationals are coefficients of
     the empty word); the zero polynomial prints as ``0``."""
     return _signed_sum(
-        (c, str(abs(c)) if len(w) == 0 else f"{abs(c)}*{w}")
+        (c, str(w) if len(w) else "")
         for w, c in sorted(p.terms.items(), key=lambda item: shortlex_key(item[0]))
     )
 

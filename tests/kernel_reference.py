@@ -39,6 +39,12 @@ and the basepoint limits among them are the former Fraction loops over
 the reduced pieces, which took every limit's Taylor coefficients afresh.
 Each new form must give their values, raised exception classes and dict
 order.
+
+step_product_ref and harmonic_sum_ref are the exact nested sums as they
+were split before the lcm denominators: every entry of every range over
+the one product denominator (prod n)^max(s), leaves of 8 numbers.
+harmonic_sum must give their Fractions.  stirling2_rec is stirling2 as it
+recursed on n.
 """
 
 from __future__ import annotations
@@ -532,6 +538,60 @@ def reduce_exponents_rec(k: int, l: int) -> dict:
         for key, c in reduce_exponents_rec(0, l - i).items():
             out[key] = out.get(key, 0) + (-1) ** i * comb(k, i) * c
     return {key: c for key, c in out.items() if c}
+
+
+def step_product_ref(s: tuple, a: int, b: int, rows: int, first: int) -> tuple:
+    r = len(s)
+    if b - a < 8:
+        top = max(s)
+        gaps = [top - t for t in s]
+        den, u = 1, [[0] * (r + 1) for _ in range(r + 1)]
+        for n in range(a, b + 1):
+            d = n**top
+            for i in range(r - 1):  # row i reads row i + 1 before it changes
+                c = n ** gaps[i]
+                row, below = u[i], u[i + 1]
+                row[i + 1] = d * row[i + 1] + c * den
+                for j in range(i + 2, r + 1):
+                    row[j] = d * row[j] + c * below[j]
+            row = u[r - 1]
+            row[r] = d * row[r] + n ** gaps[r - 1] * den
+            den *= d
+        return den, u
+    mid = (a + b) // 2
+    dl, ul = step_product_ref(s, a, mid, r, first)
+    dh, uh = step_product_ref(s, mid + 1, b, rows, 1)
+    # (dh I + uh)(dl I + ul) = dh dl I + dh ul + uh dl + uh ul
+    u = [[0] * (r + 1) for _ in range(r + 1)]
+    for i in range(rows):
+        for j in range(max(i + 1, first), r + 1):
+            acc = dh * ul[i][j] + uh[i][j] * dl
+            for k in range(i + 1, j):
+                acc += uh[i][k] * ul[k][j]
+            u[i][j] = acc
+    return dh * dl, u
+
+
+def harmonic_sum_ref(s, n_max: int) -> Fraction:
+    s = _check_composition(s, 1)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    r = len(s)
+    if r == 0:
+        return Fraction(1)
+    if n_max < r:
+        return Fraction(0)
+    den, u = step_product_ref(s, 1, n_max, 1, r)
+    return Fraction(u[0][r], den)
+
+
+@lru_cache(maxsize=None)
+def stirling2_rec(n: int, k: int) -> int:
+    if n == 0 or k == 0:
+        return int(n == k)
+    if k > n:
+        return 0
+    return k * stirling2_rec(n - 1, k) + stirling2_rec(n - 1, k - 1)
 
 
 def words_up_to(n: int) -> list:

@@ -100,6 +100,33 @@ def test_hsum_golden(capsys):
     assert out == "1\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-str conversion before Python 3.10.7")
+def test_exact_values_print_past_the_int_digit_limit(capsys):
+    from starshuffle import harmonic_sum
+
+    limit = sys.get_int_max_str_digits()
+    value = harmonic_sum((3, 3, 3), 2000)
+    n = int("9" * 2200)
+    sys.set_int_max_str_digits(0)
+    try:
+        want_hsum, want_taylor = str(value), str(n**2)
+        arg = str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want_hsum) > limit
+    code, out, err = run_cli(capsys, "hsum", "3,3,3", "2000")
+    assert (code, out, err) == (0, want_hsum + "\n", "")
+    code, out, _ = run_cli(capsys, "hsum", "3,3,3", "2000", "--json")
+    assert code == 0
+    assert out.startswith('{"composition": [3, 3, 3], "n": 2000, "schema": 1, "value": "')
+    assert out.endswith(want_hsum + '"}\n')
+    code, out, _ = run_cli(capsys, "taylor-neg", "2", arg)
+    assert (code, out) == (0, want_taylor + "\n")
+    # the limit holds again for the rest of the process
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_taylor_neg_golden(capsys):
     code, out, _ = run_cli(capsys, "taylor-neg", "2,1", "5")
     assert code == 0

@@ -5,6 +5,7 @@ import cmath
 import itertools
 import math
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -14,8 +15,17 @@ import pytest
 
 from starshuffle import NCPoly, embed, shuffle
 from starshuffle.polylog import series
-from starshuffle.polylog.series import EvalParams, eval_li2, eval_li_word, harmonic_sum
+from starshuffle.polylog.series import (
+    EvalParams,
+    eval_li2,
+    eval_li_word,
+    harmonic_sum,
+    neg_taylor_coeff,
+    stirling2,
+)
 from starshuffle.words import Word, word_of_composition
+
+from kernel_reference import harmonic_sum_ref, stirling2_rec
 
 ANGLES = (0.0, 0.3, -0.3, 2.0, -2.0, 2.8, -2.8)
 
@@ -196,6 +206,40 @@ def test_harmonic_sum_equals_the_row_loop():
         want = _harmonic_loop(s, 2003)
         for n in (1000, 2003):
             assert harmonic_sum(s, n) == want[n], (s, n)
+
+
+def test_harmonic_sum_equals_the_product_denominator_split():
+    # N on both sides of every multiple of the leaf and switch lengths, so
+    # that leaves, product-denominator ranges and lcm merges all meet
+    rng = random.Random(1515)
+    edges = {m * k + d for k in (series._LEAF, series._SWITCH) for m in (1, 2, 3, 4, 8, 16)
+             for d in (-1, 0, 1)}
+    for n in sorted(e for e in edges | {2100} if e <= 2100):
+        for _ in range(2):
+            s = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+            assert harmonic_sum(s, n) == harmonic_sum_ref(s, n), (s, n)
+    for s in ((), (1,), (4, 4, 4, 4), (3, 1, 2)):
+        for n in range(len(s) + 1):
+            assert harmonic_sum(s, n) == harmonic_sum_ref(s, n), (s, n)
+    assert type(harmonic_sum((2, 1), 300)) is Fraction
+
+
+def test_exact_sums_refuse_bounds_that_are_not_integers():
+    for bound in (3.0, True, False, Word("01"), "3", Fraction(3)):
+        with pytest.raises(ValueError):
+            harmonic_sum((1,), bound)
+        with pytest.raises(ValueError):
+            neg_taylor_coeff((2,), bound)
+    assert neg_taylor_coeff((2,), 3) == 9
+
+
+def test_stirling2_runs_without_recursion():
+    for n in range(61):
+        for k in range(61):
+            assert stirling2(n, k) == stirling2_rec(n, k), (n, k)
+    assert stirling2(1200, 3) == (3**1200 - 3 * 2**1200 + 3) // 6
+    assert stirling2(1200, 2) == 2**1199 - 1
+    assert stirling2(1200, 1) == 1
 
 
 def test_import_of_the_cli_leaves_dataclasses_out():
