@@ -1,10 +1,15 @@
 """Batch command line front end for the series kernel.
 
-Verbs: lyndon, shuffle, stuffle, nf, kernel, eval, lineg, hsum,
-taylor-neg, table, demo-discontinuity.  Output is text by default,
---json emits one object (with a "schema": 1 field), --csv emits rows.
-Exit codes: 0 success, 2 syntax error, 3 type error, 4 numeric
-non-convergence, 5 unsupported domain.
+Every verb is one row of the verb table _VERBS: its help text, its
+arguments (as add_argument would take them) and its handler.  build_parser
+adds each row as a subcommand with the --json/--csv pair.  A handler
+returns (data, text, rows): --json prints data as one object (with a
+"schema": 1 field), --csv prints the header and rows, and the default
+prints text.  An error a handler raises is printed on stderr as
+"error: <message>", and its exit code is read off the table _EXIT_CODES
+by the first class of its method resolution order listed there: 2 syntax
+error or bad value, 3 type error, 4 numeric non-convergence, 5
+unsupported domain.  Success exits 0.
 """
 
 from __future__ import annotations
@@ -16,13 +21,13 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .expressions import ExprSyntaxError, ExprTypeError, _as_series, format_value, parse_value
 from .linear import _signed_sum
 from .polylog import (
-    ROUTES,
     EvalParams,
     closed_form_taylor_coeff,
     discontinuity_demo,
@@ -61,10 +66,11 @@ def _parse_point(text: str) -> complex:
     raise ExprSyntaxError(f"bad evaluation point {text!r}, expected re or re,im")
 
 
-def _require_series(value, verb: str) -> StarSeries:
-    series = _as_series(value)
+def _expr_series(args) -> StarSeries:
+    """The verb's expression argument, elaborated to an x-side series."""
+    series = _as_series(parse_value(args.expr))
     if series is None:
-        raise ExprTypeError(f"{verb} needs an x-side series, not a y-side one")
+        raise ExprTypeError(f"{args.verb} needs an x-side series, not a y-side one")
     return series
 
 
@@ -122,12 +128,16 @@ def _hsum_compositions(bound: int) -> list[tuple[int, ...]]:
     return comps
 
 
+def _lyndon_rows(max_len: int) -> list[list]:
+    """[word, length] for each Lyndon word up to max_len, in shortlex order."""
+    return [[str(w), len(w)] for w in sorted(lyndon_up_to(max_len), key=shortlex_key)]
+
+
 def _do_lyndon(args) -> tuple[dict, str, tuple]:
-    words = sorted(lyndon_up_to(args.max_len), key=shortlex_key)
-    names = [str(w) for w in words]
+    rows = _lyndon_rows(args.max_len)
+    names = [name for name, _ in rows]
     data = {"max_len": args.max_len, "count": len(names), "words": names}
-    rows = (["word", "length"], [[n, len(n)] for n in names])
-    return data, "\n".join(names), rows
+    return data, "\n".join(names), (["word", "length"], rows)
 
 
 def _do_product(args, op: str) -> tuple[dict, str, tuple]:
@@ -137,7 +147,7 @@ def _do_product(args, op: str) -> tuple[dict, str, tuple]:
 
 
 def _do_nf(args) -> tuple[dict, str, tuple]:
-    series = _require_series(parse_value(args.expr), "nf")
+    series = _expr_series(args)
     rng = random.Random(args.seed) if args.seed is not None else None
     text = format_value(normal_form(series, strategy=args.strategy, rng=rng))
     data = {"result": text, "strategy": args.strategy}
@@ -145,13 +155,13 @@ def _do_nf(args) -> tuple[dict, str, tuple]:
 
 
 def _do_kernel(args) -> tuple[dict, str, tuple]:
-    member = kernel_member(_require_series(parse_value(args.expr), "kernel"))
+    member = kernel_member(_expr_series(args))
     text = "true" if member else "false"
     return {"kernel": member}, text, (["kernel"], [[text]])
 
 
 def _do_eval(args) -> tuple[dict, str, tuple]:
-    series = _require_series(parse_value(args.expr), "eval")
+    series = _expr_series(args)
     params = EvalParams(_parse_point(args.z), eps=args.eps)
     value = eval_li2(series, params)
     text = _format_complex(value)
@@ -164,81 +174,73 @@ def _do_eval(args) -> tuple[dict, str, tuple]:
     return data, text, (["re", "im"], [[repr(value.real), repr(value.imag)]])
 
 
-def _route(name: str) -> str:
-    return "recursion" if name == "rec" else name
-
-
 def _do_lineg(args) -> tuple[dict, str, tuple]:
     comp = _parse_composition(args.composition)
-    coeffs = li_neg_closed_form(comp, route=_route(args.route))
+    route = "recursion" if args.route == "rec" else args.route
+    coeffs = li_neg_closed_form(comp, route=route)
     text = _format_den_powers(coeffs)
     data = {
         "composition": list(comp),
         "den_powers": [_json_coeff(c) for c in coeffs],
-        "route": _route(args.route),
+        "route": route,
     }
     rows = (["den_power", "coefficient"], [[j, str(c)] for j, c in enumerate(coeffs)])
     return data, text, rows
 
 
-def _do_hsum(args) -> tuple[dict, str, tuple]:
+def _do_exact_sum(args, value_of) -> tuple[dict, str, tuple]:
+    """hsum and taylor-neg: one exact value of a composition and a bound."""
     comp = _parse_composition(args.composition)
-    value = harmonic_sum(comp, args.n)
-    text = str(value)
+    text = str(value_of(comp, args.n))
     data = {"composition": list(comp), "n": args.n, "value": text}
     return data, text, (["value"], [[text]])
 
 
-def _do_taylor_neg(args) -> tuple[dict, str, tuple]:
-    comp = _parse_composition(args.composition)
-    value = neg_taylor_coeff(comp, args.n)
-    text = str(value)
-    data = {"composition": list(comp), "n": args.n, "value": text}
-    return data, text, (["value"], [[text]])
+def _table_lyndon(bound: int) -> tuple[list, list, list]:
+    rows = _lyndon_rows(bound)
+    return ["word", "length"], rows, [{"word": w, "length": n} for w, n in rows]
+
+
+def _table_lineg(bound: int) -> tuple[list, list, list]:
+    rows, entries = [], []
+    for comp in _lineg_compositions(bound):
+        coeffs = li_neg_closed_form(comp)
+        verified = all(
+            closed_form_taylor_coeff(coeffs, n) == neg_taylor_coeff(comp, n)
+            for n in range(1, TAYLOR_CHECK_DEPTH + 1)
+        )
+        rows.append([_comp_str(comp), _format_den_powers(coeffs), "true" if verified else "false"])
+        entries.append(
+            {
+                "composition": list(comp),
+                "den_powers": [_json_coeff(c) for c in coeffs],
+                "verified": verified,
+            }
+        )
+    return ["composition", "closed_form", "verified"], rows, entries
+
+
+def _table_hsum(bound: int) -> tuple[list, list, list]:
+    rows, entries = [], []
+    for comp in _hsum_compositions(bound):
+        values = [harmonic_sum(comp, n) for n in HSUM_COLUMNS]
+        rows.append([_comp_str(comp)] + [str(v) for v in values])
+        entries.append(
+            {
+                "composition": list(comp),
+                "values": {str(n): str(v) for n, v in zip(HSUM_COLUMNS, values)},
+            }
+        )
+    return ["composition"] + [f"H(N={n})" for n in HSUM_COLUMNS], rows, entries
+
+
+_TABLES = {"lineg": _table_lineg, "hsum": _table_hsum, "lyndon": _table_lyndon}
 
 
 def _do_table(args) -> tuple[dict, str, tuple]:
     if args.bound < 0:
         raise DomainError("table bound must be nonnegative")
-    if args.kind == "lyndon":
-        words = sorted(lyndon_up_to(args.bound), key=shortlex_key)
-        header = ["word", "length"]
-        rows = [[str(w), len(w)] for w in words]
-        entries = [{"word": str(w), "length": len(w)} for w in words]
-    elif args.kind == "lineg":
-        header = ["composition", "closed_form", "verified"]
-        rows = []
-        entries = []
-        for comp in _lineg_compositions(args.bound):
-            coeffs = li_neg_closed_form(comp)
-            verified = all(
-                closed_form_taylor_coeff(coeffs, n) == neg_taylor_coeff(comp, n)
-                for n in range(1, TAYLOR_CHECK_DEPTH + 1)
-            )
-            rows.append(
-                [_comp_str(comp), _format_den_powers(coeffs),
-                 "true" if verified else "false"]
-            )
-            entries.append(
-                {
-                    "composition": list(comp),
-                    "den_powers": [_json_coeff(c) for c in coeffs],
-                    "verified": verified,
-                }
-            )
-    else:
-        header = ["composition"] + [f"H(N={n})" for n in HSUM_COLUMNS]
-        rows = []
-        entries = []
-        for comp in _hsum_compositions(args.bound):
-            values = [harmonic_sum(comp, n) for n in HSUM_COLUMNS]
-            rows.append([_comp_str(comp)] + [str(v) for v in values])
-            entries.append(
-                {
-                    "composition": list(comp),
-                    "values": {str(n): str(v) for n, v in zip(HSUM_COLUMNS, values)},
-                }
-            )
+    header, rows, entries = _TABLES[args.kind](args.bound)
     data = {"kind": args.kind, "bound": args.bound, "rows": entries}
     return data, _table_text(header, rows), (header, rows)
 
@@ -262,10 +264,42 @@ def _do_demo(args) -> tuple[dict, str, tuple]:
     return data, "\n".join(lines), (header, rows)
 
 
-def _add_format_flags(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="emit one JSON object")
-    group.add_argument("--csv", action="store_true", help="emit CSV rows")
+def _arg(name: str, **options) -> tuple[str, dict]:
+    return name, options
+
+
+# verb: (help text, handler, *arguments as add_argument takes them)
+_VERBS = {
+    "lyndon": ("Lyndon words up to a length", _do_lyndon, _arg("max_len", type=int)),
+    "shuffle": ("shuffle product of two expressions", partial(_do_product, op="#"),
+                _arg("left"), _arg("right")),
+    "stuffle": ("stuffle product of two y-expressions", partial(_do_product, op="##"),
+                _arg("left"), _arg("right")),
+    "nf": ("normal form modulo the kernel ideal", _do_nf, _arg("expr"),
+           _arg("--strategy", choices=("measure", "random"), default="measure"),
+           _arg("--seed", type=int)),
+    "kernel": ("membership in the kernel ideal", _do_kernel, _arg("expr")),
+    "eval": ("numeric value of an expression", _do_eval, _arg("expr"),
+             _arg("--z", default="0.5", help="evaluation point, re or re,im"),
+             _arg("--eps", type=float, default=1e-12)),
+    "lineg": ("nonpositive-index closed form", _do_lineg, _arg("composition"),
+              _arg("--route", choices=("T", "R", "F", "rec", "recursion"), default="recursion")),
+    "hsum": ("exact harmonic sum H_s(N)", partial(_do_exact_sum, value_of=harmonic_sum),
+             _arg("composition"), _arg("n", type=int)),
+    "taylor-neg": ("Taylor coefficient of the nonpositive-index polylogarithm",
+                   partial(_do_exact_sum, value_of=neg_taylor_coeff),
+                   _arg("composition"), _arg("n", type=int)),
+    "table": ("regression tables", _do_table,
+              _arg("kind", choices=tuple(_TABLES)), _arg("bound", type=int)),
+    "demo-discontinuity": ("the two image sequences separating at a point", _do_demo,
+                           _arg("--z", type=float, default=0.5),
+                           _arg("--n", type=int, default=40)),
+}
+
+# error class -> exit code; an error takes the code of the first class of
+# its method resolution order found here
+_EXIT_CODES = {ExprSyntaxError: 2, ExprTypeError: 3, ConvergenceError: 4, DomainError: 5,
+               ValueError: 2}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,67 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact shuffle-algebra and polylogarithm toolkit",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("lyndon", help="Lyndon words up to a length")
-    p.add_argument("max_len", type=int)
-    p.set_defaults(handler=_do_lyndon)
-
-    p = sub.add_parser("shuffle", help="shuffle product of two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=lambda a: _do_product(a, "#"))
-
-    p = sub.add_parser("stuffle", help="stuffle product of two y-expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=lambda a: _do_product(a, "##"))
-
-    p = sub.add_parser("nf", help="normal form modulo the kernel ideal")
-    p.add_argument("expr")
-    p.add_argument("--strategy", choices=("measure", "random"), default="measure")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_do_nf)
-
-    p = sub.add_parser("kernel", help="membership in the kernel ideal")
-    p.add_argument("expr")
-    p.set_defaults(handler=_do_kernel)
-
-    p = sub.add_parser("eval", help="numeric value of an expression")
-    p.add_argument("expr")
-    p.add_argument("--z", default="0.5", help="evaluation point, re or re,im")
-    p.add_argument("--eps", type=float, default=1e-12)
-    p.set_defaults(handler=_do_eval)
-
-    p = sub.add_parser("lineg", help="nonpositive-index closed form")
-    p.add_argument("composition")
-    p.add_argument("--route", choices=("T", "R", "F", "rec", "recursion"),
-                   default="recursion")
-    p.set_defaults(handler=_do_lineg)
-
-    p = sub.add_parser("hsum", help="exact harmonic sum H_s(N)")
-    p.add_argument("composition")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_do_hsum)
-
-    p = sub.add_parser("taylor-neg", help="Taylor coefficient of the "
-                       "nonpositive-index polylogarithm")
-    p.add_argument("composition")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_do_taylor_neg)
-
-    p = sub.add_parser("table", help="regression tables")
-    p.add_argument("kind", choices=("lineg", "hsum", "lyndon"))
-    p.add_argument("bound", type=int)
-    p.set_defaults(handler=_do_table)
-
-    p = sub.add_parser("demo-discontinuity", help="the two image sequences "
-                       "separating at a point")
-    p.add_argument("--z", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=40)
-    p.set_defaults(handler=_do_demo)
-
-    for sp in sub.choices.values():
-        _add_format_flags(sp)
+    for verb, (help_text, handler, *arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for name, options in arguments:
+            p.add_argument(name, **options)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--json", action="store_true", help="emit one JSON object")
+        group.add_argument("--csv", action="store_true", help="emit CSV rows")
+        p.set_defaults(handler=handler)
     return ap
 
 
@@ -356,16 +337,9 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     args = build_parser().parse_args(argv)
     try:
         data, text, rows = args.handler(args)
-    except ExprSyntaxError as exc:
-        return _fail(2, exc)
-    except ExprTypeError as exc:
-        return _fail(3, exc)
-    except ConvergenceError as exc:
-        return _fail(4, exc)
-    except DomainError as exc:
-        return _fail(5, exc)
-    except ValueError as exc:
-        return _fail(2, exc)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
     if args.json:
         print(json.dumps({"schema": 1, **data}, sort_keys=True))
     elif args.csv:
@@ -375,11 +349,6 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     else:
         print(text)
     return 0
-
-
-def _fail(code: int, exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
 
 
 def run() -> None:

@@ -1,34 +1,52 @@
 """Expression language for series: parser, elaborator, pretty-printer.
 
-Grammar, loosest first::
+Grammar.  The binary operators form a precedence table, loosest first,
+and each level is left-associative::
 
-    sum     :=  shuf (('+' | '-') shuf)*
-    shuf    :=  cat (('#' | '##') cat)*        shuffle / stuffle
-    cat     :=  scaled ('.' scaled)*           concatenation
-    scaled  :=  starred ('*' starred)*         scalar multiplication
+    level  operators  node kinds
+    0      + -        add, sub
+    1      # ##       shuf, stuf      shuffle / stuffle
+    2      . (dot)    cat             concatenation
+    3      *          mul             scalar multiplication
+
+    expr    :=  level 0;  level i := level i+1 (op_i level i+1)*
+    level 4 :=  starred
     starred :=  primary '*'*                   postfix Kleene star
     primary :=  INT ['/' INT] | w"bits" | y[k,...] | star(expr[, expr])
-             |  '(' sum ')' | '-' primary
+             |  '(' expr ')' | '-' primary
 
 A '*' is read as scalar multiplication exactly when the next token can
 start a primary, and as the postfix star otherwise.  star(a0, a1) builds
 the plane star (a0 x0 + a1 x1)*; star(e) is the postfix star of e.
 
 Expressions elaborate to a Fraction, a StarSeries (x-side) or a YPoly
-(y-side).  Type mismatches (stuffle on the x-side, star of a non-plane
-element, products of two series) raise ExprTypeError; malformed input
-raises ExprSyntaxError.  Both carry line/column positions.
+(y-side).  The binary operators other than '*' elaborate by one table:
+per node kind, the operation on two scalars, the x-side lift and
+operation, the y-side operation (on operands lifted to YPoly), and the
+refusal for each side.  An operand on the y-side puts the node there.
+Type mismatches (stuffle on the x-side, star of a non-plane element,
+products of two series) raise ExprTypeError; malformed input raises
+ExprSyntaxError.  Both carry line/column positions.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import DomainError
 from .linear import _signed_sum
 from .shuffle_core import NCPoly, YPoly, conc, stuffle
-from .star_series import StarSeries, embed, plane_star, shuffle_star, star, star_term
+from .star_series import (
+    StarSeries,
+    embed,
+    plane_star,
+    shuffle_star,
+    star,
+    star_term,
+    term_sort_key,
+)
 from .words import Word
 
 Value = Union[Fraction, StarSeries, YPoly]
@@ -63,6 +81,16 @@ class Node(NamedTuple):
 
 
 _PRIMARY_START = frozenset({"int", "word", "yword", "star", "(", "-"})
+
+# The binary operators, loosest first: token kind -> node kind.  A '*' is
+# an operator only before a token in _PRIMARY_START.
+_LEVELS = (
+    {"+": "add", "-": "sub"},
+    {"#": "shuf", "##": "stuf"},
+    {".": "cat"},
+    {"*": "mul"},
+)
+_TIGHTEST = len(_LEVELS) - 1
 
 
 def tokenize(text: str) -> list[Token]:
@@ -156,39 +184,23 @@ class _Parser:
         return Node(kind, op.line, op.col, (lhs.span[0], rhs.span[1]), None, (lhs, rhs))
 
     def parse(self) -> Node:
-        node = self.sum()
+        node = self.binary()
         tok = self.peek()
         if tok.kind != "eof":
             self.error(tok, f"unexpected {tok.kind!r} after expression")
         return node
 
-    def sum(self) -> Node:
-        node = self.shuf()
-        while self.peek().kind in ("+", "-"):
+    def binary(self, level: int = 0) -> Node:
+        # The tightest level calls starred() itself, so a nesting level
+        # costs one Python frame per grammar rule and no more.
+        ops = _LEVELS[level]
+        node = self.starred() if level == _TIGHTEST else self.binary(level + 1)
+        while (kind := self.peek().kind) in ops and (
+            kind != "*" or self.peek(1).kind in _PRIMARY_START
+        ):
             op = self.take()
-            node = self.binop("add" if op.kind == "+" else "sub", node, self.shuf(), op)
-        return node
-
-    def shuf(self) -> Node:
-        node = self.cat()
-        while self.peek().kind in ("#", "##"):
-            op = self.take()
-            kind = "shuf" if op.kind == "#" else "stuf"
-            node = self.binop(kind, node, self.cat(), op)
-        return node
-
-    def cat(self) -> Node:
-        node = self.scaled()
-        while self.peek().kind == ".":
-            op = self.take()
-            node = self.binop("cat", node, self.scaled(), op)
-        return node
-
-    def scaled(self) -> Node:
-        node = self.starred()
-        while self.peek().kind == "*" and self.peek(1).kind in _PRIMARY_START:
-            op = self.take()
-            node = self.binop("mul", node, self.starred(), op)
+            rhs = self.starred() if level == _TIGHTEST else self.binary(level + 1)
+            node = self.binop(ops[kind], node, rhs, op)
         return node
 
     def starred(self) -> Node:
@@ -222,17 +234,17 @@ class _Parser:
         if tok.kind == "star":
             self.take()
             self.expect("(")
-            first = self.sum()
+            first = self.binary()
             if self.peek().kind == ",":
                 self.take()
-                second = self.sum()
+                second = self.binary()
                 close = self.expect(")")
                 return self.node("plane", tok, close, None, (first, second))
             close = self.expect(")")
             return self.node("kstar", tok, close, None, (first,))
         if tok.kind == "(":
             self.take()
-            node = self.sum()
+            node = self.binary()
             self.expect(")")
             return node
         self.error(tok, f"expected an expression, found {tok.kind!r}")
@@ -275,6 +287,22 @@ def _as_ncpoly(v: Value) -> Optional[NCPoly]:
     return None
 
 
+_MIXED = "cannot mix x-side and y-side series"
+_NOT_X = "'##' is the y-side stuffle; use '#' on x-series"
+
+# node kind: (op on two scalars, x-side lift, x-side op, y-side op,
+#             x-side refusal, y-side refusal); an op of None refuses its side
+_BINARY = {
+    "add": (operator.add, _as_series, operator.add, operator.add, None, _MIXED),
+    "sub": (operator.sub, _as_series, operator.sub, operator.sub, None, _MIXED),
+    "cat": (operator.mul, _as_ncpoly, lambda p, q: embed(conc(p, q)), operator.mul,
+            "concatenation needs star-free operands", _MIXED),
+    "shuf": (operator.mul, _as_series, shuffle_star, None,
+             None, "'#' is the x-side shuffle; use '##' on y-series"),
+    "stuf": (operator.mul, _as_series, None, stuffle, _NOT_X, _NOT_X),
+}
+
+
 class _Elaborator:
     def __init__(self, text: str):
         self.text = text
@@ -304,23 +332,22 @@ class _Elaborator:
     def _neg(self, node: Node) -> Value:
         return -self.value(node.kids[0])
 
-    def _add(self, node: Node) -> Value:
-        return self._additive(node, lambda a, b: a + b)
-
-    def _sub(self, node: Node) -> Value:
-        return self._additive(node, lambda a, b: a - b)
-
-    def _additive(self, node: Node, op) -> Value:
+    def _binary(self, node: Node) -> Value:
         a = self.value(node.kids[0])
         b = self.value(node.kids[1])
+        on_scalars, x_lift, x_op, y_op, x_refusal, y_refusal = _BINARY[node.kind]
         if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return op(a, b)
+            return on_scalars(a, b)
         if isinstance(a, YPoly) or isinstance(b, YPoly):
-            ya, yb = _as_ypoly(a), _as_ypoly(b)
-            if ya is None or yb is None:
-                self.fail(node, "cannot mix x-side and y-side series")
-            return op(ya, yb)
-        return op(_as_series(a), _as_series(b))
+            lift, op, refusal = _as_ypoly, y_op, y_refusal
+        else:
+            lift, op, refusal = x_lift, x_op, x_refusal
+        la, lb = lift(a), lift(b)
+        if op is None or la is None or lb is None:
+            self.fail(node, refusal)
+        return op(la, lb)
+
+    _add = _sub = _cat = _shuf = _stuf = _binary
 
     def _mul(self, node: Node) -> Value:
         a = self.value(node.kids[0])
@@ -330,40 +357,6 @@ class _Elaborator:
         if isinstance(b, Fraction):
             return a.scale(b)
         self.fail(node, "'*' multiplies by scalars; use '#' or '##' for series")
-
-    def _cat(self, node: Node) -> Value:
-        a = self.value(node.kids[0])
-        b = self.value(node.kids[1])
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a * b
-        if isinstance(a, YPoly) or isinstance(b, YPoly):
-            ya, yb = _as_ypoly(a), _as_ypoly(b)
-            if ya is None or yb is None:
-                self.fail(node, "cannot mix x-side and y-side series")
-            return ya * yb
-        pa, pb = _as_ncpoly(a), _as_ncpoly(b)
-        if pa is None or pb is None:
-            self.fail(node, "concatenation needs star-free operands")
-        return embed(conc(pa, pb))
-
-    def _shuf(self, node: Node) -> Value:
-        a = self.value(node.kids[0])
-        b = self.value(node.kids[1])
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a * b
-        if isinstance(a, YPoly) or isinstance(b, YPoly):
-            self.fail(node, "'#' is the x-side shuffle; use '##' on y-series")
-        return shuffle_star(_as_series(a), _as_series(b))
-
-    def _stuf(self, node: Node) -> Value:
-        a = self.value(node.kids[0])
-        b = self.value(node.kids[1])
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a * b
-        ya, yb = _as_ypoly(a), _as_ypoly(b)
-        if ya is None or yb is None:
-            self.fail(node, "'##' is the y-side stuffle; use '#' on x-series")
-        return stuffle(ya, yb)
 
     def _kstar(self, node: Node) -> Value:
         v = self.value(node.kids[0])
@@ -410,8 +403,6 @@ def _format_star_atoms(t) -> list[str]:
 
 def format_series(s: StarSeries) -> str:
     """Canonical parseable rendering; terms sorted by (|w|, w, a0, a1)."""
-    from .star_series import term_sort_key
-
     items = sorted(s.terms.items(), key=lambda item: term_sort_key(item[0]))
     return _signed_sum((c, " # ".join(_format_star_atoms(t))) for t, c in items)
 

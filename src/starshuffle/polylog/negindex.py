@@ -31,7 +31,7 @@ from ..errors import DomainError
 from ..linear import _combine, _items
 from ..rewrite import normal_form
 from ..star_series import StarSeries, plane_star, shuffle_star
-from .series import _check_composition, stirling2
+from .series import _check_composition, _check_taylor_index, stirling2
 
 ROUTES = ("T", "R", "F", "recursion")
 
@@ -166,8 +166,7 @@ def li_neg_closed_form(s: Iterable[int], route: str = "recursion") -> list:
 
 def closed_form_taylor_coeff(coeffs: Sequence, n: int) -> Fraction:
     """n-th Taylor coefficient (n >= 1) of sum_j coeffs[j] (1-z)^(-j)."""
-    if n < 1:
-        raise ValueError("Taylor coefficients are indexed by n >= 1")
+    _check_taylor_index(n)
     total = Fraction(0)
     for j, c in enumerate(coeffs):
         if j and c:

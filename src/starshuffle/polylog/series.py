@@ -117,11 +117,16 @@ def _is_int(n) -> bool:
 def _check_composition(s: Sequence[int], minimum: int) -> tuple:
     s = tuple(s)
     for part in s:
-        if not isinstance(part, int) or isinstance(part, Word) or part < minimum:
+        if not _is_int(part) or part < minimum:
             raise DomainError(
                 f"composition parts must be integers >= {minimum}, got {part!r}"
             )
     return s
+
+
+def _check_taylor_index(n) -> None:
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"Taylor coefficients are indexed by integers n >= 1, got {n!r}")
 
 
 # A range of at most _LEAF numbers is multiplied out step by step; one of
@@ -265,8 +270,7 @@ def neg_taylor_coeff(s: Iterable[int], n: int) -> int:
     """N-th Taylor coefficient of the nonpositive-index polylogarithm:
     sum over n = n1 > n2 > ... > nr >= 1 of n1^s1 ... nr^sr, an integer."""
     s = _check_composition(s, 0)
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"Taylor coefficients are indexed by integers n >= 1, got {n!r}")
+    _check_taylor_index(n)
     if not s:
         return 0
     tail = s[1:]

@@ -1,0 +1,48 @@
+"""tools/code_lines.py on a fixed source text: docstrings, comments and
+blank lines are left out, decorators, continued statements and other
+strings count."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+_SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
+code_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(code_lines)
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+import functools  # a trailing comment keeps its line
+
+# a comment alone
+
+
+@functools.lru_cache(maxsize=8)
+def f(x):
+    """Function docstring."""
+    # comment inside a body
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring."""
+
+    text = """a string that is
+not a docstring"""
+
+    def g(self):
+        pass
+'''
+
+
+def test_counts_code_lines_of_a_fixed_source():
+    # import, decorator, def, return over 2 lines, class, text over 2 lines,
+    # def g, pass
+    assert code_lines.code_lines(SOURCE) == 10
+
+
+def test_an_empty_module_has_none():
+    assert code_lines.code_lines("") == 0
+    assert code_lines.code_lines('"""Only a docstring."""\n') == 0

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,24 @@ def test_parse_expr_tree_shape():
     assert node.kind == "add"
     assert node.kids[0].kind == "shuf"
     assert node.kids[1].kind == "scalar"
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_a_nesting_level_costs_at_most_six_frames():
+    # one level of '(' takes a frame for each of the four operator levels,
+    # starred and primary; the margin covers parse_expr, the tokenizer and
+    # the innermost node, not a seventh frame per level (100 more frames)
+    levels, margin = 100, 40
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 6 * levels + margin)
+    try:
+        tree = parse_expr("(" * levels + "1" + ")" * levels)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tree.kind == "scalar"

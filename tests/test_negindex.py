@@ -11,7 +11,7 @@ from starshuffle.polylog.negindex import (
     closed_form_taylor_coeff,
     li_neg_closed_form,
 )
-from starshuffle.polylog.series import neg_taylor_coeff
+from starshuffle.polylog.series import harmonic_sum, neg_taylor_coeff
 from starshuffle.star_series import StarSeries, plane_star
 
 
@@ -116,3 +116,28 @@ def test_closed_form_conversion_reads_the_normal_form():
     # z^2/(1-z) + z = 1/(1-z) - 1: the z-powers of the two terms cancel
     series = plane_star(2, 1) + plane_star(1, 0)
     assert _closed_form_from_series(series) == [-1, 1]
+
+
+def test_bool_parts_are_refused_by_harmonic_sum():
+    with pytest.raises(DomainError, match="got True"):
+        harmonic_sum((True, 2), 3)
+
+
+def test_bool_parts_are_refused_by_neg_taylor_coeff():
+    with pytest.raises(DomainError, match="got True"):
+        neg_taylor_coeff((True,), 3)
+
+
+def test_bool_parts_are_refused_by_li_neg_closed_form():
+    with pytest.raises(DomainError, match="got True"):
+        li_neg_closed_form((True,))
+
+
+def test_closed_form_taylor_coeff_refuses_a_bool_index():
+    with pytest.raises(ValueError, match="indexed by integers n >= 1, got True"):
+        closed_form_taylor_coeff([0, 1], True)
+
+
+def test_closed_form_taylor_coeff_refuses_a_float_index():
+    with pytest.raises(ValueError, match=r"indexed by integers n >= 1, got 3\.0"):
+        closed_form_taylor_coeff([0, 1], 3.0)
