@@ -5,6 +5,15 @@ polynomials, star series, symbolic function spaces) is a finite map from
 basis keys to Fractions.  This base class supplies the vector-space part;
 subclasses may canonicalize keys on insertion.
 
+The constructor takes (key, coefficient) pairs or a map.  A coefficient
+whose type is exactly Fraction is stored as it is; any other goes through
+Fraction(coeff), so an int, a bool, a str such as "3/4" or a Fraction
+subclass is stored as a plain Fraction, and a Word is refused with
+TypeError.  _insert stores the first coefficient of a key as it is and
+adds later ones to it; the keys whose sums are zero are dropped at the
+end.  So every stored value is a Fraction, and a key keeps the place of
+its first pair.
+
 Every operator in the package is a linear or bilinear map fixed by its
 values on basis keys, and three loops apply such maps to whole
 combinations; no other code does:
@@ -41,8 +50,10 @@ result.
 
 _combine sums scaled combinations, c * (sum of n/d over keys), as a chain
 of + would: a key is dropped the moment it cancels, and appended again if
-a later summand brings it back.  A row is the (items, den) pair that
-_items makes of a {key: Fraction} map, so cached tables hold rows.
+a later summand brings it back.  _sums is the same loop returning its int
+sums and their denominator, for a caller that reads the sums as ints.  A
+row is the (items, den) pair that _items makes of a {key: Fraction} map,
+so cached tables hold rows.
 
 _signed_sum is the one renderer of a signed sum of terms.
 """
@@ -67,9 +78,11 @@ class LinearCombination:
         if terms is not None:
             items: Iterable[Tuple] = terms.items() if hasattr(terms, "items") else terms
             for key, coeff in items:
-                if isinstance(coeff, Word):
-                    raise TypeError(f"a Word is not a coefficient: {coeff!r}")
-                self._insert(data, key, Fraction(coeff))
+                if type(coeff) is not Fraction:
+                    if isinstance(coeff, Word):
+                        raise TypeError(f"a Word is not a coefficient: {coeff!r}")
+                    coeff = Fraction(coeff)
+                self._insert(data, key, coeff)
         self.terms = {k: c for k, c in data.items() if c}
 
     @classmethod
@@ -90,8 +103,10 @@ class LinearCombination:
 
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
-        """Accumulate coeff on key.  Subclasses override to canonicalize."""
-        data[key] = data.get(key, 0) + coeff
+        """Accumulate coeff on key: the first coeff of a key is stored as
+        it is.  Subclasses override to canonicalize."""
+        old = data.get(key)
+        data[key] = coeff if old is None else old + coeff
 
     @classmethod
     def zero(cls):
@@ -261,7 +276,12 @@ def _bilinear(p: dict, q: dict, pair, then=None, wrap=None) -> dict:
 
 def _combine(parts) -> dict:
     """sum of c * (n / d) over the parts (c, items, d), where c is an int
-    or a Fraction and items yields (key, int n), as {key: Fraction}.
+    or a Fraction and items yields (key, int n), as {key: Fraction}."""
+    return _fractions(*_sums(parts))
+
+
+def _sums(parts) -> tuple:
+    """_combine's sum as (int sums, den), with no zero sum.
 
     The sum is kept as ints over a running common denominator, widened
     (every value rescaled in place) only when a part needs it.  A key is
@@ -285,7 +305,7 @@ def _combine(parts) -> dict:
                 acc[key] = v
             else:
                 acc.pop(key, None)
-    return _fractions(acc, den)
+    return acc, den
 
 
 def _signed_sum(terms) -> str:

@@ -40,7 +40,10 @@ loop that sums rows:
                    or, when the limit is a non-elementary constant, the
                    antiderivative and that constant as a float.  Because
                    iota_0 is anchored piece by piece, it sums
-                   c * _section over the pieces of its argument.
+                   c * _section over the pieces of its argument, in the
+                   sorted piece order, with each c read as an int sum
+                   over one denominator (symfun._piece_sums), not as a
+                   Fraction.
 
 limit_at_one needs no table of its own: it re-keys each word's reduced
 row by the (u, n, -l) group it adds to at z = 1, sums the rows, and
@@ -63,7 +66,7 @@ from ..linear import _combine, _items
 from ..rewrite import reduce_exponents
 from ..words import EPSILON, Word, composition_of_word, shortlex_key
 from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
-from .symfun import SymFun, _piece_order, _reduce_trailing_x0, from_piece, theta, to_pieces
+from .symfun import SymFun, _piece_order, _piece_sums, _reduce_trailing_x0, from_piece, theta
 
 X0 = Word("0")
 X1 = Word("1")
@@ -318,13 +321,15 @@ def iota(i: int, f: SymFun, *, numeric_constants: bool = False):
         return (result, 0.0) if numeric_constants else result
     parts = []
     numeric = 0.0
-    for piece, c in sorted(to_pieces(f).items(), key=_section_order):
-        items, den, constant = _section(*piece)
+    # the pieces' coefficients are the int sums c over den
+    sums, den = _piece_sums(f)
+    for piece, c in sorted(sums.items(), key=_section_order):
+        items, d, constant = _section(*piece)
         if constant is not None:
             if not numeric_constants:
                 raise NonElementaryConstantError()
-            numeric -= float(c) * constant
-        parts.append((c, items, den))
+            numeric -= c / den * constant
+        parts.append((c, items, d * den))
     sym = SymFun._trusted(_combine(parts))
     return (sym, numeric) if numeric_constants else sym
 

@@ -30,7 +30,8 @@ _reduce_trailing_x0(w) is the one reduced row per word: Li_w over the
 basis Li_u log^n(z)/n!, u empty or ending in x1, as ((u, n), int) items
 over one denominator, in the fixed piece order (|u|, u, n).  to_pieces,
 the germs and limits of integrate, the numeric evaluator and the public
-reduce_trailing_x0 all read it.
+reduce_trailing_x0 all read it.  _piece_sums is to_pieces before its
+Fractions are built, which iota_0 reads.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ..linear import LinearCombination, _bilinear, _combine, _is_scalar, _items, _linear, _sum_rule
+from ..linear import (LinearCombination, _bilinear, _combine, _fractions, _is_scalar, _items,
+                      _linear, _sum_rule, _sums)
 from ..rewrite import _canonical
 from ..shuffle_core import NCPoly, _shuffle_words, shuffle
 from ..words import EPSILON, Word, shortlex_key
@@ -54,10 +56,12 @@ class SymFun(LinearCombination):
                 or isinstance(k, Word) or isinstance(l, Word)):
             raise ValueError("powers k and l must be integers")
         if l >= 0 and k * l == 0:  # already canonical, the common case
-            data[key] = data.get(key, 0) + coeff
+            old = data.get(key)
+            data[key] = coeff if old is None else old + coeff
             return
         for canon, m in _canonical(key).items():
-            data[canon] = data.get(canon, 0) + coeff * m
+            old = data.get(canon)
+            data[canon] = coeff * m if old is None else old + coeff * m
 
     @classmethod
     def one(cls) -> "SymFun":
@@ -189,9 +193,14 @@ def from_piece(k: int, l: int, u: Word, n: int) -> SymFun:
 def to_pieces(f: SymFun) -> dict:
     """Decompose into the reduced basis: {(k, l, u, n): coeff} where u is
     empty or ends in x1 and the piece means z^k (1-z)^(-l) Li_u log^n/n!."""
+    return _fractions(*_piece_sums(f))
+
+
+def _piece_sums(f: SymFun) -> tuple:
+    """to_pieces(f) as (int sums, den), with no zero sum."""
     rows = ((c, k, l, *_reduce_trailing_x0(w)) for (k, l, w), c in f.terms.items())
-    return _combine((c, [((k, l, u, n), m) for (u, n), m in items], den)
-                    for c, k, l, items, den in rows)
+    return _sums((c, [((k, l, u, n), m) for (u, n), m in items], den)
+                 for c, k, l, items, den in rows)
 
 
 def index_of(f: SymFun) -> int:

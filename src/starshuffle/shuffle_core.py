@@ -52,7 +52,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from .linear import LinearCombination, _bilinear, _is_scalar, _linear, _signed_sum
-from .words import EPSILON, Word, composition_of_word, shortlex_key, word_of_composition
+from .words import EPSILON, Word, composition_of_word, word_of_composition
 
 _new = int.__new__
 _as_word = partial(_new, Word)  # a sentinel int key as a Word
@@ -223,7 +223,8 @@ class YPoly(LinearCombination):
         key = tuple(key)
         if any(not isinstance(k, int) or isinstance(k, Word) or k < 1 for k in key):
             raise ValueError(f"y-word indices must be positive integers, got {key!r}")
-        data[key] = data.get(key, 0) + coeff
+        old = data.get(key)
+        data[key] = coeff if old is None else old + coeff
 
     @classmethod
     def one(cls) -> "YPoly":
@@ -310,10 +311,10 @@ def pi_x(q: YPoly) -> NCPoly:
 def format_poly(p: NCPoly) -> str:
     """Render as ``3/2*011 + 1*0 - 2`` (bare rationals are coefficients of
     the empty word); the zero polynomial prints as ``0``."""
-    return _signed_sum(
-        (c, str(w) if len(w) else "")
-        for w, c in sorted(p.terms.items(), key=lambda item: shortlex_key(item[0]))
-    )
+    # (length + 1, letters) orders as words.shortlex_key does, and distinct words
+    # never tie, so the sort compares no coefficient
+    rows = sorted([(w.bit_length(), format(w, "b")[:0:-1], c) for w, c in p.terms.items()])
+    return _signed_sum((c, text) for _, text, c in rows)
 
 
 def parse_poly(text: str) -> NCPoly:

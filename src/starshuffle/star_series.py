@@ -38,6 +38,10 @@ class StarTerm(NamedTuple):
     a1: int | Fraction
 
 
+# _term(StarTerm, (w, a0, a1)) builds a term without NamedTuple's Python-level __new__
+_term = tuple.__new__
+
+
 def _exponent(a) -> int | Fraction:
     """An exact exponent: an int when integral, else a Fraction."""
     if type(a) is not int:
@@ -50,7 +54,7 @@ def _exponent(a) -> int | Fraction:
 
 
 def star_term(w: Word = EPSILON, a0=0, a1=0) -> StarTerm:
-    return StarTerm(w, _exponent(a0), _exponent(a1))
+    return _term(StarTerm, (w, _exponent(a0), _exponent(a1)))
 
 
 def term_sort_key(t: StarTerm):
@@ -64,8 +68,11 @@ class StarSeries(LinearCombination):
 
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
-        key = star_term(*key)
-        data[key] = data.get(key, 0) + coeff
+        # a StarTerm with int exponents is already what star_term makes
+        if type(key) is not StarTerm or type(key[1]) is not int or type(key[2]) is not int:
+            key = star_term(*key)
+        old = data.get(key)
+        data[key] = coeff if old is None else old + coeff
 
     @classmethod
     def one(cls) -> "StarSeries":

@@ -45,13 +45,25 @@ were split before the lcm denominators: every entry of every range over
 the one product denominator (prod n)^max(s), leaves of 8 numbers.
 harmonic_sum must give their Fractions.  stirling2_rec is stirling2 as it
 recursed on n.
+
+canonical_ref is rewrite._canonical as it expanded reduce_exponents on
+every call, before the exponent table; symfun_mul_canonical_loop reads
+it.  construct_ref is the constructors of the four combination types as
+they built every coefficient by Fraction(coeff) and stored a key's first
+value as 0 + coeff, StarSeries making its keys through StarTerm's own
+__new__ and SymFun reducing its raw keys with canonical_ref.
+normal_form_ref and rewrite_trace_ref are normal_form and rewrite_trace
+as they were then, the trace dropping each rewritten key from its level
+and wrapping each state by a helper call.  The new forms must give their
+values, value types, exception classes and dict order.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial, lcm
 
 from starshuffle.errors import DomainError, NonElementaryConstantError
@@ -59,7 +71,8 @@ from starshuffle.polylog.integrate import _A, _J, _K, _P, _li_coeffs, _piece_ind
 from starshuffle.polylog.negindex import _nested_indices
 from starshuffle.polylog.series import _check_composition, stirling2
 from starshuffle.polylog.symfun import SymFun, _symfun_pair
-from starshuffle.rewrite import _canonical
+from starshuffle.linear import _common_scale, _fractions, _sum_rule
+from starshuffle.rewrite import _check_laurent, _check_strategy, reduce_exponents
 from starshuffle.shuffle_core import (
     NCPoly,
     YPoly,
@@ -69,7 +82,7 @@ from starshuffle.shuffle_core import (
     unshuffle,
 )
 from starshuffle.star_series import StarSeries, StarTerm, _exponent, plane_star, shuffle_star
-from starshuffle.words import EPSILON, Word, composition_of_word, word_of_composition
+from starshuffle.words import EPSILON, Word, composition_of_word, shortlex_key, word_of_composition
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +214,7 @@ def symfun_mul_canonical_loop(f: SymFun, g: SymFun) -> SymFun:
     key's reduction summed in the order the loop met the keys."""
     out: dict = {}
     for key, c in _int_numerator_loop(f, g, _symfun_pair).items():
-        for canon, m in _canonical(key).items():
+        for canon, m in canonical_ref(key).items():
             out[canon] = out.get(canon, 0) + c * m
     return SymFun._trusted({k: c for k, c in out.items() if c})
 
@@ -286,6 +299,130 @@ def normal_form_loop(s: StarSeries) -> StarSeries:
 def kernel_member_loop(s: StarSeries) -> bool:
     acc, _ = normal_sums_loop(s)
     return not any(acc.values())
+
+
+def canonical_ref(key: tuple) -> dict:
+    k, l, w = key
+    if l >= 0 and k * l == 0:
+        return {key: 1}
+    return {(k2, l2, w): m for (k2, l2), m in reduce_exponents(k, l).items()}
+
+
+def _star_term_ref(w: Word = EPSILON, a0=0, a1=0) -> StarTerm:
+    return StarTerm(w, _exponent(a0), _exponent(a1))
+
+
+def _insert_ref(cls, data: dict, key, coeff: Fraction) -> None:
+    if cls is YPoly:
+        key = tuple(key)
+        if any(not isinstance(k, int) or isinstance(k, Word) or k < 1 for k in key):
+            raise ValueError(f"y-word indices must be positive integers, got {key!r}")
+    elif cls is StarSeries:
+        key = _star_term_ref(*key)
+    elif cls is SymFun:
+        k, l, w = key
+        if (not isinstance(k, int) or not isinstance(l, int)
+                or isinstance(k, Word) or isinstance(l, Word)):
+            raise ValueError("powers k and l must be integers")
+        if not (l >= 0 and k * l == 0):
+            for canon, m in canonical_ref(key).items():
+                data[canon] = data.get(canon, 0) + coeff * m
+            return
+    data[key] = data.get(key, 0) + coeff
+
+
+def construct_ref(cls, terms=None):
+    """cls(terms) for NCPoly, YPoly, StarSeries or SymFun."""
+    data: dict = {}
+    if terms is not None:
+        items = terms.items() if hasattr(terms, "items") else terms
+        for key, coeff in items:
+            if isinstance(coeff, Word):
+                raise TypeError(f"a Word is not a coefficient: {coeff!r}")
+            _insert_ref(cls, data, key, Fraction(coeff))
+    return cls._trusted({k: c for k, c in data.items() if c})
+
+
+def normal_form_ref(s: StarSeries, strategy: str = "measure", rng=None) -> StarSeries:
+    _check_laurent(s)
+    _check_strategy(strategy)
+    nums, den = _common_scale(s.terms.values())
+    keys = ((int(k), int(l), w) for w, k, l in s.terms)
+    acc = _sum_rule(zip(keys, nums), canonical_ref)
+    return StarSeries._trusted({StarTerm(w, k, l): c
+                                for (k, l, w), c in _fractions(acc, den).items()})
+
+
+def _drop_ref(levels: dict, level: int, key: tuple) -> None:
+    bucket = levels.get(level)
+    if bucket is not None:
+        bucket.discard(key)
+        if not bucket:
+            del levels[level]
+
+
+def _state_ref(terms: dict) -> StarSeries:
+    obj = StarSeries.__new__(StarSeries)
+    obj.terms = terms
+    return obj
+
+
+def rewrite_trace_ref(s: StarSeries, strategy: str = "measure", rng=None) -> list:
+    _check_laurent(s)
+    _check_strategy(strategy)
+    if strategy == "random" and rng is None:
+        rng = random.Random()
+    words = sorted({t.w for t in s.terms}, key=shortlex_key)
+    rank = {w: i for i, w in enumerate(words)}
+    nums, den = _common_scale(s.terms.values())
+    live = {(rank[w], int(k), int(l)): c for (w, k, l), c in zip(s.terms, nums)}
+    values = dict(s.terms)
+    made: dict = {}
+    levels: dict = {}
+    for key in live:
+        _, k, l = key
+        if k and l:
+            levels.setdefault(abs(k) + l, set()).add(key)
+    states = [_state_ref(dict(values))]
+    todo: list = []
+    while True:
+        if not todo:
+            if not levels:
+                return states
+            if strategy == "measure":
+                todo = sorted(levels.pop(max(levels)))
+            else:
+                todo = [rng.choice(sorted(chain.from_iterable(levels.values())))]
+        key = todo.pop()
+        i, k, l = key
+        c = live.pop(key)
+        w = words[i]
+        del values[StarTerm(w, k, l)]
+        level = abs(k) + l
+        _drop_ref(levels, level, key)
+        if k >= 1:
+            pieces = ((k - 1, l, c, level - 1 if k > 1 else 0),
+                      (k - 1, l - 1, -c, level - 2 if k > 1 and l > 1 else 0))
+        else:
+            pieces = ((k, l - 1, c, level - 1 if l > 1 else 0),
+                      (k + 1, l, c, level - 1 if k < -1 else 0))
+        for k, l, dc, level in pieces:
+            key = (i, k, l)
+            old = live.get(key, 0)
+            nc = old + dc
+            if nc:
+                live[key] = nc
+                f = made.get(nc)
+                if f is None:
+                    f = made[nc] = Fraction(nc, den)
+                values[StarTerm(w, k, l)] = f
+                if level and not old:
+                    levels.setdefault(level, set()).add(key)
+            else:
+                del live[key], values[StarTerm(w, k, l)]
+                if level:
+                    _drop_ref(levels, level, key)
+        states.append(_state_ref(dict(values)))
 
 
 def against_dz_loop(pieces: dict, w: Word) -> SymFun:
