@@ -102,9 +102,6 @@ def _canonical(key: tuple) -> dict:
     return {(k2, l2, w): m for (k2, l2), m in _exponent_row(k, l)}
 
 
-_bare = object.__new__
-
-
 def _check_laurent(s: StarSeries) -> None:
     if not s.is_laurent():
         raise DomainError(
@@ -194,10 +191,7 @@ def rewrite_trace(
                 del live[key], values[_term(StarTerm, (w, k, l))]
                 if level:
                     _drop(levels, level, key)
-        # wrapped as StarSeries._trusted would, as no live term is ever zero
-        state = _bare(StarSeries)
-        state.terms = dict(values)
-        states.append(state)
+        states.append(StarSeries._trusted(dict(values)))
 
 
 def _drop(levels: dict, level: int, key: tuple) -> None:

@@ -52,7 +52,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from .linear import LinearCombination, _bilinear, _is_scalar, _linear, _signed_sum
-from .words import EPSILON, Word, composition_of_word, word_of_composition
+from .words import EPSILON, Word, composition_of_word, shortlex_items, word_of_composition
 
 _new = int.__new__
 _as_word = partial(_new, Word)  # a sentinel int key as a Word
@@ -311,10 +311,7 @@ def pi_x(q: YPoly) -> NCPoly:
 def format_poly(p: NCPoly) -> str:
     """Render as ``3/2*011 + 1*0 - 2`` (bare rationals are coefficients of
     the empty word); the zero polynomial prints as ``0``."""
-    # (length + 1, letters) orders as words.shortlex_key does, and distinct words
-    # never tie, so the sort compares no coefficient
-    rows = sorted([(w.bit_length(), format(w, "b")[:0:-1], c) for w, c in p.terms.items()])
-    return _signed_sum((c, text) for _, text, c in rows)
+    return _signed_sum((c, text) for text, c in shortlex_items(p.terms))
 
 
 def parse_poly(text: str) -> NCPoly:

@@ -201,6 +201,17 @@ def shortlex_key(w: Word) -> tuple:
     return w.bit_length(), format(w, "b")[:0:-1]
 
 
+def shortlex_items(terms: dict) -> Iterator:
+    """Iterate over the (str(w), value) pairs of a {Word: value} map, the
+    words in shortlex_key order.
+
+    Each row (shortlex_key(w), value) is built once, with no Python-level
+    key call per term; distinct words never tie, so no value is compared.
+    """
+    rows = sorted([(w.bit_length(), format(w, "b")[:0:-1], v) for w, v in terms.items()])
+    return ((text, v) for _, text, v in rows)
+
+
 EPSILON = Word()
 X0 = Word("0")
 X1 = Word("1")

@@ -13,7 +13,7 @@ _SPEC.loader.exec_module(op_shares)
 
 def test_shares_of_a_few_dozen_ideal_ops(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # load_workload prepends perfbench/
-    wl = op_shares.load_workload(_ROOT, "ideal")
+    wl = op_shares.load_workload("ideal")
     ops = op_shares.build_ops(wl, 5, 40)
     assert len(ops) == 40 + len(wl.fixed_ops())
     shares = op_shares.op_shares(wl, ops)

@@ -19,6 +19,8 @@ from starshuffle.words import (
     clf_factorize,
     composition_of_word,
     lyndon_up_to,
+    shortlex_items,
+    shortlex_key,
     word_of_composition,
 )
 
@@ -250,3 +252,10 @@ def test_a_word_is_refused_where_a_number_is_expected(case):
     error, call = LOOKALIKES[case]
     with pytest.raises(error):
         call()
+
+
+def test_shortlex_items_orders_as_shortlex_key():
+    terms = {w: Fraction(int(w) % 7 - 3, 5) for w in reversed(list(all_words(6)))}
+    expected = [(str(w), c) for w, c in sorted(terms.items(), key=lambda kv: shortlex_key(kv[0]))]
+    assert list(shortlex_items(terms)) == expected
+    assert list(shortlex_items({})) == []

@@ -12,8 +12,8 @@ Prints one row per operation kind, the slowest first:
     kind  count  seconds  share
 
 share is the kind's part of the summed execute time.  The checkout is the
-one this file lies in, or --root; its perfbench/ and src/ are imported
-and nothing in them is changed.  Stdlib only.
+one this file lies in; its perfbench/ and src/ are imported and nothing in
+them is changed.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_workload(root: Path, workload: str):
-    """Import perfbench/wl_<workload>.py of the checkout at root, with its
-    src/ first on the path."""
-    for path in (root / "perfbench", root / "src"):
+def load_workload(workload: str):
+    """Import perfbench/wl_<workload>.py of this checkout, with its src/
+    first on the path."""
+    for path in (ROOT / "perfbench", ROOT / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     return importlib.import_module(f"wl_{workload}")
@@ -85,11 +85,10 @@ def main(argv=None) -> None:
     ap.add_argument("--workload", required=True, help="perfbench workload name, e.g. ideal")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--ops", type=int, default=400, help="number of generated operations")
-    ap.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
     args = ap.parse_args(argv)
     if args.ops < 1:
         ap.error("--ops must be at least 1")
-    wl = load_workload(args.root.resolve(), args.workload)
+    wl = load_workload(args.workload)
     print(format_shares(op_shares(wl, build_ops(wl, args.seed, args.ops))))
 
 
