@@ -43,10 +43,10 @@ or 1-z.
 When both operands of _bilinear have one term, as in a product of two
 words, the pair rule's dict already holds the int sums, in the loop's
 order: it goes to _fractions as it is, or scaled by a copy when the
-numerators' product is not 1, with no accumulation loop.  Rules may
-return cached dicts (_shuffle_words, _stuffle_words), so the loops read
-every dict a rule returns and never write to it or hand it out as a
-result.
+numerators' product is not 1, with no accumulation loop.  Every pair
+rule of the package returns a dict of its own, but a rule may return a
+cached dict, as symfun._d_rule does, so the loops read every dict a rule
+returns and never write to it or hand it out as a result.
 
 _combine sums scaled combinations, c * (sum of n/d over keys), as a chain
 of + would: a key is dropped the moment it cancels, and appended again if

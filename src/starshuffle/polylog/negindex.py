@@ -14,16 +14,19 @@ k_{i-1}), the last index being forced to k_r = M_r (its binomial is 1),
 and each term carries the product of the remaining binomials C(M_i, k_i).
 The series routes read the coefficients off the normal form of that
 series modulo the kernel ideal (rewrite.normal_form), so they check the
-reducer.  Their sums over indices are summed as ints into one dict
-(linear._combine), in the order a chain of + would give.  The recursion
-route keeps its own arithmetic on polynomials in Y on purpose: it is the
-one route that does not go through the reducer.
+reducer.  The factor of each (route, k) is built once, into the bounded
+table _route_factor, and read, never written to, by every composition
+whose indices take that k.  The sums over indices are summed as ints
+into one dict (linear._combine), in the order a chain of + would give.
+The recursion route keeps its own arithmetic on polynomials in Y on
+purpose: it is the one route that does not go through the reducer.
 All routes are normalized so the depth >= 1 closed forms vanish at z = 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
@@ -34,6 +37,10 @@ from ..star_series import StarSeries, plane_star, shuffle_star
 from .series import _check_composition, _check_taylor_index, stirling2
 
 ROUTES = ("T", "R", "F", "recursion")
+# Entries of the factor table, one per (route, k) with k at most the
+# weight.  The shuffle workload (weight <= 5, all three routes) fills 18,
+# and the test suite (weight <= 7) at most 24.
+_FACTOR_TABLE_SIZE = 64
 
 
 def _stirling_block(k: int, base: StarSeries, shift: StarSeries) -> StarSeries:
@@ -49,7 +56,10 @@ def _stirling_block(k: int, base: StarSeries, shift: StarSeries) -> StarSeries:
     return shuffle_star(shift, StarSeries._trusted(_combine(parts())))
 
 
+@lru_cache(maxsize=_FACTOR_TABLE_SIZE)
 def _route_factor(route: str, k: int) -> StarSeries:
+    """The series factor of one summation index k of a route.  Cached,
+    treat the result as read-only."""
     if route == "T":
         if k == 0:
             return plane_star(1, 1)
@@ -92,16 +102,12 @@ def build_neg_series(s: Iterable[int], route: str = "T") -> StarSeries:
         raise ValueError(f"route must be one of T, R, F, got {route!r}")
     if not s:
         return StarSeries.one()
-    factors: dict = {}
 
     def parts():
         for indices, coeff in _nested_indices(s):
-            for k in indices:
-                if k not in factors:
-                    factors[k] = _route_factor(route, k)
-            term = factors[indices[0]]
+            term = _route_factor(route, indices[0])
             for k in indices[1:]:
-                term = shuffle_star(term, factors[k])
+                term = shuffle_star(term, _route_factor(route, k))
             yield coeff, *_items(term.terms)
 
     return StarSeries._trusted(_combine(parts()))

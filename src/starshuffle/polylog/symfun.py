@@ -53,7 +53,7 @@ class SymFun(LinearCombination):
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
         k, l, w = key
         if (not isinstance(k, int) or not isinstance(l, int)
-                or isinstance(k, Word) or isinstance(l, Word)):
+                or isinstance(k, (Word, bool)) or isinstance(l, (Word, bool))):
             raise ValueError("powers k and l must be integers")
         if l >= 0 and k * l == 0:  # already canonical, the common case
             old = data.get(key)

@@ -18,7 +18,7 @@ v[j-1], in that order.  Appending a letter at position i + j - 1 ors in
 one bit, and appending x0 copies the key unchanged.  Every seed of the
 table already carries the sentinel bit 1 << (a + b) of the result's
 length, so its keys come out as sentinel keys and need no second pass.
-_stuffle_words runs the same programme over suffix lengths.  Both fill
+_stuffle_tuples runs the same programme over suffix lengths.  Both fill
 their cells in the order of the first-letter recursion they replace, so
 result dicts keep that recursion's iteration order.
 
@@ -33,14 +33,20 @@ loop did for keys it had not met, so values and dict order are the
 loop's.  Only the parts with equal letters are summed term by term.
 
 shuffle, stuffle and conc (and the YPoly product) are pair rules,
-_shuffle_bits, _stuffle_words and _conc, handed to linear._bilinear, the
+_shuffle_bits, _stuffle_tuples and _conc, handed to linear._bilinear, the
 package's one loop over pairs of terms, which keeps multiplicities and
 numerators as ints; so are the left and right residuals.  pi_y and pi_x
 are rules on single words handed to linear._linear.
 
-_shuffle_words and _stuffle_words cache whole products, never the
-prefix or suffix pairs of a table, in lru caches of fixed size; shuffle
-itself sums _shuffle_bits directly and does not read the cache.
+Both products sum their DP tables directly: shuffle sums _shuffle_bits
+and stuffle sums _stuffle_tuples, and each kernel returns a dict its
+caller owns.  _shuffle_words and _stuffle_words are the two kernels
+behind lru caches of fixed size, which hold whole products, never the
+prefix or suffix pairs of a table.  Only the star and SymFun pair rules
+(and the expand oracle) read _shuffle_words, whose word pairs recur.
+Stuffle products are not re-read (a shuffle benchmark run of 4,500
+operations met none of its 450 twice), so the package keeps none;
+_stuffle_words serves callers outside the package.
 unshuffle builds its (Word, Word) -> Fraction result from the int pairs
 in one pass, making each distinct subword a Word once.
 """
@@ -221,7 +227,7 @@ class YPoly(LinearCombination):
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
         key = tuple(key)
-        if any(not isinstance(k, int) or isinstance(k, Word) or k < 1 for k in key):
+        if any(not isinstance(k, int) or isinstance(k, (Word, bool)) or k < 1 for k in key):
             raise ValueError(f"y-word indices must be positive integers, got {key!r}")
         old = data.get(key)
         data[key] = coeff if old is None else old + coeff
@@ -248,13 +254,14 @@ class YPoly(LinearCombination):
         )
 
 
-@lru_cache(maxsize=256)
-def _stuffle_words(u: tuple, v: tuple) -> dict:
-    """Quasi-shuffle of two y-words; cached, treat the result as read-only.
+def _stuffle_tuples(u: tuple, v: tuple) -> dict:
+    """Quasi-shuffle of two y-words as a y-word -> int multiplicity map.
 
     Cell (i, j) of the table is u[i:] st v[j:], the sum of u[i] (u[i+1:] st
     v[j:]), v[j] (u[i:] st v[j+1:]) and (u[i] + v[j]) (u[i+1:] st v[j+1:]),
     accumulated in that order.
+
+    The caller owns the returned dict.
     """
     a, b = len(u), len(v)
     below = [{v[j:]: 1} for j in range(b + 1)]
@@ -281,9 +288,15 @@ def _stuffle_words(u: tuple, v: tuple) -> dict:
     return below[0]
 
 
+@lru_cache(maxsize=256)
+def _stuffle_words(u: tuple, v: tuple) -> dict:
+    """_stuffle_tuples, cached; callers must treat the result as read-only."""
+    return _stuffle_tuples(u, v)
+
+
 def stuffle(p: YPoly, q: YPoly) -> YPoly:
     """Quasi-shuffle (stuffle) product, extended bilinearly."""
-    return YPoly._trusted(_bilinear(p.terms, q.terms, _stuffle_words))
+    return YPoly._trusted(_bilinear(p.terms, q.terms, _stuffle_tuples))
 
 
 def _pi_y_rule(w: Word) -> dict:

@@ -14,7 +14,10 @@ a common denominator, the other four summing Fractions.  Every product now
 goes through linear._bilinear, and must give what these loops give.
 symfun_mul_canonical_loop is the SymFun product's double loop followed
 by the reduction of each raw key in the order the loop met it, which the
-product must give item for item.
+product must give item for item.  stuffle_cached_ref is stuffle as it
+summed the cached products of _stuffle_words through linear._bilinear;
+stuffle, which sums the uncached kernel, must give its values, value
+types and dict order.
 
 reduce_exponents_rec is rewrite.reduce_exponents as it expanded k >= 1
 through k + 1 recursive calls; the one loop that replaced them must give
@@ -51,7 +54,8 @@ every call, before the exponent table; symfun_mul_canonical_loop reads
 it.  construct_ref is the constructors of the four combination types as
 they built every coefficient by Fraction(coeff) and stored a key's first
 value as 0 + coeff, StarSeries making its keys through StarTerm's own
-__new__ and SymFun reducing its raw keys with canonical_ref.
+__new__ and SymFun reducing its raw keys with canonical_ref; their key
+gates are the current ones, which refuse bools.
 normal_form_ref and rewrite_trace_ref are normal_form and rewrite_trace
 as they were then, the trace dropping each rewritten key from its level
 and wrapping each state by a helper call.  The new forms must give their
@@ -71,7 +75,7 @@ from starshuffle.polylog.integrate import _A, _J, _K, _P, _li_coeffs, _piece_ind
 from starshuffle.polylog.negindex import _nested_indices
 from starshuffle.polylog.series import _check_composition, stirling2
 from starshuffle.polylog.symfun import SymFun, _symfun_pair
-from starshuffle.linear import _common_scale, _fractions, _sum_rule
+from starshuffle.linear import _bilinear, _common_scale, _fractions, _sum_rule
 from starshuffle.rewrite import _check_laurent, _check_strategy, reduce_exponents
 from starshuffle.shuffle_core import (
     NCPoly,
@@ -170,6 +174,10 @@ def _int_numerator_loop(p, q, pair) -> dict:
 
 def shuffle_loop(p: NCPoly, q: NCPoly) -> NCPoly:
     return NCPoly._trusted(_int_numerator_loop(p, q, _shuffle_words))
+
+
+def stuffle_cached_ref(p: YPoly, q: YPoly) -> YPoly:
+    return YPoly._trusted(_bilinear(p.terms, q.terms, _stuffle_words))
 
 
 def stuffle_loop(p: YPoly, q: YPoly) -> YPoly:
@@ -315,14 +323,14 @@ def _star_term_ref(w: Word = EPSILON, a0=0, a1=0) -> StarTerm:
 def _insert_ref(cls, data: dict, key, coeff: Fraction) -> None:
     if cls is YPoly:
         key = tuple(key)
-        if any(not isinstance(k, int) or isinstance(k, Word) or k < 1 for k in key):
+        if any(not isinstance(k, int) or isinstance(k, (Word, bool)) or k < 1 for k in key):
             raise ValueError(f"y-word indices must be positive integers, got {key!r}")
     elif cls is StarSeries:
         key = _star_term_ref(*key)
     elif cls is SymFun:
         k, l, w = key
         if (not isinstance(k, int) or not isinstance(l, int)
-                or isinstance(k, Word) or isinstance(l, Word)):
+                or isinstance(k, (Word, bool)) or isinstance(l, (Word, bool))):
             raise ValueError("powers k and l must be integers")
         if not (l >= 0 and k * l == 0):
             for canon, m in canonical_ref(key).items():

@@ -1,5 +1,6 @@
 """tools/op_shares.py: the per-kind count, time and share of a workload's
-operations, run in process on a few dozen generated operations."""
+operations, run in process on a few dozen generated operations, and the
+audit of the cache tables the run used."""
 
 import importlib.util
 import sys
@@ -34,3 +35,32 @@ def test_shares_of_a_few_dozen_ideal_ops(monkeypatch):
 
 def test_format_of_no_ops():
     assert op_shares.format_shares({}).splitlines()[-1].split() == ["total", "0", "0.0000", "0.0%"]
+
+
+def test_table_audit_of_a_few_dozen_shuffle_ops(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    wl = op_shares.load_workload("shuffle")
+    ops = op_shares.build_ops(wl, 5, 60)
+    assert {"lineg", "stuffle", "pair"} <= {op[0] for op in ops}
+    tables = op_shares.package_tables()
+    # the tables perfbench reads and the lineg factor table are among those found
+    for name in ("shuffle_core._shuffle_words", "shuffle_core._stuffle_words",
+                 "polylog.integrate._J", "polylog.negindex._route_factor"):
+        assert name in tables, name
+    for fn in tables.values():
+        fn.cache_clear()
+    op_shares.op_shares(wl, ops)
+    lines = op_shares.format_tables(tables).splitlines()
+    assert lines[0].split() == ["table", "hits", "misses", "size", "maxsize"]
+    rows = {row[0]: [int(x) for x in row[1:]] for row in map(str.split, lines[1:])}
+    assert list(rows) == [name for name in tables if name in rows]
+    for name, (hits, misses, size, maxsize) in rows.items():
+        info = tables[name].cache_info()
+        assert (hits, misses, size, maxsize) == (info.hits, info.misses, info.currsize, info.maxsize)
+        assert hits + misses > 0 and size <= maxsize
+    assert rows["shuffle_core._shuffle_words"][0] > 0
+    assert rows["polylog.negindex._route_factor"][0] > 0
+    # stuffle sums its kernel directly: the stuffle table records no use
+    assert "shuffle_core._stuffle_words" not in rows
+    info = tables["shuffle_core._stuffle_words"].cache_info()
+    assert info.hits == info.misses == info.currsize == 0

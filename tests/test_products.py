@@ -170,9 +170,10 @@ def test_bilinear_never_writes_or_hands_out_the_pair_rules_dict():
 
 
 def test_cached_pair_rules_stay_unchanged_and_private():
-    """stuffle reads _stuffle_words, shuffle_star and the SymFun product read
-    _shuffle_words: twice each, with coefficients 1 and not 1, the cached
-    dicts keep their items and no result's terms is one of them."""
+    """shuffle_star and the SymFun product read _shuffle_words, and stuffle
+    runs next to a _stuffle_words entry: twice each, with coefficients 1
+    and not 1, the cached dicts keep their items and no result's terms is
+    one of them."""
     u, v = (1, 2, 1), (1, 3)
     x, y = Word("0110"), Word("101")
     stuffled, shuffled = _stuffle_words(u, v), _shuffle_words(x, y)

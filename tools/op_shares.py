@@ -11,15 +11,23 @@ Prints one row per operation kind, the slowest first:
 
     kind  count  seconds  share
 
-share is the kind's part of the summed execute time.  The checkout is the
-one this file lies in; its perfbench/ and src/ are imported and nothing in
-them is changed.  Stdlib only.
+share is the kind's part of the summed execute time.  A traffic audit
+of the package's cache tables follows: every lru_cache table found by
+walking the package's modules is emptied before the run, and each one the
+run used gets a row
+
+    table  hits  misses  size  maxsize
+
+so a table whose hits stay near zero holds memory that nothing re-reads.
+The checkout is the one this file lies in; its perfbench/ and src/ are
+imported and nothing in them is changed.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import pkgutil
 import random
 import sys
 import time
@@ -80,6 +88,34 @@ def format_shares(shares: dict) -> str:
     return "\n".join(lines)
 
 
+def package_tables() -> dict:
+    """{name: table} of every lru_cache table defined in the package's
+    modules, named by module (below the package) and function."""
+    import starshuffle
+
+    modules = [starshuffle] + [importlib.import_module(info.name) for info in
+                               pkgutil.walk_packages(starshuffle.__path__, "starshuffle.")]
+    tables = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                tables[f"{module.__name__.removeprefix('starshuffle.')}.{name}"] = obj
+    return tables
+
+
+def format_tables(tables: dict) -> str:
+    """One row per table that recorded a hit or a miss, in the order of
+    tables."""
+    used = {name: fn.cache_info() for name, fn in tables.items()}
+    used = {name: info for name, info in used.items() if info.hits + info.misses}
+    width = max([len("table"), *map(len, used)])
+    lines = [f"{'table':{width}s} {'hits':>8s} {'misses':>7s} {'size':>5s} {'maxsize':>7s}"]
+    for name, info in used.items():
+        lines.append(f"{name:{width}s} {info.hits:8d} {info.misses:7d} "
+                     f"{info.currsize:5d} {info.maxsize!s:>7s}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, help="perfbench workload name, e.g. ideal")
@@ -89,7 +125,13 @@ def main(argv=None) -> None:
     if args.ops < 1:
         ap.error("--ops must be at least 1")
     wl = load_workload(args.workload)
-    print(format_shares(op_shares(wl, build_ops(wl, args.seed, args.ops))))
+    ops = build_ops(wl, args.seed, args.ops)
+    tables = package_tables()
+    for fn in tables.values():
+        fn.cache_clear()
+    print(format_shares(op_shares(wl, ops)))
+    print()
+    print(format_tables(tables))
 
 
 if __name__ == "__main__":
