@@ -239,7 +239,7 @@ _TABLES = {"lineg": _table_lineg, "hsum": _table_hsum, "lyndon": _table_lyndon}
 
 def _do_table(args) -> tuple[dict, str, tuple]:
     if args.bound < 0:
-        raise DomainError("table bound must be nonnegative")
+        raise ValueError("table bound must be nonnegative")
     header, rows, entries = _TABLES[args.kind](args.bound)
     data = {"kind": args.kind, "bound": args.bound, "rows": entries}
     return data, _table_text(header, rows), (header, rows)

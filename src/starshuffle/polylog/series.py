@@ -4,15 +4,14 @@ harmonic_sum computes the finite multiple harmonic sum
 H_s(N) = sum over N >= n1 > ... > nr >= 1 of 1 / (n1^s1 ... nr^sr),
 exactly, as a product of step matrices split in halves.  Entry (i, j) of
 the product over a range R of n is the same nested sum over
-s_i, ..., s_{j-1} with the n in R, so it is an integer over two
-denominators: the product denominator (prod_R n)^max(s), and L_R^w with
+s_i, ..., s_{j-1} with the n in R, so it is an integer over L_R^w with
 L_R = lcm(R) and w = s_i + ... + s_{j-1}, since each n^s_k divides
-L_R^s_k.  Short ranges carry the first, which is smaller while the n are
-few; longer ones the second, which grows like e^|R| where the first
-grows like |R|!^max(s).
+L_R^s_k.  Every range carries that one denominator, from the leaves up,
+and L_R grows like e^|R|.
 neg_taylor_coeff gives the N-th Taylor coefficient of the polylogarithm at
 nonpositive indices, which is the same nested sum with the powers flipped
-above the line.
+above the line.  Both refuse with DomainError, before any power is taken,
+a sum whose answer may be longer than _MAX_BITS bits.
 
 Numeric evaluation first reduces every word to words u ending in x1
 (powers of log z pick up trailing x0s), then finds Li_u(z) for all of
@@ -129,79 +128,59 @@ def _check_taylor_index(n) -> None:
         raise ValueError(f"Taylor coefficients are indexed by integers n >= 1, got {n!r}")
 
 
-# A range of at most _LEAF numbers is multiplied out step by step; one of
-# at most _SWITCH numbers is split over its product denominator, a longer
-# one over lcm denominators (see harmonic_sum).
+# An exact sum whose answer may be longer than this many bits is refused
+# with DomainError before any power is taken (_check_bits).
+_MAX_BITS = 1 << 20
+
+
+def _check_bits(bits: int) -> None:
+    """Refuse an exact sum when bits, a bound on its answer's bit length,
+    passes _MAX_BITS."""
+    if bits > _MAX_BITS:
+        raise DomainError(f"the exact answer may need {bits} bits, more than {_MAX_BITS}")
+
+
+# A range of at most _LEAF numbers is multiplied out step by step, a
+# longer one split in halves (see _step_lcm).
 _LEAF = 16
-_SWITCH = 128
-
-
-def _step_product(s: tuple, a: int, b: int, rows: int, first: int) -> tuple:
-    """The steps n = a..b of harmonic_sum's recurrence, M_b ... M_a, as
-    (D, U) with M_b ... M_a = I + U / D: D = prod n^max(s) and U a strictly
-    upper triangular integer matrix, of which only the entries (i, j) with
-    i < rows and j >= first are asked for.
-
-    Step n adds h[j+1] / n^s_j to h[j]: over the denominator n^max(s) it is
-    the integer matrix n^max(s) I + C_n with C_n[j][j+1] = n^(max(s) - s_j).
-    Ranges are split in halves, so the big integers meet in balanced
-    products.  Entry (i, j) of a product reads row i of the high half and
-    column j of the low half, so a split asks its high half for the same
-    rows and its low half for the same columns.  Leaves of up to _LEAF
-    numbers fill the whole matrix.
-    """
-    r = len(s)
-    if b - a < _LEAF:
-        top = max(s)
-        gaps = [top - t for t in s]
-        den, u = 1, [[0] * (r + 1) for _ in range(r + 1)]
-        for n in range(a, b + 1):
-            d = n**top
-            for i in range(r - 1):  # row i reads row i + 1 before it changes
-                c = n ** gaps[i]
-                row, below = u[i], u[i + 1]
-                row[i + 1] = d * row[i + 1] + c * den
-                for j in range(i + 2, r + 1):
-                    row[j] = d * row[j] + c * below[j]
-            row = u[r - 1]
-            row[r] = d * row[r] + n ** gaps[r - 1] * den
-            den *= d
-        return den, u
-    mid = (a + b) // 2
-    dl, ul = _step_product(s, a, mid, r, first)
-    dh, uh = _step_product(s, mid + 1, b, rows, 1)
-    # (dh I + uh)(dl I + ul) = dh dl I + dh ul + uh dl + uh ul
-    u = [[0] * (r + 1) for _ in range(r + 1)]
-    for i in range(rows):
-        for j in range(max(i + 1, first), r + 1):
-            acc = dh * ul[i][j] + uh[i][j] * dl
-            for k in range(i + 1, j):
-                acc += uh[i][k] * ul[k][j]
-            u[i][j] = acc
-    return dh * dl, u
 
 
 def _step_lcm(s: tuple, w: list, a: int, b: int, rows: int, first: int) -> tuple:
-    """M_b ... M_a as (L, U) with L = lcm(a..b) and M_b ... M_a = I + V,
-    V[i][j] = U[i][j] / L^w[i][j]: the entries of _step_product over lcm
-    denominators, w[i][j] = s_i + ... + s_{j-1}.
+    """The steps n = a..b of harmonic_sum's recurrence, M_b ... M_a, as
+    (L, U) with L = lcm(a..b) and M_b ... M_a = I + V,
+    V[i][j] = U[i][j] / L^w[i][j] and w[i][j] = s_i + ... + s_{j-1}: U is
+    a strictly upper triangular integer matrix, of which only the entries
+    (i, j) with i < rows and j >= first are asked for.
 
-    Up to _SWITCH numbers, _step_product's U / D is brought over L^w by
-    one exact division.  A longer range is split in halves with lcms L_l
-    (low) and L_h (high), g = gcd(L_l, L_h), and L = L_h (L_l/g) =
-    L_l (L_h/g); since w[i][j] = w[i][k] + w[k][j], entry (i, j) of
-    (I + V_h)(I + V_l), times L^w[i][j], is
-    A[i][j] + B[i][j] + sum over i < k < j of A[i][k] B[k][j]
+    Step n is M_n = I + C_n with C_n[i][i+1] = 1 / n^s_i, and
+    M_n (I + V) = I + V + C_n (I + V).  Since L^w[i][j] = L^s_i L^w[i+1][j],
+    step n adds (L/n)^s_i to U[i][i+1] and (L/n)^s_i U[i+1][j] to U[i][j]
+    above it; no step divides.  A range of up to _LEAF numbers is
+    multiplied out this way, step by step, and fills the whole matrix.
+
+    A longer range is split in halves, so the big integers meet in
+    balanced products.  With lcms L_l (low) and L_h (high),
+    g = gcd(L_l, L_h) and L = L_h (L_l/g) = L_l (L_h/g); since
+    w[i][j] = w[i][k] + w[k][j], entry (i, j) of (I + V_h)(I + V_l), times
+    L^w[i][j], is A[i][j] + B[i][j] + sum over i < k < j of A[i][k] B[k][j]
     with A = U_h scaled by (L_l/g)^w and B = U_l scaled by (L_h/g)^w.
+    Entry (i, j) reads row i of the high half and column j of the low
+    half, so a split asks its high half for the same rows and its low half
+    for the same columns.
     """
     r = len(s)
-    if b - a < _SWITCH:
-        den, u = _step_product(s, a, b, rows, first)
+    if b - a < _LEAF:
         lcm = math.lcm(*range(a, b + 1))
-        for i in range(rows):
-            row, weights = u[i], w[i]
-            for j in range(max(i + 1, first), r + 1):
-                row[j] = row[j] * lcm ** weights[j] // den
+        u = [[0] * (r + 1) for _ in range(r + 1)]
+        # rows ascending: row i reads row i + 1 before it changes
+        plan = [(t, i + 1, u[i], u[i + 1], range(i + 2, r + 1)) for i, t in enumerate(s)]
+        for n in range(a, b + 1):
+            q = lcm // n
+            for t, diagonal, row, below, above in plan:
+                c = q**t
+                row[diagonal] += c
+                for j in above:
+                    row[j] += c * below[j]
         return lcm, u
     mid = (a + b) // 2
     ll, ul = _step_lcm(s, w, a, mid, r, first)
@@ -238,15 +217,14 @@ def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
     ascending in j, from h = (0, ..., 0, 1); so H_s(n_max) is entry
     (0, r) of M_{n_max} ... M_1, one Fraction at the end.
 
-    Two denominators carry the entries of a product over a range R of
-    numbers.  Entry (i, j) is the sum over n_i > ... > n_{j-1} in R of
-    prod_k n_k^-s_k, so it is an integer over the product denominator
-    (prod_R n)^max(s) (_step_product), and also over L_R^w with
-    L_R = lcm(R) and w = s_i + ... + s_{j-1}, as each n_k^s_k divides
-    L_R^s_k.  On short ranges the n are distinct enough that the product
-    denominator is the smaller; on long ones L_R grows like e^|R| while
-    prod_R n grows like |R|!, so ranges past _SWITCH numbers are merged
-    over lcms (_step_lcm), and the result is U / lcm(1..n_max)^(s_1 + ... + s_r).
+    Entry (i, j) of the product over a range R of numbers is the sum over
+    n_i > ... > n_{j-1} in R of prod_k n_k^-s_k, so it is an integer over
+    L_R^w with L_R = lcm(R) and w = s_i + ... + s_{j-1}, as each n_k^s_k
+    divides L_R^s_k (_step_lcm).  H_s(n_max) is U / lcm(1..n_max)^|s|,
+    |s| = s_1 + ... + s_r.
+
+    Since log2 lcm(1..N) < 1.5 N, the answer has fewer than about
+    1.5 |s| n_max bits; past _MAX_BITS the sum is refused with DomainError.
     """
     s = _check_composition(s, 1)
     if not _is_int(n_max) or n_max < 0:
@@ -256,23 +234,24 @@ def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
         return Fraction(1)
     if n_max < r:
         return Fraction(0)
-    if n_max <= _SWITCH:
-        den, u = _step_product(s, 1, n_max, 1, r)
-    else:
-        ends = [0, *accumulate(s)]
-        w = [[end - start for end in ends] for start in ends]
-        lcm, u = _step_lcm(s, w, 1, n_max, 1, r)
-        den = lcm ** w[0][r]
-    return Fraction(u[0][r], den)
+    ends = [0, *accumulate(s)]
+    _check_bits(3 * ends[r] * n_max // 2)
+    w = [[end - start for end in ends] for start in ends]
+    lcm, u = _step_lcm(s, w, 1, n_max, 1, r)
+    return Fraction(u[0][r], lcm ** w[0][r])
 
 
 def neg_taylor_coeff(s: Iterable[int], n: int) -> int:
     """N-th Taylor coefficient of the nonpositive-index polylogarithm:
-    sum over n = n1 > n2 > ... > nr >= 1 of n1^s1 ... nr^sr, an integer."""
+    sum over n = n1 > n2 > ... > nr >= 1 of n1^s1 ... nr^sr, an integer.
+
+    It is at most n^(r-1) n^|s|, so it has at most (|s| + r - 1) times the
+    bit length of n bits; past _MAX_BITS it is refused with DomainError."""
     s = _check_composition(s, 0)
     _check_taylor_index(n)
     if not s:
         return 0
+    _check_bits((sum(s) + len(s) - 1) * n.bit_length())
     tail = s[1:]
     if not tail:
         return n ** s[0]

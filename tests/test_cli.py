@@ -189,7 +189,10 @@ def test_exit_codes(capsys):
         (5, ("nf", "star(1/2,0)")),
         (5, ("eval", 'w"0"', "--z", "1.5")),
         (5, ("hsum", "0,1", "5")),
-        (5, ("table", "lineg", "-1")),
+        (2, ("table", "lineg", "-1")),
+        (2, ("table", "lyndon", "-1")),
+        (5, ("hsum", "99999999999999999999", "3")),
+        (5, ("taylor-neg", "99999999999999999999", "3")),
     ]
     for want, argv in cases:
         code, out, err = run_cli(capsys, *argv)

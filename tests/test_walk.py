@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from starshuffle import NCPoly, embed, shuffle
+from starshuffle.errors import DomainError
 from starshuffle.polylog import series
 from starshuffle.polylog.series import (
     EvalParams,
@@ -209,10 +210,11 @@ def test_harmonic_sum_equals_the_row_loop():
 
 
 def test_harmonic_sum_equals_the_product_denominator_split():
-    # N on both sides of every multiple of the leaf and switch lengths, so
-    # that leaves, product-denominator ranges and lcm merges all meet
+    # N on both sides of every multiple of the leaf length and of 128, the
+    # length up to which ranges once kept product denominators, so that
+    # leaves and merges of every size meet
     rng = random.Random(1515)
-    edges = {m * k + d for k in (series._LEAF, series._SWITCH) for m in (1, 2, 3, 4, 8, 16)
+    edges = {m * k + d for k in (series._LEAF, 128) for m in (1, 2, 3, 4, 8, 16)
              for d in (-1, 0, 1)}
     for n in sorted(e for e in edges | {2100} if e <= 2100):
         for _ in range(2):
@@ -222,6 +224,43 @@ def test_harmonic_sum_equals_the_product_denominator_split():
         for n in range(len(s) + 1):
             assert harmonic_sum(s, n) == harmonic_sum_ref(s, n), (s, n)
     assert type(harmonic_sum((2, 1), 300)) is Fraction
+
+
+def test_harmonic_sum_with_the_largest_part_first_last_or_inside():
+    # the largest part sets the leaf's biggest powers (L/n)^s_i and the
+    # merges' biggest rescalings, wherever it sits in the composition
+    for s in ((4, 1, 1), (1, 1, 4), (1, 4, 1, 1), (1, 1, 4, 1)):
+        for n in (15, 16, 17, 31, 32, 33, 2000, 2001, 2002, 2003):
+            assert harmonic_sum(s, n) == harmonic_sum_ref(s, n), (s, n)
+
+
+def test_exact_sums_past_the_bit_budget_are_refused_up_front():
+    refused = [
+        (harmonic_sum, (99999999999999999999,), 3),
+        (harmonic_sum, (1,), 10**20),
+        (harmonic_sum, (3, 3, 3), 10**6),
+        (neg_taylor_coeff, (99999999999999999999,), 3),
+        (neg_taylor_coeff, (2, 2), 2**(2**20)),
+    ]
+    for fn, s, n in refused:
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="bits"):
+            fn(s, n)
+        # unrefused, none of these would finish within minutes
+        assert time.perf_counter() - start < 0.1, (fn, s, n)
+    series._check_bits(series._MAX_BITS)
+    with pytest.raises(DomainError):
+        series._check_bits(series._MAX_BITS + 1)
+    # the bounds, 1.5 |s| N bits for H_s(N) and (|s| + r - 1) bit_length(n)
+    # for the Taylor coefficient, hold; the largest sums that the CLI tests
+    # ask for, hsum 3,3,3 2000 and taylor-neg 2 with n of 2,200 nines,
+    # still answer
+    value = harmonic_sum((3, 3, 3), 2000)
+    assert value == harmonic_sum_ref((3, 3, 3), 2000)
+    assert max(value.numerator, value.denominator).bit_length() < 3 * 9 * 2000 // 2
+    n = int("9" * 2200)
+    assert neg_taylor_coeff((2,), n) == n**2
+    assert neg_taylor_coeff((2, 2), 10**4).bit_length() <= 5 * (10**4).bit_length()
 
 
 def test_exact_sums_refuse_bounds_that_are_not_integers():
