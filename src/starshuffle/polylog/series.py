@@ -17,7 +17,7 @@ Numeric evaluation first reduces every word to words u ending in x1
 (powers of log z pick up trailing x0s), then finds Li_u(z) for all of
 them at once, by one of two routes:
 
-- the direct series (_li_series), Li_u(z) = sum z^n / n^s1 * H_tail(n-1),
+- the direct series (_series_sum), Li_u(z) = sum z^n / n^s1 * H_tail(n-1),
   which stops at the first n >= depth with |term| < eps * (1 - |z|) and
   costs O(1 / (1 - |z|)) terms;
 - the walk (_walk), which takes the values of every suffix of every word
@@ -31,16 +31,22 @@ them at once, by one of two routes:
   in _walk_plan from the step count S and the path's length in the
   metric |dt/t| + |dt/(1-t)|.
 
-_li_values picks the route whose predicted term count is smaller; for
-|z| <= 1/2 the walk has no steps and the direct series answers, so those
-values are exactly the direct series'.
+One decision: _li_values takes the walk when its predicted term count
+(_walk_plan) is below the direct series' (_direct_terms), and the direct
+series otherwise; for |z| <= 1/2 the walk has no steps and the direct
+series answers, so those values are exactly the direct series'.
 
-Refusal: a request is refused with ConvergenceError up front exactly when
-_cannot_stop proves that the direct series cannot meet its stop rule
-within max_terms terms, whichever route would then have answered it; so
-a hopeless request costs microseconds, not max_terms terms.  A walk that
-would pass max_terms terms leaves its words to the direct series, which
-answers or refuses them as it always did.
+One refusal: _li_values refuses a request with ConvergenceError up front
+exactly when _cannot_stop proves that the direct series cannot meet its
+stop rule within max_terms terms, whichever route would then have
+answered it; so a hopeless request costs microseconds, not max_terms
+terms.  A walk that raises ConvergenceError, past max_terms terms or on
+a first leg that cannot stop, leaves its words to the direct series,
+which answers or refuses them as it always did.
+
+A factor z^a0, (1-z)^-a1 or log(z)^n / n!, or a coefficient, that lies
+outside the float range is refused with DomainError (_eval_terms,
+_log_power).
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from ..errors import ConvergenceError, DomainError
@@ -246,20 +252,25 @@ def neg_taylor_coeff(s: Iterable[int], n: int) -> int:
     sum over n = n1 > n2 > ... > nr >= 1 of n1^s1 ... nr^sr, an integer.
 
     It is at most n^(r-1) n^|s|, so it has at most (|s| + r - 1) times the
-    bit length of n bits; past _MAX_BITS it is refused with DomainError."""
+    bit length of n bits; past _MAX_BITS it is refused with DomainError.
+
+    The inner sums are polynomials in m, kept as coefficients a_k in the
+    basis C(m, k), from the innermost out: starting from 1, each part t
+    multiplies by m t times, by m C(m, k) = (k+1) C(m, k+1) + k C(m, k),
+    and then sums over 1 <= x < m, by
+    sum_{1 <= x < m} C(x, k) = C(m, k+1) - [k = 0].  So the coefficient
+    takes O((|s| + r)^2) integer operations, whatever n."""
     s = _check_composition(s, 0)
     _check_taylor_index(n)
     if not s:
         return 0
     _check_bits((sum(s) + len(s) - 1) * n.bit_length())
-    tail = s[1:]
-    if not tail:
-        return n ** s[0]
-    h = [0] * len(tail) + [1]
-    for m in range(1, n):
-        for j in range(len(tail)):
-            h[j] += m ** tail[j] * h[j + 1]
-    return n ** s[0] * h[0]
+    a = [1]
+    for t in reversed(s[1:]):
+        for _ in range(t):
+            a = [k * (low + high) for k, (low, high) in enumerate(zip([0, *a], [*a, 0]))]
+        a = [-a[0], *a]
+    return n ** s[0] * sum(c * math.comb(n, k) for k, c in enumerate(a))
 
 
 @lru_cache(maxsize=1024)
@@ -286,7 +297,7 @@ _LOG_TINY = -700.0
 
 
 def _cannot_stop(s: tuple, z: complex, cutoff: float, max_terms: int) -> bool:
-    """True when no n <= max_terms can meet the stop rule of _li_series,
+    """True when no n <= max_terms can meet the stop rule of _series_sum,
     n >= depth and |term_n| < cutoff.
 
     For n >= depth, h[0] = H_tail(n-1) >= H_tail(r) = prod_j (r-j)^-t_j,
@@ -314,25 +325,33 @@ def _cannot_stop(s: tuple, z: complex, cutoff: float, max_terms: int) -> bool:
     return log_bound - margin >= max(log_cutoff, _LOG_TINY)
 
 
-def _li_series(u: Word, p: EvalParams) -> complex:
-    """Sum the series for Li_u, u ending in x1, at p.z: the direct route
-    of _li_values, and the first leg of the walk.
+def _refuse_hopeless(comps: list, z, cutoff: float, max_terms: int) -> None:
+    """Raise ConvergenceError when _cannot_stop proves it for a composition."""
+    for s in comps:
+        if _cannot_stop(s, z, cutoff, max_terms):
+            raise _no_convergence(max_terms, cutoff)
 
-    Stop rule: stop after the first term n >= depth with
-    |term_n| < eps * (1 - |z|).  For depth 1 the terms |z|^n / n^s1 shrink
+
+def _series_sum(s: tuple, z, cutoff: float, n_max: int):
+    """Sum the direct series of Li_u, u the word of the composition s, at
+    z in the number type of z: float for a real point (see _li_values),
+    else complex.  The direct route of _li_values, and the first leg of
+    the walk.
+
+    Stop rule: stop after the first term n >= depth with |term_n| < cutoff,
+    cutoff = eps * (1 - |z|).  For depth 1 the terms |z|^n / n^s1 shrink
     at least geometrically, so the tail left behind is below eps; deeper
     words grow h[0] = H_tail(n-1) slowly and the rule is a heuristic.
 
-    Refusal: ConvergenceError is raised when max_terms terms do not meet
-    the rule.  _cannot_stop proves this up front from the lower bound
-    |term_n| >= |z|^n n^-s1 H_tail(len(tail)).  At depth 1 h[0] = 1, the
-    bound is the term itself, and a hopeless request is refused up front
-    unless it lies within rounding of the boundary or below
-    exp(_LOG_TINY).  Deeper words grow h[0], so there the bound is
-    conservative, and the loop refuses some hopeless requests only after
-    max_terms terms.  Both raise the same message.  _li_values applies the
-    same up-front refusal to every word before it picks a route, so the
-    walk answers no request that this refusal turns away.
+    Refusal: ConvergenceError is raised when n_max terms do not meet the
+    rule.  _cannot_stop proves this up front from the lower bound
+    |term_n| >= |z|^n n^-s1 H_tail(len(tail)), and _li_values applies it to
+    every word before it picks a route (_refuse_hopeless).  At depth 1
+    h[0] = 1, the bound is the term itself, and a hopeless request is
+    refused up front unless it lies within rounding of the boundary or
+    below exp(_LOG_TINY).  Deeper words grow h[0], so there the bound is
+    conservative, and this loop refuses some hopeless requests only after
+    n_max terms.  Both raise the same message.
 
     Summation: terms are added in blocks of _BLOCK, and the block sums'
     real and imaginary parts are added with math.fsum, so rounding grows
@@ -344,22 +363,6 @@ def _li_series(u: Word, p: EvalParams) -> complex:
     2^-1000 times the largest h.  A row h[j] then stays put, and the rows
     above it no longer matter; when n^s1 overflows, the sum stops there.
     """
-    s = composition_of_word(u)
-    cutoff = p.eps * (1.0 - abs(p.z))
-    _refuse_hopeless([s], p.z, cutoff, p.max_terms)
-    return _series_sum(s, p.z, cutoff, p.max_terms)
-
-
-def _refuse_hopeless(comps: list, z, cutoff: float, max_terms: int) -> None:
-    """Raise ConvergenceError when _cannot_stop proves it for a composition."""
-    for s in comps:
-        if _cannot_stop(s, z, cutoff, max_terms):
-            raise _no_convergence(max_terms, cutoff)
-
-
-def _series_sum(s: tuple, z, cutoff: float, n_max: int):
-    """_li_series past its up-front refusal, in the number type of z:
-    float for a real point (see _li_values), else complex."""
     number = type(z)
     s1 = s[0]
     tail = s[1:]
@@ -445,8 +448,7 @@ def _suffix_trie(words: list) -> list:
 
 
 def _walk_plan(nodes: list, z: complex, eps: float) -> tuple:
-    """(points, eps0, tau, sizes, predicted terms) of the walk to z, sizes
-    being the predicted terms per node of each step.
+    """(points, eps0, tau, predicted terms) of the walk to z.
 
     Error budget, from which tau follows.  An error e in the value of a
     node v, made anywhere on the path, reaches a node u = a_1 ... a_m v at
@@ -465,7 +467,8 @@ def _walk_plan(nodes: list, z: complex, eps: float) -> tuple:
 
     Predicted terms: the first leg takes about log2(1 / eps0) terms per
     node and per letter x1, and a step of ratio rho = |h| / min(|p|, |1-p|)
-    about log(tau) / log(rho) terms per node and per letter's factors.
+    about log(tau) / log(rho) terms (its size) per node and per letter's
+    factors.
     """
     points, length = _path(z)
     steps = len(points) - 1
@@ -481,11 +484,10 @@ def _walk_plan(nodes: list, z: complex, eps: float) -> tuple:
     letters = len({u & 1 for u in nodes})
     predicted = (sum(first * u.count(1) for u in nodes)
                  + (len(nodes) + letters) * sum(sizes))
-    return points, eps0, tau, sizes, predicted
+    return points, eps0, tau, predicted
 
 
-def _walk(nodes: list, points: list, eps0: float, tau: float, sizes: list,
-          p: EvalParams) -> dict:
+def _walk(nodes: list, points: list, eps0: float, tau: float, p: EvalParams) -> dict:
     """Li of every trie node at p.z, by Taylor steps along the path.
 
     With g_u(s) = Li_u(p + s h) = sum_k b_k s^k on a step from p, the
@@ -495,13 +497,14 @@ def _walk(nodes: list, points: list, eps0: float, tau: float, sizes: list,
         x1: b_{k+1} = h (b_v,k + k b_k) / ((1-p) (k+1)),
     from b_0 = Li_u(p), v the node's child; the empty word has
     b = (1, 0, 0, ...).  With c = h/p (x0) or h/(1-p) (x1), a step keeps
-    per letter the factors c/(k+1) and -+ c k/(k+1) for all nodes, sized
-    from the plan.
+    per letter the factors c/(k+1) and -+ c k/(k+1) for all nodes, grown as
+    far as the nodes ask; each is the same float whenever it is computed.
 
     A node takes at least as many terms as its child.  Past them its terms
     shrink by at least half each, and it stops when its last two terms are
     below tau (see _walk_plan); the next value is their sum, smallest
-    first.  The first leg is _li_series at p_0; the Taylor terms of all
+    first.  The first leg is the direct series (_series_sum) at p_0, which
+    raises ConvergenceError when it cannot stop; the Taylor terms of all
     steps count against p.max_terms, and past it ConvergenceError is
     raised.
 
@@ -512,23 +515,18 @@ def _walk(nodes: list, points: list, eps0: float, tau: float, sizes: list,
     """
     start = points[0]
     cutoff = eps0 * (1.0 - abs(start))
-    comps = [composition_of_word(u) for u in nodes]
-    _refuse_hopeless(comps, start, cutoff, p.max_terms)
-    values = [_series_sum(s, start, cutoff, p.max_terms) for s in comps]
+    values = [_series_sum(composition_of_word(u), start, cutoff, p.max_terms) for u in nodes]
     index = {int(u): i for i, u in enumerate(nodes)}  # u >> 1 is a plain int
     children = [index.get(u >> 1) for u in nodes]
     letters = [u & 1 for u in nodes]
     budget = p.max_terms
-    for a, q, size in zip(points, points[1:], sizes):
+    for a, q in zip(points, points[1:]):
         h = q - a
         rates = (h / a, h / (1 - a))
-        factors: list = [None, None]
+        factors = ([], []), ([], [])
         taylor = []
         for value, child, letter in zip(values, children, letters):
             c = rates[letter]
-            if factors[letter] is None:
-                factors[letter] = ([], [])
-                _grow(*factors[letter], c, letter, int(size) + 8)
             cks, oks = factors[letter]
             child_terms = [1.0] if child is None else taylor[child]
             k = len(child_terms)
@@ -579,15 +577,16 @@ def _direct_terms(s1: int, radius: float, cutoff: float) -> float:
 def _li_values(words: list, p: EvalParams) -> dict:
     """{u: Li_u(p.z)} for distinct words u ending in x1.
 
-    One route for all the words: the direct series, or one walk when its
-    predicted term count (_walk_plan) is below the direct series', which
-    sums about _direct_terms terms per word, each updating one row per
-    letter x1.  _walk_may_win settles most points before either
-    prediction.  For |z| <= 1/2 the walk has no steps and the direct
-    series answers.  Either way a word that _cannot_stop refuses is
-    refused before any summing, and a walk that would pass max_terms
-    leaves the words to the direct series, so the walk only ever turns
-    a refusal into an answer.
+    One refusal: a word that _cannot_stop refuses is refused here, before
+    any summing, whichever route would answer.
+
+    One decision: all the words take one walk when its predicted term
+    count (_walk_plan) is below the direct series', which sums about
+    _direct_terms terms per word, each updating one row per letter x1;
+    otherwise each word takes the direct series.  For |z| <= 1/2 the walk
+    has no steps and the direct series answers.  A walk that raises
+    ConvergenceError leaves the words to the direct series, so the walk
+    only ever turns a refusal into an answer.
 
     A real point is summed in floats, and its values come back as complex
     numbers with imaginary part +0.0.  Complex products, quotients, sums
@@ -601,39 +600,19 @@ def _li_values(words: list, p: EvalParams) -> dict:
     comps = [composition_of_word(u) for u in words]
     _refuse_hopeless(comps, p.z, cutoff, p.max_terms)
     z = p.z.real if p.z.imag == 0 else p.z
-    if radius > 0.5 and comps and _walk_may_win(comps, radius, cutoff, p.eps):
+    if radius > 0.5 and comps:
         per_s1 = {s1: _direct_terms(s1, radius, cutoff) for s1 in {s[0] for s in comps}}
         direct = sum(len(s) * per_s1[s[0]] for s in comps)
         nodes = _suffix_trie(words)
-        points, eps0, tau, sizes, walk = _walk_plan(nodes, z, p.eps)
+        points, eps0, tau, walk = _walk_plan(nodes, z, p.eps)
         if walk < direct:
             try:
-                values = _walk(nodes, points, eps0, tau, sizes, p)
-            except ConvergenceError:  # past max_terms: the direct series decides
+                values = _walk(nodes, points, eps0, tau, p)
+            except ConvergenceError:  # the direct series decides
                 pass
             else:
                 return {u: complex(values[u]) for u in words}
     return {u: complex(_series_sum(s, z, cutoff, p.max_terms)) for u, s in zip(words, comps)}
-
-
-def _walk_may_win(comps: list, radius: float, cutoff: float, eps: float) -> bool:
-    """False when a floor on the walk's terms reaches a ceiling on the
-    direct series'.
-
-    The trie holds every suffix of each word u; ends = accumulate(its
-    composition) are the x1 positions, so the suffixes hold sum(ends)
-    letters x1 and u has ends[-1] letters.  The first leg takes at least
-    log2(4 / eps) terms per suffix and letter x1, and the first step at
-    least log(eps / 4) / log(rho_1) terms per node and per letter's
-    factors.  The direct series takes at most log(cutoff) / log|z| terms
-    per row.
-    """
-    first = math.log2(4 / eps)
-    step = math.log(eps / 4) / math.log(min(0.5, 2 * radius - 1))
-    floor = max(sum(ends) * first + (ends[-1] + 1) * step
-                for ends in (list(accumulate(s)) for s in comps))
-    rows = sum(len(s) for s in comps)
-    return rows * math.log(cutoff) / math.log(radius) > floor
 
 
 def _reduced(w: Word, p: EvalParams, words: dict) -> list:
@@ -658,9 +637,23 @@ def _sum_pieces(pieces: list, li: dict, z: complex) -> complex:
     for u, n, c in pieces:
         val = li[u] if len(u) else 1.0 + 0j
         if n:
-            val *= cmath.log(z) ** n / math.factorial(n)
+            val *= _log_power(z, n)
         total += c * val
     return total
+
+
+def _log_power(z: complex, n: int) -> complex:
+    """log(z)^n / n!.  Where log(z)^n or n! overflows, it is the running
+    product of log(z) / k over k = 1..n instead, which rounds to 0 where
+    the value is below the float range; where that product passes the
+    float range, the value is refused with DomainError."""
+    try:
+        return cmath.log(z) ** n / math.factorial(n)
+    except OverflowError:
+        value = reduce(mul, [cmath.log(z) / k for k in range(1, n + 1)], 1.0 + 0j)
+    if not cmath.isfinite(value):
+        raise DomainError(f"log(z)^{n} / {n}! lies outside the float range")
+    return value
 
 
 def eval_li_word(w: Word, p: EvalParams) -> complex:
@@ -674,7 +667,9 @@ def eval_li_word(w: Word, p: EvalParams) -> complex:
 
 def _eval_terms(terms: Iterable, p: EvalParams) -> complex:
     """Sum c * Li_w(z) * z^a0 * (1-z)^(-a1) over pairs ((w, a0, a1), c),
-    in term order, with every Li_u from one call of _li_values."""
+    in term order, with every Li_u from one call of _li_values.  A factor
+    z^a0 or (1-z)^-a1, an exponent or a coefficient c outside the float
+    range is refused with DomainError."""
     z = p.z
     words: dict = {}
     todo = []
@@ -686,13 +681,18 @@ def _eval_terms(terms: Iterable, p: EvalParams) -> complex:
     total = 0j
     for a0, a1, c, pieces in todo:
         val = 1.0 + 0j
-        if a0:
-            val *= z ** float(a0) if z != 0 else 0j
-        if a1:
-            val *= (1.0 - z) ** (-float(a1))
+        try:
+            if a0:
+                val *= z ** float(a0) if z != 0 else 0j
+            if a1:
+                val *= (1.0 - z) ** (-float(a1))
+            coeff = float(c)
+        except OverflowError:
+            raise DomainError("a factor z^a0 or (1-z)^-a1 or a coefficient "
+                              "lies outside the float range") from None
         if pieces is not None:
             val *= _sum_pieces(pieces, li, z)
-        total += float(c) * val
+        total += coeff * val
     return total
 
 

@@ -103,6 +103,14 @@ def cases() -> list[list[str]]:
     for argv in [(), ("--z", "0.25", "--n", "2"), ("--z", "0.5", "--n", "12"), ("--n", "0"),
                  ("--z", "1.5"), ("--z", "1"), ("--z", "0.9", "--n", "5")]:
         each_mode("demo-discontinuity", *argv)
+    # values past the float range, refused or summed as a running product,
+    # and a Taylor index far past any loop over it
+    out += [["eval", "star(0,100000)", "--z", "0.9"],
+            ["eval", "star(-100000,0)", "--z", "0.001"],
+            ["eval", "9" * 400 + ' * w"1"', "--z", "0.5"],
+            ["eval", 'w"' + "0" * 171 + '"', "--z", "0.5"],
+            ["eval", 'w"' + "0" * 170 + '"', "--z", "1e-300"],
+            ["taylor-neg", "1,1", "100000000"]]
     return out
 
 

@@ -47,7 +47,15 @@ step_product_ref and harmonic_sum_ref are the exact nested sums as they
 were split before the lcm denominators: every entry of every range over
 the one product denominator (prod n)^max(s), leaves of 8 numbers.
 harmonic_sum must give their Fractions.  stirling2_rec is stirling2 as it
-recursed on n.
+recursed on n.  neg_taylor_coeff_loop is neg_taylor_coeff as it ran the
+nested sum over every m < n; the sum in the binomial basis must give its
+ints.
+
+li_series_ref is the direct series of one word as series._li_series
+summed it: the up-front refusal, then the loop, at the complex point.
+walk_may_win is the floor/ceiling filter that series._li_values ran
+before its two term predictions: wherever it chose the direct series,
+the predictions must choose it too.
 
 canonical_ref is rewrite._canonical as it expanded reduce_exponents on
 every call, before the exponent table; symfun_mul_canonical_loop reads
@@ -67,13 +75,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
-from math import comb, factorial, lcm
+from itertools import accumulate, chain, product
+from math import comb, factorial, lcm, log, log2
 
 from starshuffle.errors import DomainError, NonElementaryConstantError
 from starshuffle.polylog.integrate import _A, _J, _K, _P, _li_coeffs, _piece_index, _zeta_numeric
 from starshuffle.polylog.negindex import _nested_indices
-from starshuffle.polylog.series import _check_composition, stirling2
+from starshuffle.polylog.series import (
+    _check_composition,
+    _refuse_hopeless,
+    _series_sum,
+    stirling2,
+)
 from starshuffle.polylog.symfun import SymFun, _symfun_pair
 from starshuffle.linear import _bilinear, _common_scale, _fractions, _sum_rule
 from starshuffle.rewrite import _check_laurent, _check_strategy, reduce_exponents
@@ -737,6 +750,47 @@ def stirling2_rec(n: int, k: int) -> int:
     if k > n:
         return 0
     return k * stirling2_rec(n - 1, k) + stirling2_rec(n - 1, k - 1)
+
+
+def neg_taylor_coeff_loop(s, n: int) -> int:
+    s = _check_composition(s, 0)
+    if not s:
+        return 0
+    tail = s[1:]
+    if not tail:
+        return n ** s[0]
+    h = [0] * len(tail) + [1]
+    for m in range(1, n):
+        for j in range(len(tail)):
+            h[j] += m ** tail[j] * h[j + 1]
+    return n ** s[0] * h[0]
+
+
+def li_series_ref(u: Word, p):
+    s = composition_of_word(u)
+    cutoff = p.eps * (1.0 - abs(p.z))
+    _refuse_hopeless([s], p.z, cutoff, p.max_terms)
+    return _series_sum(s, p.z, cutoff, p.max_terms)
+
+
+def walk_may_win(comps: list, radius: float, cutoff: float, eps: float) -> bool:
+    """False when a floor on the walk's terms reaches a ceiling on the
+    direct series'.
+
+    The trie holds every suffix of each word u; ends = accumulate(its
+    composition) are the x1 positions, so the suffixes hold sum(ends)
+    letters x1 and u has ends[-1] letters.  The first leg takes at least
+    log2(4 / eps) terms per suffix and letter x1, and the first step at
+    least log(eps / 4) / log(rho_1) terms per node and per letter's
+    factors.  The direct series takes at most log(cutoff) / log|z| terms
+    per row.
+    """
+    first = log2(4 / eps)
+    step = log(eps / 4) / log(min(0.5, 2 * radius - 1))
+    floor = max(sum(ends) * first + (ends[-1] + 1) * step
+                for ends in (list(accumulate(s)) for s in comps))
+    rows = sum(len(s) for s in comps)
+    return rows * log(cutoff) / log(radius) > floor
 
 
 def words_up_to(n: int) -> list:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,12 +194,26 @@ def test_exit_codes(capsys):
         (2, ("table", "lyndon", "-1")),
         (5, ("hsum", "99999999999999999999", "3")),
         (5, ("taylor-neg", "99999999999999999999", "3")),
+        # values outside the float range are refused, not raised as OverflowError
+        (5, ("eval", "star(0,100000)", "--z", "0.9")),
+        (5, ("eval", "star(-100000,0)", "--z", "0.001")),
+        (5, ("eval", "9" * 400 + ' * w"1"', "--z", "0.5")),
+        # log(z)^n / n! past the float range on the way: a running product
+        (0, ("eval", 'w"' + "0" * 171 + '"', "--z", "0.5")),
+        (0, ("eval", 'w"' + "0" * 170 + '"', "--z", "1e-300")),
+        # an index far past any loop over it
+        (0, ("taylor-neg", "1,1", "100000000")),
     ]
     for want, argv in cases:
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5, argv
         assert code == want, argv
-        assert not out
-        assert err.startswith("error: ")
+        if want:
+            assert not out
+            assert err.startswith("error: ")
+        else:
+            assert out and not err, argv
 
 
 def test_json_outputs_carry_schema(capsys):

@@ -255,11 +255,11 @@ def test_li_series_refuses_exactly_when_the_plain_loop_does():
     import cmath
     import random
 
-    from starshuffle.polylog.series import _li_series
+    from kernel_reference import li_series_ref
 
     def li_or_none(u, p):
         try:
-            return _li_series(u, p)
+            return li_series_ref(u, p)
         except ConvergenceError:
             return None
 
@@ -297,6 +297,23 @@ def test_li_series_refuses_exactly_when_the_plain_loop_does():
         want, _ = _plain_li_series(u, p)
         got = li_or_none(u, p)
         assert (got is None) == (want is None), (comp, z, p)
+
+
+def test_values_past_the_float_range_are_answered_or_refused():
+    # log(z)^n / n! where log(z)^n or n! overflows: the running product,
+    # which rounds to 0 below the float range (the true value is -4.9e-337)
+    assert eval_li_word(Word("0" * 171), EvalParams(0.5)) == 0
+    want = math.exp(170 * math.log(-math.log(1e-300)) - math.lgamma(171))
+    got = eval_li_word(Word("0" * 170), EvalParams(1e-300))
+    assert abs(got - want) <= 1e-12 * want
+    # log(1e-320)^800 / 800! is about e^730
+    with pytest.raises(DomainError, match="float range"):
+        eval_li_word(Word("0" * 800), EvalParams(1e-320))
+    # a factor z^a0 or (1-z)^-a1, or a coefficient, past the float range
+    for s, z in ((plane_star(0, 100000), 0.9), (plane_star(-100000, 0), 0.001),
+                 (StarSeries({star_term(Word("1")): 10**400}), 0.5)):
+        with pytest.raises(DomainError, match="float range"):
+            eval_li2(s, EvalParams(z))
 
 
 def test_hopeless_requests_are_refused_fast():

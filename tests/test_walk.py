@@ -24,9 +24,15 @@ from starshuffle.polylog.series import (
     neg_taylor_coeff,
     stirling2,
 )
-from starshuffle.words import Word, word_of_composition
+from starshuffle.words import Word, composition_of_word, word_of_composition
 
-from kernel_reference import harmonic_sum_ref, stirling2_rec
+from kernel_reference import (
+    harmonic_sum_ref,
+    li_series_ref,
+    neg_taylor_coeff_loop,
+    stirling2_rec,
+    walk_may_win,
+)
 
 ANGLES = (0.0, 0.3, -0.3, 2.0, -2.0, 2.8, -2.8)
 
@@ -34,8 +40,8 @@ ANGLES = (0.0, 0.3, -0.3, 2.0, -2.0, 2.8, -2.8)
 def _walk_values(words, p):
     """Li of each word at p.z by the walk, whatever the route selection."""
     nodes = series._suffix_trie(words)
-    points, eps0, tau, sizes, _ = series._walk_plan(nodes, p.z, p.eps)
-    values = series._walk(nodes, points, eps0, tau, sizes, p)
+    points, eps0, tau, _ = series._walk_plan(nodes, p.z, p.eps)
+    values = series._walk(nodes, points, eps0, tau, p)
     return [values[u] for u in words]
 
 
@@ -100,7 +106,7 @@ def test_walk_agrees_with_the_direct_series_away_from_the_circle():
             p = EvalParams(cmath.rect(radius, angle), eps=1e-13)
             walked = _walk_values(words, p)
             for u, got in zip(words, walked):
-                want = series._li_series(u, p)
+                want = li_series_ref(u, p)
                 assert abs(got - want) <= 1e-12, (u, radius, angle)
 
 
@@ -110,12 +116,54 @@ def test_selection_picks_the_cheaper_route():
     for z in (0.6, 0.75, cmath.rect(0.8, 0.3), cmath.rect(0.7, -2.0)):
         p = EvalParams(z)
         for u in words:
-            assert eval_li_word(u, p) == series._li_series(u, p), (u, z)
+            assert eval_li_word(u, p) == li_series_ref(u, p), (u, z)
     # near it the walk answers
     for z in (0.9999, cmath.rect(0.999, 2.0)):
         p = EvalParams(z)
         for u in words:
             assert [eval_li_word(u, p)] == _walk_values([u], p), (u, z)
+
+
+def test_predictions_pick_the_direct_series_wherever_the_former_filter_did():
+    # _li_values's decision, |z| > 1/2, past the up-front refusal: the walk
+    # when its predicted term count is below the direct series'.  The
+    # floor/ceiling filter that once ran first never kept a walk out that
+    # the predictions would take.
+    rng = random.Random(2020)
+    comps = [s for d in range(1, 7) for s in itertools.product(range(1, 7), repeat=d)
+             if sum(s) <= 6]
+    asked = {True: 0, False: 0}
+    while sum(asked.values()) < 10_000:
+        words = list({word_of_composition(rng.choice(comps)) for _ in range(rng.randint(1, 4))})
+        radius = 1 - 10 ** rng.uniform(-7, math.log10(0.5))
+        z = radius if rng.random() < 0.5 else cmath.rect(radius, rng.uniform(-3.1, 3.1))
+        p = EvalParams(z, eps=10 ** rng.uniform(-15, -3))
+        radius, cutoff = abs(p.z), p.eps * (1.0 - abs(p.z))
+        parts = [composition_of_word(u) for u in words]
+        try:
+            series._refuse_hopeless(parts, p.z, cutoff, p.max_terms)
+        except series.ConvergenceError:
+            continue
+        direct = sum(len(s) * series._direct_terms(s[0], radius, cutoff) for s in parts)
+        point = p.z.real if p.z.imag == 0 else p.z
+        *_, walk = series._walk_plan(series._suffix_trie(words), point, p.eps)
+        may_win = walk_may_win(parts, radius, cutoff, p.eps)
+        assert may_win or walk >= direct, (words, z, p.eps)
+        asked[may_win] += 1
+    assert min(asked.values()) > 300, asked
+
+
+def test_neg_taylor_coeff_equals_the_loop():
+    rng = random.Random(2021)
+    for _ in range(3000):
+        s = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 4)))
+        n = rng.randint(1, 60)
+        assert neg_taylor_coeff(s, n) == neg_taylor_coeff_loop(s, n), (s, n)
+    for s in ((0, 0), (1, 0, 2), (3, 3, 3)):
+        assert neg_taylor_coeff(s, 2003) == neg_taylor_coeff_loop(s, 2003), s
+    start = time.perf_counter()
+    assert neg_taylor_coeff((1, 1), 10**8) == 499999995000000000000000
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("word", ["1", "01", "11", "011"])
@@ -178,9 +226,9 @@ def test_a_walk_past_max_terms_leaves_the_words_to_the_direct_series():
     words: dict = {}
     series._reduced(w, p, words)
     nodes = series._suffix_trie(list(words))
-    points, eps0, tau, sizes, _ = series._walk_plan(nodes, z, p.eps)
+    points, eps0, tau, _ = series._walk_plan(nodes, z, p.eps)
     with pytest.raises(series.ConvergenceError):
-        series._walk(nodes, points, eps0, tau, sizes, p)
+        series._walk(nodes, points, eps0, tau, p)
     got = eval_li_word(w, p)
     assert abs(got - eval_li_word(w, EvalParams(z, eps=1e-14))) <= 1e-9
 
