@@ -156,9 +156,8 @@ def _germ(key: tuple) -> tuple:
     z^m log^n(z)/n! for m <= 0, as ((n, m), int) items over one
     denominator.  The orders m > 0 vanish at 0 and are left out."""
     k, l, w = key
-    items, den = _reduce_trailing_x0(w)
     out: dict = {}
-    for (u, n), c in items:
+    for (u, n), c in _reduce_trailing_x0(w):
         dep = u.count(1)
         if k + dep > 0:
             continue
@@ -168,7 +167,7 @@ def _germ(key: tuple) -> tuple:
                 # k <= 0 and k*l = 0: only the constant term of (1-z)^(-l)
                 # reaches the orders <= 0
                 out[n, k + p] = out.get((n, k + p), 0) + c * cs[p]
-    return _items({g: c / den for g, c in out.items() if c})
+    return _items({g: c for g, c in out.items() if c})
 
 
 def _limit_of_germ(germ: dict) -> Fraction:
@@ -242,9 +241,8 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     cancellations across different Li_u log^n groups are out of scope.
     """
     # each word's row re-keyed by the group (u, n, -l) a piece adds to at 1
-    rows = ((c, l, *_reduce_trailing_x0(w)) for (k, l, w), c in f.terms.items())
-    sums = _combine((c, [((u, n, -l), m) for (u, n), m in items], den)
-                    for c, l, items, den in rows)
+    sums = _combine((c, [((u, n, -l), m) for (u, n), m in _reduce_trailing_x0(w)], 1)
+                    for (k, l, w), c in f.terms.items())
     groups: dict = {}
     for (u, n, j), c in sums.items():
         groups.setdefault((u, n), {})[j] = c

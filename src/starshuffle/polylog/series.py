@@ -44,9 +44,9 @@ terms.  A walk that raises ConvergenceError, past max_terms terms or on
 a first leg that cannot stop, leaves its words to the direct series,
 which answers or refuses them as it always did.
 
-A factor z^a0, (1-z)^-a1 or log(z)^n / n!, or a coefficient, that lies
-outside the float range is refused with DomainError (_eval_terms,
-_log_power).
+A factor z^a0, (1-z)^-a1 or log(z)^n / n!, a coefficient of a term or
+of a reduced row, or a sum, that lies outside the float range is refused
+with DomainError (_eval_terms, _log_power).
 """
 
 from __future__ import annotations
@@ -615,30 +615,30 @@ def _li_values(words: list, p: EvalParams) -> dict:
     return {u: complex(_series_sum(s, z, cutoff, p.max_terms)) for u, s in zip(words, comps)}
 
 
-def _reduced(w: Word, p: EvalParams, words: dict) -> list:
-    """Li_w as pieces (u, n, c), meaning c Li_u log^n(z) / n! with c a
-    float, u empty or ending in x1, in the piece order of the word's
-    reduced row.  Adds each nonempty u to words, and raises at once on the
-    logarithm's pole at z = 0."""
-    items, den = _reduce_trailing_x0(w)
-    out = []
-    for (u, n), c in items:
+def _reduced(w: Word, p: EvalParams, words: dict) -> tuple:
+    """Li_w as its reduced row, pieces ((u, n), c) meaning
+    c Li_u log^n(z) / n! with c an int and u empty or ending in x1.  Adds
+    each nonempty u to words, and raises at once on the logarithm's pole
+    at z = 0."""
+    row = _reduce_trailing_x0(w)
+    for (u, n), _ in row:
         if len(u):
             words[u] = None
         if n and p.z == 0:
             raise DomainError("logarithm pole at z = 0")
-        out.append((u, n, c / den))  # int / int rounds once, as float(Fraction) does
-    return out
+    return row
 
 
-def _sum_pieces(pieces: list, li: dict, z: complex) -> complex:
-    """The float sum of the pieces (u, n, c) of _reduced, Li_u read off li."""
+def _sum_pieces(pieces: tuple, li: dict, z: complex) -> complex:
+    """The float sum of the pieces ((u, n), c) of _reduced, Li_u read off
+    li.  float(c) rounds once and raises OverflowError outside the float
+    range."""
     total = 0j
-    for u, n, c in pieces:
+    for (u, n), c in pieces:
         val = li[u] if len(u) else 1.0 + 0j
         if n:
             val *= _log_power(z, n)
-        total += c * val
+        total += float(c) * val
     return total
 
 
@@ -658,18 +658,17 @@ def _log_power(z: complex, n: int) -> complex:
 
 def eval_li_word(w: Word, p: EvalParams) -> complex:
     """Li_w(z) numerically, via the reduction to words without trailing x0
-    (powers of log pick up the removed letters): the one-word case of
-    _eval_terms."""
-    words: dict = {}
-    pieces = _reduced(w, p, words)
-    return _sum_pieces(pieces, _li_values(list(words), p), p.z)
+    (powers of log pick up the removed letters): the one-term case of
+    _eval_terms, with the same floats, since the sum of the pieces holds
+    no negative zero."""
+    return _eval_terms((((w, 0, 0), 1),), p)
 
 
 def _eval_terms(terms: Iterable, p: EvalParams) -> complex:
     """Sum c * Li_w(z) * z^a0 * (1-z)^(-a1) over pairs ((w, a0, a1), c),
     in term order, with every Li_u from one call of _li_values.  A factor
-    z^a0 or (1-z)^-a1, an exponent or a coefficient c outside the float
-    range is refused with DomainError."""
+    z^a0 or (1-z)^-a1, an exponent, a coefficient c or one of a reduced
+    row, or a sum outside the float range is refused with DomainError."""
     z = p.z
     words: dict = {}
     todo = []
@@ -687,12 +686,14 @@ def _eval_terms(terms: Iterable, p: EvalParams) -> complex:
             if a1:
                 val *= (1.0 - z) ** (-float(a1))
             coeff = float(c)
+            if pieces is not None:
+                val *= _sum_pieces(pieces, li, z)
         except OverflowError:
             raise DomainError("a factor z^a0 or (1-z)^-a1 or a coefficient "
                               "lies outside the float range") from None
-        if pieces is not None:
-            val *= _sum_pieces(pieces, li, z)
         total += coeff * val
+    if not cmath.isfinite(total):  # a sum of finite terms past the float range
+        raise DomainError("the sum lies outside the float range")
     return total
 
 

@@ -27,8 +27,12 @@ because a key of d/dz that cancels across terms must place none of its
 images: that keeps the order of the output keys.
 
 _reduce_trailing_x0(w) is the one reduced row per word: Li_w over the
-basis Li_u log^n(z)/n!, u empty or ending in x1, as ((u, n), int) items
-over one denominator, in the fixed piece order (|u|, u, n).  to_pieces,
+basis Li_t log^j(z)/j!, t empty or ending in x1, in the fixed piece order
+(|t|, t, j).  For w = u x1 x0^n it is the closed form
+u x1 x0^n = sum over m of (-1)^m ((u sh x0^m) x1) sh x0^(n-m), built in
+one pass over m with no recursion; its entries are signed shuffle
+multiplicities, so the row is a tuple of ((t, j), int) items with no
+denominator, and a row past _MAX_ROW_LETTERS is refused.  to_pieces,
 the germs and limits of integrate, the numeric evaluator and the public
 reduce_trailing_x0 all read it.  _piece_sums is to_pieces before its
 Fractions are built, which iota_0 reads.
@@ -36,13 +40,15 @@ Fractions are built, which iota_0 reads.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from ..linear import (LinearCombination, _bilinear, _combine, _fractions, _is_scalar, _items,
-                      _linear, _sum_rule, _sums)
+from ..errors import DomainError
+from ..linear import LinearCombination, _bilinear, _fractions, _is_scalar, _linear, _sum_rule, _sums
 from ..rewrite import _canonical
-from ..shuffle_core import NCPoly, _shuffle_words, shuffle
+from ..shuffle_core import _as_word, _shuffle_words
 from ..words import EPSILON, Word, shortlex_key
 
 
@@ -143,32 +149,58 @@ def theta(i: int, f: SymFun) -> SymFun:
     return SymFun._trusted(_linear(f.terms, _d_rule, factor))
 
 
-# Bounded above the 2,143 words the test suite reduces; the ideal workload
-# reduces about 125.
+# Letters per reduced row.  A word u x1 x0^n whose u holds r letters x1
+# has a row of C(r + n + 1, r + 1) pieces, each at most as long as the
+# word; a row whose pieces times the word's length pass this budget is
+# refused before it is built.  A piece costs about 30 us to build and
+# evaluate, and a piece count alone would let x1 x0^60000 through, whose
+# words hold 1.8e9 letters.  At the budget the largest row, of x1^9 x0^10
+# (92,378 pieces), is evaluated in about 3 s and 70 MB.  The tests' rows
+# stay below half of it: x1 x0^1030 holds about 1.06e6 letters,
+# x0^540 x1 x0^560 about 6.2e5, and every other row at most 11,088; the
+# workloads' rows at most 50.
+_MAX_ROW_LETTERS = 1 << 21
+
+
+# Bounded above the 2,448 words the test suite reduces; the ideal workload
+# reduces about 95.  Only the words asked for enter it.
 @lru_cache(maxsize=4096)
 def _reduce_trailing_x0(w: Word) -> tuple:
-    """Expand Li_w over the basis Li_u log^n(z)/n! with u empty or ending
-    in x1, via  u x1 x0^n = u x1 sh x0^n - sum_k (u sh x0^k) x1 x0^(n-k).
+    """Expand Li_w over the basis Li_t log^j(z)/j! with t empty or ending
+    in x1, by the closed form
 
-    Returns the row ((((u, n), int), ...), den), in the piece order
-    (|u|, u, n); cached, and a tuple, so no caller can change it.
+        u x1 x0^n = sum over m = 0..n of (-1)^m ((u sh x0^m) x1) sh x0^(n-m):
+
+    with u sh x0^m = sum c_t t, the piece (t x1, n - m) gets (-1)^m c_t.
+    The level (-1)^m u sh x0^m is the last level shuffled with the one
+    letter x0 (_times_x0) and divided by -m, exactly, since
+    x0^(m-1) sh x0 = m x0^m; so the row takes one pass, no recursion, and
+    a dict update per piece and letter.  No two pieces share a key, and
+    every coefficient is a signed shuffle multiplicity.
+
+    Returns the row (((t, j), int), ...) in the piece order (|t|, t, j);
+    cached, and a tuple, so no caller can change it.  A row of more than
+    _MAX_ROW_LETTERS letters is refused with DomainError before any
+    shuffle.
     """
-    if w.count(1) == 0:
-        return (((EPSILON, len(w)), 1),), 1
-    n = 0
-    while w[len(w) - 1 - n] == 0:
-        n += 1
-    if n == 0:
-        return (((w, 0), 1),), 1
-    head = w[: len(w) - n]
-    u = head[:-1]
-    parts = [(1, (((head, n), 1),), 1)]
-    for k in range(1, n + 1):
-        shuffled = shuffle(NCPoly.from_word(u), NCPoly.from_word(Word([0] * k)))
-        tail = Word([1] + [0] * (n - k))
-        parts += ((-c, *_reduce_trailing_x0(t + tail)) for t, c in shuffled.terms.items())
-    items, den = _items(_combine(parts))
-    return tuple(sorted(items, key=_piece_order)), den
+    last = (w ^ 1 << len(w)).bit_length() - 1  # the position of the last x1, or -1
+    if last < 0:
+        return ((EPSILON, len(w)), 1),
+    n = len(w) - 1 - last
+    if comb(n + w.count(1), n) * len(w) > _MAX_ROW_LETTERS:
+        raise DomainError(f"the reduced row would hold more than {_MAX_ROW_LETTERS} letters")
+    levels = [{w & (1 << last) - 1 | 1 << last: 1}]  # u, as a sentinel key
+    for m in range(1, n + 1):
+        levels.append({t: c // -m for t, c in _sum_rule(levels[-1].items(), _times_x0).items()})
+    row = [((_as_word(t | 2 << last + m), n - m), c)
+           for m, level in enumerate(levels) for t, c in level.items()]
+    return tuple(sorted(row, key=_piece_order))
+
+
+def _times_x0(t: int) -> Counter:
+    """t sh x0 on sentinel keys: an x0 put before each letter of t, or at
+    its end."""
+    return Counter(t & (1 << i) - 1 | t >> i << i + 1 for i in range(t.bit_length()))
 
 
 def _piece_order(item: tuple) -> tuple:
@@ -180,8 +212,7 @@ def _piece_order(item: tuple) -> tuple:
 def reduce_trailing_x0(w: Word) -> dict:
     """Li_w over the basis Li_u log^n(z)/n!, u empty or ending in x1, as
     {(u, n): Fraction} in the piece order (|u|, u, n)."""
-    items, den = _reduce_trailing_x0(w)
-    return {key: Fraction(c, den) for key, c in items}
+    return {key: Fraction(c) for key, c in _reduce_trailing_x0(w)}
 
 
 def from_piece(k: int, l: int, u: Word, n: int) -> SymFun:
@@ -198,9 +229,8 @@ def to_pieces(f: SymFun) -> dict:
 
 def _piece_sums(f: SymFun) -> tuple:
     """to_pieces(f) as (int sums, den), with no zero sum."""
-    rows = ((c, k, l, *_reduce_trailing_x0(w)) for (k, l, w), c in f.terms.items())
-    return _sums((c, [((k, l, u, n), m) for (u, n), m in items], den)
-                 for c, k, l, items, den in rows)
+    return _sums((c, [((k, l, u, n), m) for (u, n), m in _reduce_trailing_x0(w)], 1)
+                 for (k, l, w), c in f.terms.items())
 
 
 def index_of(f: SymFun) -> int:

@@ -203,6 +203,14 @@ def test_exit_codes(capsys):
         (0, ("eval", 'w"' + "0" * 170 + '"', "--z", "1e-300")),
         # an index far past any loop over it
         (0, ("taylor-neg", "1,1", "100000000")),
+        # the trailing-x0 row in closed form: no recursion, int entries
+        # checked against the float range, and a bounded row
+        (0, ("eval", 'w"1' + "0" * 1030 + '"', "--z", "0.5")),
+        (5, ("eval", 'w"' + "0" * 540 + "1" + "0" * 560 + '"', "--z", "0.5")),
+        (5, ("eval", 'w"' + "10110" * 4 + "0" * 40 + '"', "--z", "0.5")),
+        # a sum of finite terms past the float range, in text and in JSON
+        (5, ("eval", "9" * 300 + " * star(0,10)", "--z", "0.9")),
+        (5, ("eval", "9" * 300 + " * star(0,10)", "--z", "0.9", "--json")),
     ]
     for want, argv in cases:
         start = time.perf_counter()

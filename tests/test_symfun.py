@@ -1,13 +1,17 @@
 """The symbolic function space: canonical keys, products, derivations."""
 
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starshuffle.errors import DomainError
 from starshuffle.polylog.symfun import (
     SymFun,
+    _reduce_trailing_x0,
     derivative,
     from_piece,
     index_of,
@@ -73,6 +77,22 @@ def test_product_shuffles_word_parts(u, v):
 @settings(max_examples=30, deadline=None)
 def test_derivative_is_a_derivation(f, g):
     assert derivative(f * g) == derivative(f) * g + f * derivative(g)
+
+
+def test_a_row_has_the_counted_pieces_and_a_row_past_the_budget_is_refused():
+    # u x1 x0^n with r letters x1 in u has C(r + n + 1, r + 1) pieces
+    for w in all_words(10):
+        if w.count(1):
+            n = len(w) - 1 - max(i for i, a in enumerate(w) if a)
+            r = w.count(1) - 1
+            assert len(_reduce_trailing_x0(w)) == comb(r + n + 1, r + 1), w
+    # x1 x0^1030 (1031 pieces) is built; rows past the budget are refused at once
+    assert len(_reduce_trailing_x0(Word("1" + "0" * 1030))) == 1031
+    for w in (Word("1" + "0" * 100000), Word("10110" * 4 + "0" * 40)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            _reduce_trailing_x0(w)
+        assert time.perf_counter() - start < 0.5
 
 
 @given(symfun_st)
