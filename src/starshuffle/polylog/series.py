@@ -34,7 +34,12 @@ them at once, by one of two routes:
 One decision: _li_values takes the walk when its predicted term count
 (_walk_plan) is below the direct series' (_direct_terms), and the direct
 series otherwise; for |z| <= 1/2 the walk has no steps and the direct
-series answers, so those values are exactly the direct series'.
+series answers, so those values are exactly the direct series'.  Its
+first and cheapest stage is a floor on the prediction (_walk_floor),
+from the compositions, |z| and eps alone: where the direct count is at
+most the floor, it is at most the prediction too, so the direct series
+answers without a trie, a path or a plan, as the prediction would have
+chosen; every route, float operation and exception stays the same.
 
 One refusal: _li_values refuses a request with ConvergenceError up front
 exactly when _cannot_stop proves that the direct series cannot meet its
@@ -487,6 +492,29 @@ def _walk_plan(nodes: list, z: complex, eps: float) -> tuple:
     return points, eps0, tau, predicted
 
 
+def _walk_floor(comps: list, radius: float, eps: float) -> float:
+    """A floor on _walk_plan's predicted count, from the compositions, |z|
+    and eps alone: no trie, no path.
+
+    With e = max(eps / 4, _TINY), eps0 <= e and tau <= e.  The trie holds
+    every suffix of each word u, and the suffixes hold sum(accumulate(s))
+    letters x1 (the x1 at place k of u lies in k of them), so the first
+    leg takes at least log2(1 / e) terms per one of them.  The first step
+    leaves p_0 (|p_0| = 1/2 <= |1 - p_0|) with ratio rho = min(1/2, 2|z| - 1),
+    so it takes at least log(e) / log(rho) terms per node and per letter's
+    factors, of which there are at least |u| + 1.  Rounding margin: the
+    prediction's first leg counts one term more per letter x1, at least one
+    in all, and rho is taken 2^-40 lower (and at least _TINY), below the
+    rounding of the path's first step.  For eps >= 4 the floor is not
+    positive, so it is below every direct count and settles nothing.
+    """
+    tol = max(eps / 4, _TINY)
+    first = math.log2(1 / tol)
+    rho = max(min(0.5, 2 * radius - 1) - 2.0**-40, _TINY)
+    step = math.log(tol) / math.log(rho)
+    return max(first * sum(accumulate(s)) + step * (sum(s) + 1) for s in comps)
+
+
 def _walk(nodes: list, points: list, eps0: float, tau: float, p: EvalParams) -> dict:
     """Li of every trie node at p.z, by Taylor steps along the path.
 
@@ -584,7 +612,11 @@ def _li_values(words: list, p: EvalParams) -> dict:
     count (_walk_plan) is below the direct series', which sums about
     _direct_terms terms per word, each updating one row per letter x1;
     otherwise each word takes the direct series.  For |z| <= 1/2 the walk
-    has no steps and the direct series answers.  A walk that raises
+    has no steps and the direct series answers.  The floor (_walk_floor)
+    comes first: where the direct count is at most the floor, which is at
+    most the predicted count, the prediction would pick the direct series
+    too, so it answers with no trie and no plan built; this cannot change
+    a route.  A walk that raises
     ConvergenceError leaves the words to the direct series, so the walk
     only ever turns a refusal into an answer.
 
@@ -603,15 +635,16 @@ def _li_values(words: list, p: EvalParams) -> dict:
     if radius > 0.5 and comps:
         per_s1 = {s1: _direct_terms(s1, radius, cutoff) for s1 in {s[0] for s in comps}}
         direct = sum(len(s) * per_s1[s[0]] for s in comps)
-        nodes = _suffix_trie(words)
-        points, eps0, tau, walk = _walk_plan(nodes, z, p.eps)
-        if walk < direct:
-            try:
-                values = _walk(nodes, points, eps0, tau, p)
-            except ConvergenceError:  # the direct series decides
-                pass
-            else:
-                return {u: complex(values[u]) for u in words}
+        if direct > _walk_floor(comps, radius, p.eps):
+            nodes = _suffix_trie(words)
+            points, eps0, tau, walk = _walk_plan(nodes, z, p.eps)
+            if walk < direct:
+                try:
+                    values = _walk(nodes, points, eps0, tau, p)
+                except ConvergenceError:  # the direct series decides
+                    pass
+                else:
+                    return {u: complex(values[u]) for u in words}
     return {u: complex(_series_sum(s, z, cutoff, p.max_terms)) for u, s in zip(words, comps)}
 
 
@@ -643,11 +676,16 @@ def _sum_pieces(pieces: tuple, li: dict, z: complex) -> complex:
 
 
 def _log_power(z: complex, n: int) -> complex:
-    """log(z)^n / n!.  Where log(z)^n or n! overflows, it is the running
-    product of log(z) / k over k = 1..n instead, which rounds to 0 where
-    the value is below the float range; where that product passes the
-    float range, the value is refused with DomainError."""
+    """log(z)^n / n!.  Past n = 100 a complex power goes through polar form,
+    which gives a real log(z)^n an imaginary part; so at a real z > 0 (the
+    only real z that reaches here with n > 0) it is then the float power.
+    Where log(z)^n or n! overflows, it is the running product of
+    log(z) / k over k = 1..n instead, which rounds to 0 where the value is
+    below the float range; where that product passes the float range, the
+    value is refused with DomainError."""
     try:
+        if n > 100 and not z.imag:
+            return complex(math.log(z.real) ** n / math.factorial(n))
         return cmath.log(z) ** n / math.factorial(n)
     except OverflowError:
         value = reduce(mul, [cmath.log(z) / k for k in range(1, n + 1)], 1.0 + 0j)

@@ -224,6 +224,14 @@ def test_exit_codes(capsys):
             assert out and not err, argv
 
 
+def test_powers_of_the_log_at_a_real_point_print_a_real_number(capsys):
+    # the trailing x0s pick up log(0.5)^n / n! with n past 100, which is real
+    for word in ("0" * 101, "1" + "0" * 1030):
+        code, out, err = run_cli(capsys, "eval", f'w"{word}"', "--z", "0.5")
+        assert code == 0 and not err
+        float(out)  # one real number, not a (re,im) pair
+
+
 def test_json_outputs_carry_schema(capsys):
     invocations = [
         ("lyndon", "2"),

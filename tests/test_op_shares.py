@@ -64,3 +64,32 @@ def test_table_audit_of_a_few_dozen_shuffle_ops(monkeypatch):
     assert "shuffle_core._stuffle_words" not in rows
     info = tables["shuffle_core._stuffle_words"].cache_info()
     assert info.hits == info.misses == info.currsize == 0
+
+
+def test_latency_table_of_a_few_dozen_numeric_ops(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    wl = op_shares.load_workload("numeric")
+    ops = op_shares.build_ops(wl, 5, 40)
+    times = op_shares.op_times(wl, ops)
+    assert [kind for kind, _, _ in times] == [op[0] for op in ops]
+    assert op_shares.shares_of(times).keys() == {op[0] for op in ops}
+    # the fixed hopeless requests are refused and the cancelling limit
+    # fails: both raise, and the latencies leave them out
+    assert not any(answered for kind, _, answered in times if kind in ("hopeless", "cancelling"))
+    import harness
+
+    lines = op_shares.format_latency(times).splitlines()
+    assert lines[0].split() == ["kind", "answers", "p50_ms", "p90_ms"]
+    rows = [line.split() for line in lines[1:]]
+    kinds = list(dict.fromkeys(kind for kind, _, _ in times))
+    assert [row[0] for row in rows] == kinds + ["all"]
+    for kind, count, p50, p90 in rows:
+        xs = [s for k, s, answered in times if answered and kind in (k, "all")]
+        assert int(count) == len(xs), kind
+        if xs:
+            assert float(p50) == round(1e3 * harness.quantile(xs, 0.5), 4), kind
+            assert float(p90) == round(1e3 * harness.quantile(xs, 0.9), 4), kind
+            assert float(p50) <= float(p90)
+        else:
+            assert p50 == p90 == "-", kind
+    assert rows[-1][1] == str(len(ops) - 4)

@@ -316,6 +316,20 @@ def test_values_past_the_float_range_are_answered_or_refused():
             eval_li2(s, EvalParams(z))
 
 
+def test_powers_of_the_log_at_real_points_are_real():
+    # past n = 100 a complex power takes polar form, which would give the
+    # real log(z)^n an imaginary part; log(z)^n / n! against mpmath
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    for z in (0.5, 0.9, 1e-5, 1e-300):
+        log = mp.log(mp.mpf(z))
+        for n in range(101, 401):
+            got = eval_li_word(Word("0" * n), EvalParams(z))
+            assert got.imag == 0.0, (z, n, got)
+            want = float(log**n / mp.factorial(n))
+            assert abs(got.real - want) <= 1e-13 * abs(want) + 1e-300, (z, n, got, want)
+
+
 def test_hopeless_requests_are_refused_fast():
     import time
 

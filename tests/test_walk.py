@@ -153,6 +153,66 @@ def test_predictions_pick_the_direct_series_wherever_the_former_filter_did():
     assert min(asked.values()) > 300, asked
 
 
+def test_the_floor_never_passes_the_predicted_walk():
+    # _walk_floor reads only the compositions, |z| and eps; wherever it
+    # settles a request for the direct series (direct <= floor), the
+    # prediction would have too (floor <= walk < direct never happens)
+    rng = random.Random(2022)
+    comps = [s for d in range(1, 7) for s in itertools.product(range(1, 7), repeat=d)
+             if sum(s) <= 6]
+
+    def check(words, z, eps):
+        parts = [composition_of_word(u) for u in words]
+        *_, walk = series._walk_plan(series._suffix_trie(words), z, eps)
+        assert series._walk_floor(parts, abs(z), eps) <= walk, (words, z, eps)
+
+    asked = 0
+    while asked < 12_000:
+        words = list({word_of_composition(rng.choice(comps)) for _ in range(rng.randint(1, 4))})
+        if asked < 10_000:
+            radius = 1 - 10 ** rng.uniform(-7, math.log10(0.5))
+            eps = 10 ** rng.uniform(-15, -3)
+        else:  # |z| within 1e-12 of 1/2, and eps at or below 4 _TINY
+            radius = 0.5 + 10 ** rng.uniform(-16, -12)
+            eps = rng.choice((10 ** rng.uniform(-15, -3), rng.uniform(1e-3, 4) * series._TINY,
+                              5e-324))
+        z = radius if rng.random() < 0.5 else cmath.rect(radius, rng.uniform(-3.1, 3.1))
+        if abs(z) > 0.5:  # the decision is taken only here
+            check(words, z, eps)
+            asked += 1
+
+
+def test_the_floor_settles_far_points_without_the_trie_or_the_path(monkeypatch):
+    calls = {"_suffix_trie": 0, "_path": 0}
+
+    def counted(name):
+        fn = getattr(series, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(series, name, wrapper)
+
+    counted("_suffix_trie")
+    counted("_path")
+    for z in (0.55, 0.7, complex(0.6, 0.3)):
+        for w in ("1", "01"):
+            p = EvalParams(z, eps=1e-12)
+            assert eval_li_word(Word(w), p) == li_series_ref(Word(w), p), (w, z)
+    assert calls == {"_suffix_trie": 0, "_path": 0}
+    # Li_x1 at 0.9999 still plans and takes the walk
+    p = EvalParams(0.9999, eps=1e-12)
+    got = eval_li_word(Word("1"), p)
+    assert calls == {"_suffix_trie": 1, "_path": 1}
+    assert [got] == _walk_values([Word("1")], p)
+    # and so do the requests of test_near_the_circle_is_fast
+    for word in ("1", "01", "11", "011"):
+        for z in (0.9999, cmath.rect(0.9999, 0.3), cmath.rect(0.9999, -0.3)):
+            p = EvalParams(z, eps=1e-12)
+            assert [eval_li_word(Word(word), p)] == _walk_values([Word(word)], p), (word, z)
+
+
 def test_neg_taylor_coeff_equals_the_loop():
     rng = random.Random(2021)
     for _ in range(3000):

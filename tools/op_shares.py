@@ -11,7 +11,16 @@ Prints one row per operation kind, the slowest first:
 
     kind  count  seconds  share
 
-share is the kind's part of the summed execute time.  A traffic audit
+share is the kind's part of the summed execute time.  A latency table
+follows, over the operations that returned (a refusal or a failure
+raises, and the benchmark's latencies leave both out):
+
+    kind  answers  p50_ms  p90_ms
+
+the median and 90th percentile of each kind's execute times and, in the
+last row, of the whole run's, in milliseconds, interpolated as
+perfbench's latency_p50_ms and latency_p90_ms are (without their
+machine-speed scaling).  A kind with no answers shows "-".  A traffic audit
 of the package's cache tables follows: every lru_cache table found by
 walking the package's modules is emptied before the run, and each one the
 run used gets a row
@@ -55,24 +64,39 @@ def build_ops(wl, seed: int, n: int) -> list:
     return ops
 
 
-def op_shares(wl, ops: list) -> dict:
-    """{kind: [count, seconds]} of execute alone, in the order the kinds
-    first appear."""
+def op_times(wl, ops: list) -> list:
+    """(kind, seconds, answered) of execute alone for each operation, in
+    order; answered is False when it raised."""
     import harness
 
     tracer = harness.NullTracer()
-    out: dict = {}
+    out = []
     for op in ops:
+        answered = True
         t0 = time.perf_counter()
         try:
             wl.execute(op, tracer)
         except Exception:  # a refusal: its time counts, its answer is not checked
-            pass
-        dt = time.perf_counter() - t0
-        row = out.setdefault(op[0], [0, 0.0])
-        row[0] += 1
-        row[1] += dt
+            answered = False
+        out.append((op[0], time.perf_counter() - t0, answered))
     return out
+
+
+def shares_of(times: list) -> dict:
+    """{kind: [count, seconds]} of op_times' rows, in the order the kinds
+    first appear."""
+    out: dict = {}
+    for kind, seconds, _ in times:
+        row = out.setdefault(kind, [0, 0.0])
+        row[0] += 1
+        row[1] += seconds
+    return out
+
+
+def op_shares(wl, ops: list) -> dict:
+    """{kind: [count, seconds]} of execute alone, in the order the kinds
+    first appear."""
+    return shares_of(op_times(wl, ops))
 
 
 def format_shares(shares: dict) -> str:
@@ -85,6 +109,26 @@ def format_shares(shares: dict) -> str:
         lines.append(f"{kind:{width}s} {count:6d} {seconds:9.4f} {share:5.1f}%")
     count = sum(c for c, _ in shares.values())
     lines.append(f"{'total':{width}s} {count:6d} {total:9.4f} {100.0 if total else 0.0:5.1f}%")
+    return "\n".join(lines)
+
+
+def format_latency(times: list) -> str:
+    """The latency table of op_times' rows: per kind, in the order the
+    kinds first appear, and for all kinds, the answers' count, median and
+    p90 in ms."""
+    from harness import quantile
+
+    answers: dict = {}
+    for kind, seconds, answered in times:
+        answers.setdefault(kind, [])
+        if answered:
+            answers[kind].append(seconds)
+    rows = [*answers.items(), ("all", [seconds for _, seconds, answered in times if answered])]
+    width = max(len(kind) for kind, _ in rows)
+    lines = [f"{'kind':{width}s} {'answers':>7s} {'p50_ms':>9s} {'p90_ms':>9s}"]
+    for kind, xs in rows:
+        cells = [f"{1e3 * quantile(xs, q):9.4f}" if xs else f"{'-':>9s}" for q in (0.5, 0.9)]
+        lines.append(f"{kind:{width}s} {len(xs):7d} {cells[0]} {cells[1]}")
     return "\n".join(lines)
 
 
@@ -129,7 +173,10 @@ def main(argv=None) -> None:
     tables = package_tables()
     for fn in tables.values():
         fn.cache_clear()
-    print(format_shares(op_shares(wl, ops)))
+    times = op_times(wl, ops)
+    print(format_shares(shares_of(times)))
+    print()
+    print(format_latency(times))
     print()
     print(format_tables(tables))
 
