@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import random
 import sys
@@ -102,30 +101,58 @@ def _table_text(header: Sequence[str], rows: list) -> str:
     )
 
 
+def _compositions(weight: int) -> list[tuple[int, ...]]:
+    """Every composition of weight at most weight, the empty one
+    included, built depth by depth."""
+    comps, frontier = [()], [()]
+    while frontier:
+        frontier = [s + (part,) for s in frontier for part in range(1, weight - sum(s) + 1)]
+        comps += frontier
+    return comps
+
+
 def _lineg_compositions(bound: int) -> list[tuple[int, ...]]:
-    comps = []
-    for depth in range(1, max(bound, 1) + 1):
-        budget = bound + 1 - depth
-        if budget < 0:
-            continue
-        for parts in itertools.product(range(budget + 1), repeat=depth):
-            if sum(parts) <= budget:
-                comps.append(parts)
+    """Compositions of nonnegative parts, of depth 1..max(bound, 1) and
+    weight at most bound + 1 - depth: the compositions of weight at most
+    bound + 1 with each part lowered by one."""
+    comps = [tuple(p - 1 for p in s) for s in _compositions(bound + 1)
+             if 0 < len(s) <= max(bound, 1)]
     comps.sort(key=lambda s: (len(s), sum(s), tuple(-p for p in s)))
     return comps
 
 
 def _hsum_compositions(bound: int) -> list[tuple[int, ...]]:
-    comps = [()]
-
-    def extend(prefix: tuple[int, ...], rest: int) -> None:
-        for part in range(1, rest + 1):
-            comps.append(prefix + (part,))
-            extend(prefix + (part,), rest - part)
-
-    extend((), bound)
+    comps = _compositions(bound)
     comps.sort(key=lambda s: (sum(s), len(s), tuple(-p for p in s)))
     return comps
+
+
+def _lyndon_count(max_len: int) -> int:
+    """The number of Lyndon words of length 1..max_len over two letters:
+    with L(n) of each length, the sum of d L(d) over the divisors d of n
+    is 2^n."""
+    counts = [0]
+    for n in range(1, max_len + 1):
+        counts.append((2 ** n - sum(d * counts[d] for d in range(1, n) if n % d == 0)) // n)
+    return sum(counts)
+
+
+# Rows a table or the lyndon verb builds, by kind, as functions of the
+# bound: 2^b compositions for hsum, 2^(b+1) - 2 (1 at b = 0) for lineg.
+_ROW_COUNTS = {"lineg": lambda b: max(2 ** (b + 1) - 2, 1), "hsum": lambda b: 2 ** b,
+               "lyndon": _lyndon_count}
+# Rows per answer; a bound whose rows pass it is refused before any row
+# is built.  It admits lyndon 20 (111,013 rows, about 0.7 s on a 2-core
+# shared host, Python 3.11), table hsum up to 17 (about 270 us a row, so
+# hsum 16 takes about 18 s) and table lineg up to 16 (about 2 ms a row, so
+# lineg 10, 2,046 rows, takes about 4 s).
+_ROW_BUDGET = 1 << 17
+
+
+def _check_rows(kind: str, bound: int) -> None:
+    # the counts grow with the bound, and pass the budget well before 64
+    if _ROW_COUNTS[kind](min(bound, 64)) > _ROW_BUDGET:
+        raise DomainError(f"{kind} up to {bound} would build more than {_ROW_BUDGET} rows")
 
 
 def _lyndon_rows(max_len: int) -> list[list]:
@@ -134,6 +161,7 @@ def _lyndon_rows(max_len: int) -> list[list]:
 
 
 def _do_lyndon(args) -> tuple[dict, str, tuple]:
+    _check_rows("lyndon", args.max_len)
     rows = _lyndon_rows(args.max_len)
     names = [name for name, _ in rows]
     data = {"max_len": args.max_len, "count": len(names), "words": names}
@@ -240,6 +268,7 @@ _TABLES = {"lineg": _table_lineg, "hsum": _table_hsum, "lyndon": _table_lyndon}
 def _do_table(args) -> tuple[dict, str, tuple]:
     if args.bound < 0:
         raise ValueError("table bound must be nonnegative")
+    _check_rows(args.kind, args.bound)
     header, rows, entries = _TABLES[args.kind](args.bound)
     data = {"kind": args.kind, "bound": args.bound, "rows": entries}
     return data, _table_text(header, rows), (header, rows)

@@ -19,10 +19,10 @@ z^k (1-z)^(-l) Li_u log^n/n! of index k + |u| >= 1 is anchored at 0,
 otherwise at 1, which makes the string of operators read off a word
 reproduce the polylogarithm of that word.
 
-The sections and the limits are linear in their argument's terms, so
-each sums int numerators over bounded tables of rows, one row per
+The sections and the limits are linear in their argument's row, so
+each sums its int numerators times bounded tables of rows, one row per
 canonical key (k, l, w) or reduced piece, with linear._combine, the one
-loop that sums rows:
+loop that sums rows, over the argument's denominator:
 
     _germ(key)     the germ of the key's function at 0: its coefficients
                    of z^m log^n(z)/n! for m <= 0, read off the word's
@@ -41,9 +41,8 @@ loop that sums rows:
                    antiderivative and that constant as a float.  Because
                    iota_0 is anchored piece by piece, it sums
                    c * _section over the pieces of its argument, in the
-                   sorted piece order, with each c read as an int sum
-                   over one denominator (symfun._piece_sums), not as a
-                   Fraction.
+                   sorted piece order, with each c read off the row
+                   symfun._piece_sums.
 
 limit_at_one needs no table of its own: it re-keys each word's reduced
 row by the (u, n, -l) group it adds to at z = 1, sums the rows, and
@@ -51,8 +50,9 @@ walks the groups in sorted order.  The antiderivative tables _J and _K
 sum the rows of _P and _A over the pieces of reduce_exponents the same
 way.
 
-Rows are tuples of (key, int) items over one denominator (linear._items),
-so no caller can change an entry.
+_J, _K, _A and _P hold SymFuns, and _germ, _iota1_row and _section hold
+rows; their readers take rows with linear._row_of and never write to
+them.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from functools import lru_cache
 from math import factorial
 
 from ..errors import DomainError, NonElementaryConstantError
-from ..linear import _combine, _items
+from ..linear import _combine, _row_of
 from ..rewrite import reduce_exponents
 from ..words import EPSILON, Word, composition_of_word, shortlex_key
 from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
@@ -130,15 +130,16 @@ def _P(i: int, w: Word) -> SymFun:
 def _against_dz(pieces: dict, w: Word) -> SymFun:
     """An antiderivative against dz of the sum of c z^k (1-z)^(-l) Li_w
     over canonical pieces {(k, l): c} with k*l = 0."""
-    tables = ((c, _A(l, w) if l else _P(k, w)) for (k, l), c in pieces.items())
-    return SymFun._trusted(_combine((c, *_items(table.terms)) for c, table in tables))
+    return SymFun._from_row(_combine((c, _row_of(_A(l, w) if l else _P(k, w)))
+                                     for (k, l), c in pieces.items()))
 
 
 def _antiderivative(i: int, f: SymFun) -> SymFun:
     """An antiderivative of f against dz/z (i = 0) or dz/(1-z) (i = 1):
     the sum of c * _J or c * _K over its terms."""
     fn = _J if i == 0 else _K
-    return SymFun._trusted(_combine((c, *_items(fn(*key).terms)) for key, c in f.terms.items()))
+    num, den = _row_of(f)
+    return SymFun._from_row(_combine(((c, _row_of(fn(*key))) for key, c in num.items()), den))
 
 
 def _li_coeffs(u: Word, p_max: int) -> list:
@@ -153,60 +154,56 @@ def _li_coeffs(u: Word, p_max: int) -> list:
 @lru_cache(maxsize=_TABLE_SIZE)
 def _germ(key: tuple) -> tuple:
     """The germ at 0 of the canonical key (k, l, w): its coefficients of
-    z^m log^n(z)/n! for m <= 0, as ((n, m), int) items over one
+    z^m log^n(z)/n! for m <= 0, as a row {(n, m): int} over one
     denominator.  The orders m > 0 vanish at 0 and are left out."""
     k, l, w = key
-    out: dict = {}
+    parts = []
     for (u, n), c in _reduce_trailing_x0(w):
         dep = u.count(1)
-        if k + dep > 0:
-            continue
-        cs = _li_coeffs(u, -k)
-        for p in range(dep, -k + 1):
-            if cs[p]:
-                # k <= 0 and k*l = 0: only the constant term of (1-z)^(-l)
-                # reaches the orders <= 0
-                out[n, k + p] = out.get((n, k + p), 0) + c * cs[p]
-    return _items({g: c for g, c in out.items() if c})
+        if k + dep <= 0:
+            cs = _li_coeffs(u, -k)
+            # k <= 0 and k*l = 0: only the constant term of (1-z)^(-l)
+            # reaches the orders <= 0
+            parts += ((c * cs[p], ({(n, k + p): 1}, 1)) for p in range(dep, -k + 1))
+    return _combine(parts)
 
 
-def _limit_of_germ(germ: dict) -> Fraction:
-    """The limit at 0 of the function whose germ is {(n, m): coeff}: its
+def _limit_of_germ(germ: tuple) -> Fraction:
+    """The limit at 0 of the function whose germ is the row germ: its
     constant term; DomainError when a pole or a logarithm survives."""
-    if any(g != (0, 0) for g in germ):
+    num, den = germ
+    if any(g != (0, 0) for g in num):
         raise DomainError("divergent basepoint limit at z = 0")
-    return germ.get((0, 0), Fraction(0))
+    return Fraction(num.get((0, 0), 0), den)
 
 
 def limit_at_zero(f: SymFun) -> Fraction:
     """The limit of f at 0 along the disc, exact; DomainError when it
     does not exist (a pole or a logarithm survives)."""
-    return _limit_of_germ(_combine((c, *_germ(key)) for key, c in f.terms.items()))
+    num, den = _row_of(f)
+    return _limit_of_germ(_combine(((c, _germ(key)) for key, c in num.items()), den))
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
 def _iota1_row(key: tuple) -> tuple:
     """iota_1's table row for the canonical key (k, l, w): the
-    antiderivative _K(k, l, w) and its germ at 0, as (items, den,
-    germ items, germ den)."""
-    anti = _K(*key).terms
-    germ = _combine((c, *_germ(g)) for g, c in anti.items())
-    return (*_items(anti), *_items(germ))
+    antiderivative _K(k, l, w) and its germ at 0, as two rows."""
+    num, den = anti = _row_of(_K(*key))
+    return anti, _combine(((c, _germ(g)) for g, c in num.items()), den)
 
 
 def _iota1(f: SymFun) -> SymFun:
     """iota_1: the antiderivative of f against dz/(1-z) minus its limit
     at 0.  That limit is taken of the summed germ, so divergences of
     single terms may cancel."""
-    rows = [(c, _iota1_row(key)) for key, c in f.terms.items()]
-    terms = _combine((c, row[0], row[1]) for c, row in rows)
-    base = _limit_of_germ(_combine((c, row[2], row[3]) for c, row in rows))
-    if base:
-        # no key of _K is the constant 1 (each has k != 0, l != 0 or a
-        # nonempty word), so the anchor is a new last key, as in
-        # anti - base * SymFun.one()
-        terms[_ONE] = -base
-    return SymFun._trusted(terms)
+    num, den = _row_of(f)
+    rows = [(c, _iota1_row(key)) for key, c in num.items()]
+    base = _limit_of_germ(_combine(((c, germ) for c, (_, germ) in rows), den))
+    # no key of _K is the constant 1 (each has k != 0, l != 0 or a
+    # nonempty word), so the anchor is a new last key, as in
+    # anti - base * SymFun.one()
+    return SymFun._from_row(_combine([*((c, anti) for c, (anti, _) in rows),
+                                      (-base * den, ({_ONE: 1}, 1))], den))
 
 
 # One float per convergent word; the numeric workload asks for about 12.
@@ -241,8 +238,9 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     cancellations across different Li_u log^n groups are out of scope.
     """
     # each word's row re-keyed by the group (u, n, -l) a piece adds to at 1
-    sums = _combine((c, [((u, n, -l), m) for (u, n), m in _reduce_trailing_x0(w)], 1)
-                    for (k, l, w), c in f.terms.items())
+    num, den = _row_of(f)
+    sums, den = _combine(((c, ({(u, n, -l): m for (u, n), m in _reduce_trailing_x0(w)}, 1))
+                          for (k, l, w), c in num.items()), den)
     groups: dict = {}
     for (u, n, j), c in sums.items():
         groups.setdefault((u, n), {})[j] = c
@@ -250,20 +248,21 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     constants = []
     for (u, n), sig in sorted(groups.items(), key=_piece_order):
         neg_beyond = any(j < -n for j in sig)
-        at = sig.get(-n, Fraction(0))
+        at = sig.get(-n, 0)  # over den
         if neg_beyond or (at and len(u) and u[0] == 1):
             raise DomainError("divergent basepoint limit at z = 1")
         if len(u) == 0:
-            exact += at * Fraction((-1) ** n, factorial(n))
+            exact += Fraction((-1) ** n * at, factorial(n))
         elif at:
             constants.append((u, n, at))
+    exact /= den
     if not constants:
         return exact
     if not numeric_fallback:
         raise NonElementaryConstantError()
     approx = 0.0
     for u, n, at in constants:
-        approx += float(at) * ((-1) ** n / factorial(n)) * _zeta_numeric(u)
+        approx += at / den * ((-1) ** n / factorial(n)) * _zeta_numeric(u)
     return float(exact) + approx
 
 
@@ -276,12 +275,11 @@ def _section(k: int, l: int, u: Word, n: int) -> tuple:
     """iota_0 on the reduced piece z^k (1-z)^(-l) Li_u log^n/n!, anchored
     at 0 when its index is >= 1 and at 1 otherwise.
 
-    Returns (items, den, constant): the section is the sum of num / den
-    over the (key, num) items.  constant is None when the basepoint limit
-    is rational (it is then subtracted inside the items); otherwise it is
-    that limit as a float, and the items are the bare antiderivative.
-    Raises DomainError when the limit does not exist.  Cached: the items
-    are a tuple, so no caller can change an entry.
+    Returns (row, constant): the section is the row.  constant is None
+    when the basepoint limit is rational (it is then subtracted inside
+    the row); otherwise it is that limit as a float, and the row is the
+    bare antiderivative.  Raises DomainError when the limit does not
+    exist.  Cached: callers read the row and never write to it.
     """
     anti = _antiderivative(0, from_piece(k, l, u, n))
     if _piece_index(k, u) >= 1:
@@ -293,7 +291,7 @@ def _section(k: int, l: int, u: Word, n: int) -> tuple:
         anti = anti - base * SymFun.one()
     else:
         constant = base
-    return (*_items(anti.terms), constant)
+    return _row_of(anti), constant
 
 
 def _section_order(item: tuple) -> tuple:
@@ -322,13 +320,13 @@ def iota(i: int, f: SymFun, *, numeric_constants: bool = False):
     # the pieces' coefficients are the int sums c over den
     sums, den = _piece_sums(f)
     for piece, c in sorted(sums.items(), key=_section_order):
-        items, d, constant = _section(*piece)
+        row, constant = _section(*piece)
         if constant is not None:
             if not numeric_constants:
                 raise NonElementaryConstantError()
             numeric -= c / den * constant
-        parts.append((c, items, d * den))
-    sym = SymFun._trusted(_combine(parts))
+        parts.append((c, row))
+    sym = SymFun._from_row(_combine(parts, den))
     return (sym, numeric) if numeric_constants else sym
 
 

@@ -31,7 +31,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from ..errors import DomainError
-from ..linear import _combine, _items
+from ..linear import _combine, _row_of
 from ..rewrite import normal_form
 from ..star_series import StarSeries, plane_star, shuffle_star
 from .series import _check_composition, _check_taylor_index, stirling2
@@ -51,9 +51,9 @@ def _stirling_block(k: int, base: StarSeries, shift: StarSeries) -> StarSeries:
         power = StarSeries.one()
         for j in range(1, k + 1):
             power = shuffle_star(power, base)
-            yield stirling2(k, j) * factorial(j), *_items(power.terms)
+            yield stirling2(k, j) * factorial(j), _row_of(power)
 
-    return shuffle_star(shift, StarSeries._trusted(_combine(parts())))
+    return shuffle_star(shift, StarSeries._from_row(_combine(parts())))
 
 
 @lru_cache(maxsize=_FACTOR_TABLE_SIZE)
@@ -108,9 +108,9 @@ def build_neg_series(s: Iterable[int], route: str = "T") -> StarSeries:
             term = _route_factor(route, indices[0])
             for k in indices[1:]:
                 term = shuffle_star(term, _route_factor(route, k))
-            yield coeff, *_items(term.terms)
+            yield coeff, _row_of(term)
 
-    return StarSeries._trusted(_combine(parts()))
+    return StarSeries._from_row(_combine(parts()))
 
 
 def _closed_form_from_series(series: StarSeries) -> list:

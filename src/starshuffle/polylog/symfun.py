@@ -34,8 +34,8 @@ one pass over m with no recursion; its entries are signed shuffle
 multiplicities, so the row is a tuple of ((t, j), int) items with no
 denominator, and a row past _MAX_ROW_LETTERS is refused.  to_pieces,
 the germs and limits of integrate, the numeric evaluator and the public
-reduce_trailing_x0 all read it.  _piece_sums is to_pieces before its
-Fractions are built, which iota_0 reads.
+reduce_trailing_x0 all read it.  _piece_sums is to_pieces as a row,
+which iota_0 reads.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import comb
 
 from ..errors import DomainError
-from ..linear import LinearCombination, _bilinear, _fractions, _is_scalar, _linear, _sum_rule, _sums
+from ..linear import LinearCombination, _bilinear, _combine, _is_scalar, _linear, _row_of, _sum_rule
 from ..rewrite import _canonical
 from ..shuffle_core import _as_word, _shuffle_words
 from ..words import EPSILON, Word, shortlex_key
@@ -83,7 +83,7 @@ class SymFun(LinearCombination):
 
     def __mul__(self, other):
         if isinstance(other, SymFun):
-            return SymFun._trusted(_bilinear(self.terms, other.terms, _symfun_pair, _canonical))
+            return SymFun._from_row(_bilinear(_row_of(self), _row_of(other), _symfun_pair, _canonical))
         if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
@@ -138,7 +138,7 @@ def _times_one_minus_z(key: tuple) -> dict:
 
 def derivative(f: SymFun) -> SymFun:
     """d/dz, using d Li_{x0 u} = Li_u dz/z and d Li_{x1 u} = Li_u dz/(1-z)."""
-    return SymFun._trusted(_linear(f.terms, _d_rule))
+    return SymFun._from_row(_linear(_row_of(f), _d_rule))
 
 
 def theta(i: int, f: SymFun) -> SymFun:
@@ -146,7 +146,7 @@ def theta(i: int, f: SymFun) -> SymFun:
     if i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
     factor = _times_z if i == 0 else _times_one_minus_z
-    return SymFun._trusted(_linear(f.terms, _d_rule, factor))
+    return SymFun._from_row(_linear(_row_of(f), _d_rule, factor))
 
 
 # Letters per reduced row.  A word u x1 x0^n whose u holds r letters x1
@@ -224,13 +224,14 @@ def from_piece(k: int, l: int, u: Word, n: int) -> SymFun:
 def to_pieces(f: SymFun) -> dict:
     """Decompose into the reduced basis: {(k, l, u, n): coeff} where u is
     empty or ends in x1 and the piece means z^k (1-z)^(-l) Li_u log^n/n!."""
-    return _fractions(*_piece_sums(f))
+    return LinearCombination._from_row(_piece_sums(f)).terms
 
 
 def _piece_sums(f: SymFun) -> tuple:
-    """to_pieces(f) as (int sums, den), with no zero sum."""
-    return _sums((c, [((k, l, u, n), m) for (u, n), m in _reduce_trailing_x0(w)], 1)
-                 for (k, l, w), c in f.terms.items())
+    """to_pieces(f) as a row."""
+    num, den = _row_of(f)
+    return _combine(((c, ({(k, l, u, n): m for (u, n), m in _reduce_trailing_x0(w)}, 1))
+                     for (k, l, w), c in num.items()), den)
 
 
 def index_of(f: SymFun) -> int:

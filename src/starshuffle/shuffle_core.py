@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
 
-from .linear import LinearCombination, _bilinear, _is_scalar, _linear, _signed_sum
+from .linear import LinearCombination, _bilinear, _is_scalar, _linear, _row_of, _signed_sum
 from .words import EPSILON, Word, composition_of_word, shortlex_items, word_of_composition
 
 _new = int.__new__
@@ -101,7 +101,7 @@ def _conc(u, v) -> dict:
 
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     """Concatenation product."""
-    return NCPoly._trusted(_bilinear(p.terms, q.terms, _conc))
+    return NCPoly._from_row(_bilinear(_row_of(p), _row_of(q), _conc))
 
 
 def _shuffle_bits(ub: int, vb: int) -> dict:
@@ -154,7 +154,7 @@ def _shuffle_words(u: Word, v: Word) -> dict:
 
 def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
     """Shuffle product, extended bilinearly."""
-    return NCPoly._trusted(_bilinear(p.terms, q.terms, _shuffle_bits, wrap=_as_word))
+    return NCPoly._from_row(_bilinear(_row_of(p), _row_of(q), _shuffle_bits, wrap=_as_word))
 
 
 def unshuffle(w: Word) -> dict:
@@ -195,12 +195,12 @@ def _right_pair(v: Word, u: Word) -> dict:
 
 def left_residual(p: NCPoly, s: NCPoly) -> NCPoly:
     """p left-divides s: the polynomial with <p \\ s | w> = <s | w p>."""
-    return NCPoly._trusted(_bilinear(s.terms, p.terms, _left_pair))
+    return NCPoly._from_row(_bilinear(_row_of(s), _row_of(p), _left_pair))
 
 
 def right_residual(s: NCPoly, p: NCPoly) -> NCPoly:
     """p right-divides s: the polynomial with <s / p | w> = <s | p w>."""
-    return NCPoly._trusted(_bilinear(s.terms, p.terms, _right_pair))
+    return NCPoly._from_row(_bilinear(_row_of(s), _row_of(p), _right_pair))
 
 
 def is_exchangeable(p: NCPoly) -> bool:
@@ -242,7 +242,7 @@ class YPoly(LinearCombination):
 
     def __mul__(self, other):
         if isinstance(other, YPoly):
-            return YPoly._trusted(_bilinear(self.terms, other.terms, _conc))
+            return YPoly._from_row(_bilinear(_row_of(self), _row_of(other), _conc))
         if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
@@ -296,7 +296,7 @@ def _stuffle_words(u: tuple, v: tuple) -> dict:
 
 def stuffle(p: YPoly, q: YPoly) -> YPoly:
     """Quasi-shuffle (stuffle) product, extended bilinearly."""
-    return YPoly._trusted(_bilinear(p.terms, q.terms, _stuffle_tuples))
+    return YPoly._from_row(_bilinear(_row_of(p), _row_of(q), _stuffle_tuples))
 
 
 def _pi_y_rule(w: Word) -> dict:
@@ -312,13 +312,13 @@ def _pi_x_rule(yw: tuple) -> dict:
 def pi_y(p: NCPoly) -> YPoly:
     """Project onto words ending in x1 (plus the empty word) and transcribe
     them to y-words; words ending in x0 are sent to zero."""
-    return YPoly._trusted(_linear(p.terms, _pi_y_rule))
+    return YPoly._from_row(_linear(_row_of(p), _pi_y_rule))
 
 
 def pi_x(q: YPoly) -> NCPoly:
     """Transcribe y-words back to words over {x0, x1}; right adjoint of
     pi_y for the canonical scalar products on both sides."""
-    return NCPoly._trusted(_linear(q.terms, _pi_x_rule))
+    return NCPoly._from_row(_linear(_row_of(q), _pi_x_rule))
 
 
 def format_poly(p: NCPoly) -> str:

@@ -24,10 +24,11 @@ delta_left is a rule on single terms handed to linear._linear.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import DomainError
-from .linear import LinearCombination, _bilinear, _linear
+from .linear import LinearCombination, _bilinear, _linear, _row_of
 from .shuffle_core import NCPoly, _shuffle_words
 from .words import EPSILON, Word, shortlex_key
 
@@ -83,7 +84,7 @@ class StarSeries(LinearCombination):
         a nonnegative integer."""
         return all(
             t.a0.denominator == 1 and t.a1.denominator == 1 and t.a1 >= 0
-            for t in self.terms
+            for t in self._keys()
         )
 
     def __str__(self) -> str:
@@ -125,7 +126,7 @@ def star(s: StarSeries) -> StarSeries:
 
 def shuffle_star(s: StarSeries, t: StarSeries) -> StarSeries:
     """Shuffle product of star series: word parts shuffle, exponents add."""
-    return StarSeries._trusted(_bilinear(s.terms, t.terms, _star_pair))
+    return StarSeries._from_row(_bilinear(_row_of(s), _row_of(t), _star_pair))
 
 
 def _star_pair(x: StarTerm, y: StarTerm) -> dict:
@@ -151,16 +152,21 @@ def delta_left(letter: int, s: StarSeries) -> StarSeries:
     if letter not in (0, 1):
         raise ValueError("letter must be 0 or 1")
 
+    num, den = _row_of(s)
+    # the eigenvalues are exponents, which may be rationals: the row is
+    # scaled by their common denominator, so its multiplicities stay ints
+    scale = lcm(*(t[1 + letter].denominator for t in num))
+
     def rule(t: StarTerm) -> dict:
         out = {}
         if len(t.w) and t.w[0] == letter:
-            out[StarTerm(t.w[1:], t.a0, t.a1)] = 1
-        eig = t.a0 if letter == 0 else t.a1
+            out[StarTerm(t.w[1:], t.a0, t.a1)] = scale
+        eig = t[1 + letter]
         if eig:
-            out[t] = eig  # a rational exponent, summed exactly
+            out[t] = eig.numerator * (scale // eig.denominator)
         return out
 
-    return StarSeries._trusted(_linear(s.terms, rule))
+    return StarSeries._from_row(_linear((num, den * scale), rule))
 
 
 def expand(s: StarSeries, n: int) -> NCPoly:

@@ -111,6 +111,10 @@ def cases() -> list[list[str]]:
             ["eval", 'w"' + "0" * 171 + '"', "--z", "0.5"],
             ["eval", 'w"' + "0" * 170 + '"', "--z", "1e-300"],
             ["taylor-neg", "1,1", "100000000"]]
+    # sizes refused before any work: a table or Lyndon list past the row
+    # budget, and a reduction past the exponent bit budget
+    out += [["table", "hsum", "995"], ["lyndon", "99999999999"],
+            ["nf", "star(100000,100000)"], ["kernel", "star(-100000,100000)"]]
     return out
 
 

@@ -88,7 +88,7 @@ from starshuffle.polylog.series import (
     stirling2,
 )
 from starshuffle.polylog.symfun import SymFun, _symfun_pair
-from starshuffle.linear import _bilinear, _common_scale, _fractions, _sum_rule
+from starshuffle.linear import _bilinear, _common_scale, _fractions, _row_of, _sum_rule
 from starshuffle.rewrite import _check_laurent, _check_strategy, reduce_exponents
 from starshuffle.shuffle_core import (
     NCPoly,
@@ -190,7 +190,7 @@ def shuffle_loop(p: NCPoly, q: NCPoly) -> NCPoly:
 
 
 def stuffle_cached_ref(p: YPoly, q: YPoly) -> YPoly:
-    return YPoly._trusted(_bilinear(p.terms, q.terms, _stuffle_words))
+    return YPoly._from_row(_bilinear(_row_of(p), _row_of(q), _stuffle_words))
 
 
 def stuffle_loop(p: YPoly, q: YPoly) -> YPoly:

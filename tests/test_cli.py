@@ -211,6 +211,12 @@ def test_exit_codes(capsys):
         # a sum of finite terms past the float range, in text and in JSON
         (5, ("eval", "9" * 300 + " * star(0,10)", "--z", "0.9")),
         (5, ("eval", "9" * 300 + " * star(0,10)", "--z", "0.9", "--json")),
+        # past the row budget, refused before any row is built
+        (5, ("table", "hsum", "995")),
+        (5, ("lyndon", "99999999999")),
+        # past the exponent bit budget, refused before any binomial
+        (5, ("nf", "star(100000,100000)")),
+        (5, ("kernel", "star(-100000,100000)")),
     ]
     for want, argv in cases:
         start = time.perf_counter()
@@ -314,3 +320,20 @@ def test_eval_of_powers_past_the_float_range(capsys):
     code, out, err = run_cli(capsys, "eval", word, "--z", "0.5")
     assert code == 0, err
     assert abs(float(out) - (math.log(2) - 0.5)) < 1e-12
+
+
+def test_row_counts_are_the_rows_built_and_the_budget_refuses_past_them(capsys):
+    from starshuffle import cli
+
+    for bound in range(11):
+        assert len(cli._hsum_compositions(bound)) == cli._ROW_COUNTS["hsum"](bound) == 2 ** bound
+        assert len(cli._lineg_compositions(bound)) == cli._ROW_COUNTS["lineg"](bound)
+        assert len(cli._lyndon_rows(bound)) == cli._ROW_COUNTS["lyndon"](bound)
+    code, out, err = run_cli(capsys, "lyndon", "20", "--json")
+    assert code == 0 and not err and json.loads(out)["count"] == 111013
+    for argv in (("lyndon", "21"), ("table", "lyndon", "21"), ("table", "hsum", "18"),
+                 ("table", "lineg", "17"), ("table", "lineg", "9" * 30)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.1, argv
+        assert code == 5 and not out and err.startswith("error: "), argv

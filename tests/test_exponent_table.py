@@ -4,7 +4,10 @@ what its former form in kernel_reference gives: the same values, value
 types, exception classes and dict order."""
 
 import random
+import time
 from fractions import Fraction
+
+import pytest
 
 from kernel_reference import (
     canonical_ref,
@@ -14,8 +17,11 @@ from kernel_reference import (
     rewrite_trace_ref,
     symfun_mul_canonical_loop,
 )
+from starshuffle.errors import DomainError
 from starshuffle.polylog.symfun import SymFun
-from starshuffle.rewrite import _canonical, _exponent_row, kernel_member, normal_form, rewrite_trace
+from starshuffle.rewrite import (
+    _canonical, _exponent_row, kernel_member, normal_form, reduce_exponents, rewrite_trace,
+)
 from starshuffle.shuffle_core import NCPoly, YPoly
 from starshuffle.star_series import StarSeries, StarTerm, plane_star, shuffle_star, star_term
 from starshuffle.words import EPSILON, Word
@@ -144,3 +150,25 @@ def test_a_given_fraction_is_stored_as_it_is():
                      (SymFun, (0, 2, Word("0")))):
         (stored,) = cls({key: c}).terms.values()
         assert stored is c
+
+
+def test_the_closed_form_is_the_recursion_and_linear_in_its_entries():
+    for k in range(1, 60):
+        for l in range(1, 60):
+            assert list(reduce_exponents(k, l).items()) == list(reduce_exponents_rec(k, l).items()), (k, l)
+    start = time.perf_counter()
+    row = reduce_exponents(2000, 1)
+    assert time.perf_counter() - start < 0.5  # the binomial expansion took 90 s
+    assert list(row.items()) == [((0, 1), 1)] + [((j, 0), -1) for j in range(2000)]
+
+
+def test_reductions_past_the_bit_budget_are_refused_up_front():
+    for k, l in ((100000, 100000), (-100000, 100000), (2, -10000), (-10000, 10000)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            reduce_exponents(k, l)
+        assert time.perf_counter() - start < 0.1, (k, l)
+    for k, l in ((1000, 1000), (-1000, 1000), (10 ** 9, 0), (0, 10 ** 9), (10 ** 9, -1)):
+        assert reduce_exponents(k, l), (k, l)
+    with pytest.raises(DomainError):
+        normal_form(plane_star(100000, 100000))

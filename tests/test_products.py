@@ -160,13 +160,16 @@ def test_bilinear_never_writes_or_hands_out_the_pair_rules_dict():
         return table
 
     for cu, cv in ((1, 1), (Fraction(1, 2), Fraction(1, 3)), (Fraction(-2, 7), 3)):
+        cu, cv = Fraction(cu), Fraction(cv)
         for then in (None, lambda key: {key.upper(): 1}):
-            got = _bilinear({"u": Fraction(cu)}, {"v": Fraction(cv)}, pair, then)
+            got, den = _bilinear(({"u": cu.numerator}, cu.denominator),
+                                 ({"v": cv.numerator}, cv.denominator), pair, then)
             assert got is not table
             assert table == {"a": 2, "b": 0, "c": 1}
             keys = ("a", "c") if then is None else ("A", "C")
-            assert list(got.items()) == [(keys[0], 2 * cu * cv), (keys[1], cu * cv)]
-            assert all(type(c) is Fraction for c in got.values())
+            assert [(k, Fraction(c, den)) for k, c in got.items()] == [(keys[0], 2 * cu * cv),
+                                                                       (keys[1], cu * cv)]
+            assert all(type(c) is int for c in got.values())
 
 
 def test_cached_pair_rules_stay_unchanged_and_private():
@@ -190,3 +193,70 @@ def test_cached_pair_rules_stay_unchanged_and_private():
             assert all(type(c) is Fraction for c in r.terms.values())
     assert _stuffle_words(u, v) is stuffled and _shuffle_words(x, y) is shuffled
     assert (list(stuffled.items()), list(shuffled.items())) == before
+
+
+def test_equal_values_are_equal_and_hash_alike_in_either_form():
+    """A product's row is in lowest terms, so it equals and hashes as the
+    constructor's map of the same value, before and after .terms is read."""
+    u, v = Word("0"), Word("1")
+    got = shuffle(NCPoly({u: Fraction(2, 3)}), NCPoly({v: Fraction(3, 4)}))
+    want = NCPoly({Word("01"): Fraction(1, 2), Word("10"): Fraction(1, 2)})
+    assert got._row == ({Word("01"): 1, Word("10"): 1}, 2) and want._row is None
+    assert got == want and hash(got) == hash(want)
+    assert {want: 1}[got] == 1
+    assert got.terms == want.terms
+    assert got._row is None and got == want and hash(got) == hash(want)
+    f = SymFun({(0, 1, u): Fraction(3, 2)}) * SymFun({(0, 0, v): Fraction(4, 9)})
+    assert f == SymFun({(0, 1, Word("01")): Fraction(2, 3), (0, 1, Word("10")): Fraction(2, 3)})
+    s = StarSeries({star_term(u, 1, 0): Fraction(5, 6)})
+    for zero in (s - s, s.scale(0), s + (-s)):
+        assert zero == StarSeries.zero() and hash(zero) == hash(StarSeries.zero())
+        assert zero._row == ({}, 1)
+
+
+def test_a_mutated_terms_map_is_what_the_next_operation_reads():
+    p = shuffle(NCPoly({Word("01"): Fraction(1, 3)}), NCPoly({Word("1"): 3}))
+    p.terms[Word("111")] = Fraction(5, 7)
+    del p.terms[Word("011")]
+    want = NCPoly(dict(p.terms))
+    assert p == want and hash(p) == hash(want)
+    one = NCPoly.one()
+    for got, ref in ((shuffle(p, one), want), (p + NCPoly.zero(), want), (p.scale(2), want.scale(2)),
+                     (-p, want.scale(-1)), (conc(one, p), want)):
+        assert list(got.terms.items()) == list(ref.terms.items())
+
+
+def test_reading_the_tables_terms_leaves_later_results_unchanged():
+    """The antiderivative tables and the lineg factors hold row-form
+    objects.  Reading their .terms turns them to map form, which later
+    reads take through the common scale: every later result keeps its
+    items, values, value types and order."""
+    from starshuffle.polylog.integrate import _J, _K, _iota1_row, _section, iota
+    from starshuffle.polylog.negindex import _route_factor, build_neg_series
+
+    f = SymFun({(0, 1, Word("01")): Fraction(1, 2), (2, 0, Word("1")): Fraction(-3),
+                (0, 2, Word("10")): Fraction(2, 5), (1, 0, Word("")): Fraction(7, 3)})
+    comps = ((1,), (2, 1), (0, 3), (1, 1, 1))
+
+    def results():
+        out = [[(k, c, type(c)) for k, c in iota(i, f).terms.items()] for i in (0, 1)]
+        return out + [list(build_neg_series(s, r).terms.items()) for s in comps for r in "TRF"]
+
+    for table in (_J, _K, _section, _iota1_row, _route_factor):
+        table.cache_clear()
+    before = results()
+    read = 0
+    for k, l in ((k, l) for k in range(-3, 4) for l in range(3) if k * l == 0):
+        for w in (Word(""), Word("0"), Word("1"), Word("01"), Word("10"), Word("11")):
+            for table in (_J, _K):
+                read += table(k, l, w)._row is not None
+                table(k, l, w).terms
+    for route in "TRF":
+        for k in range(4):
+            read += _route_factor(route, k)._row is not None
+            _route_factor(route, k).terms
+    assert read > 100
+    assert results() == before
+    _section.cache_clear()
+    _iota1_row.cache_clear()
+    assert results() == before
