@@ -141,18 +141,21 @@ def _lyndon_count(max_len: int) -> int:
 # bound: 2^b compositions for hsum, 2^(b+1) - 2 (1 at b = 0) for lineg.
 _ROW_COUNTS = {"lineg": lambda b: max(2 ** (b + 1) - 2, 1), "hsum": lambda b: 2 ** b,
                "lyndon": _lyndon_count}
-# Rows per answer; a bound whose rows pass it is refused before any row
-# is built.  It admits lyndon 20 (111,013 rows, about 0.7 s on a 2-core
-# shared host, Python 3.11), table hsum up to 17 (about 270 us a row, so
-# hsum 16 takes about 18 s) and table lineg up to 16 (about 2 ms a row, so
-# lineg 10, 2,046 rows, takes about 4 s).
-_ROW_BUDGET = 1 << 17
+# Rows per answer, by kind; a bound whose rows pass its kind's budget is
+# refused before any row is built.  The budgets follow the cost of a row
+# (2-core shared host, Python 3.11), so that every admitted answer takes
+# a few seconds at most: a Lyndon word ~3 us (lyndon 20, 111,013 rows,
+# ~0.3 s), an hsum row ~140 us at bound 15 (table hsum 15, 32,768 rows,
+# ~4.5 s) and a lineg row ~1.3 ms at bound 11 (table lineg 11, 4,094
+# rows, ~5.3 s), each growing with the bound.
+_ROW_BUDGETS = {"lyndon": 1 << 17, "hsum": 1 << 15, "lineg": 1 << 12}
 
 
 def _check_rows(kind: str, bound: int) -> None:
-    # the counts grow with the bound, and pass the budget well before 64
-    if _ROW_COUNTS[kind](min(bound, 64)) > _ROW_BUDGET:
-        raise DomainError(f"{kind} up to {bound} would build more than {_ROW_BUDGET} rows")
+    # the counts grow with the bound, and pass the budgets well before 64
+    budget = _ROW_BUDGETS[kind]
+    if _ROW_COUNTS[kind](min(bound, 64)) > budget:
+        raise DomainError(f"{kind} up to {bound} would build more than {budget} rows")
 
 
 def _lyndon_rows(max_len: int) -> list[list]:

@@ -2,12 +2,28 @@
 
 harmonic_sum computes the finite multiple harmonic sum
 H_s(N) = sum over N >= n1 > ... > nr >= 1 of 1 / (n1^s1 ... nr^sr),
-exactly, as a product of step matrices split in halves.  Entry (i, j) of
-the product over a range R of n is the same nested sum over
-s_i, ..., s_{j-1} with the n in R, so it is an integer over L_R^w with
-L_R = lcm(R) and w = s_i + ... + s_{j-1}, since each n^s_k divides
-L_R^s_k.  Every range carries that one denominator, from the leaves up,
-and L_R grows like e^|R|.
+exactly, from aligned blocks: block (a, j) holds the numbers
+a 2^j + 1 .. (a + 1) 2^j.  The nested sum over a contiguous
+sub-composition t = s[i:k] and the numbers of a range R is an integer
+over L_R^|t|, L_R = lcm(R) and |t| the sum of the parts, since each n^t_m
+divides L_R^t_m; L_R grows like e^|R|.  A leaf, a block of _LEAF = 16
+numbers, runs the step loop, which fills every sub-composition; a longer
+block merges its two halves (_merge), one rule for all of them.
+[1, N] is the aligned blocks of the binary digits of N above the leaf,
+and one partial leaf on top, merged from the top down; of the block from
+1 only the suffixes s[i:] are ever read, so only those are built.  Below
+N = 2 _LEAF there is no block to share, and the sum is one loop.
+
+Every block built goes to one table, _blocks, which holds the entry
+(t, a, j), the numerator over lcm(block)^|t|, under the block (a, j)
+with its lcm.  So calls that share blocks read them instead of building
+them: other N with the same high digits (a run of N, as in the
+coefficients H_tail(p - 1) of _li_coeffs), other compositions with the
+same sub-compositions.  The table is bounded by the bits of its ints,
+_TABLE_BITS = 2^23, the least recently used blocks out first, and never
+holds an int longer than a 2^-_ENTRY_SHIFT part of that; cache_info()
+and cache_clear() read and empty it as they do an lru_cache's.
+
 neg_taylor_coeff gives the N-th Taylor coefficient of the polylogarithm at
 nonpositive indices, which is the same nested sum with the powers flipped
 above the line.  Both refuse with DomainError, before any power is taken,
@@ -58,10 +74,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add, mul
+from threading import Lock
 from typing import Iterable, Sequence
 
 from ..errors import ConvergenceError, DomainError
@@ -151,88 +169,257 @@ def _check_bits(bits: int) -> None:
         raise DomainError(f"the exact answer may need {bits} bits, more than {_MAX_BITS}")
 
 
-# A range of at most _LEAF numbers is multiplied out step by step, a
-# longer one split in halves (see _step_lcm).
-_LEAF = 16
+# Aligned blocks: block (a, j) holds the numbers a 2^j + 1 .. (a + 1) 2^j.
+# A leaf is a block of _LEAF = 2^_LEAF_BITS numbers.
+_LEAF_BITS = 4
+_LEAF = 1 << _LEAF_BITS
+# The block table holds at most _TABLE_BITS bits of ints, and never an int
+# longer than a 2^-_ENTRY_SHIFT part of its budget.
+_TABLE_BITS = 1 << 23
+_ENTRY_SHIFT = 4
+
+_BlockInfo = namedtuple("_BlockInfo", "hits misses maxsize currsize entries")
 
 
-def _step_lcm(s: tuple, w: list, a: int, b: int, rows: int, first: int) -> tuple:
-    """The steps n = a..b of harmonic_sum's recurrence, M_b ... M_a, as
-    (L, U) with L = lcm(a..b) and M_b ... M_a = I + V,
-    V[i][j] = U[i][j] / L^w[i][j] and w[i][j] = s_i + ... + s_{j-1}: U is
-    a strictly upper triangular integer matrix, of which only the entries
-    (i, j) with i < rows and j >= first are asked for.
+class _BlockTable:
+    """The entries of the aligned blocks that harmonic_sum has built, the
+    least recently used blocks out first once they hold more than budget
+    bits.
 
-    Step n is M_n = I + C_n with C_n[i][i+1] = 1 / n^s_i, and
-    M_n (I + V) = I + V + C_n (I + V).  Since L^w[i][j] = L^s_i L^w[i+1][j],
-    step n adds (L/n)^s_i to U[i][i+1] and (L/n)^s_i U[i+1][j] to U[i][j]
-    above it; no step divides.  A range of up to _LEAF numbers is
-    multiplied out this way, step by step, and fills the whole matrix.
+    The entry (t, a, j), the numerator of block (a, j)'s nested sum over
+    the composition t, an int over lcm(block)^|t|, is held under the
+    block, as [lcm, {t: numerator}, bits held]: one block is read and
+    dropped at once.  An int longer than budget >> _ENTRY_SHIFT bits is
+    never stored.  cache_info() reads as an lru_cache's: hits and misses
+    count the block reads that found all their entries and those that did
+    not, currsize and maxsize count bits, and entries counts the ints
+    held.  A lock makes each read and store one step for concurrent
+    callers.
+    """
 
-    A longer range is split in halves, so the big integers meet in
-    balanced products.  With lcms L_l (low) and L_h (high),
-    g = gcd(L_l, L_h) and L = L_h (L_l/g) = L_l (L_h/g); since
-    w[i][j] = w[i][k] + w[k][j], entry (i, j) of (I + V_h)(I + V_l), times
-    L^w[i][j], is A[i][j] + B[i][j] + sum over i < k < j of A[i][k] B[k][j]
-    with A = U_h scaled by (L_l/g)^w and B = U_l scaled by (L_h/g)^w.
-    Entry (i, j) reads row i of the high half and column j of the low
-    half, so a split asks its high half for the same rows and its low half
-    for the same columns.
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._held: OrderedDict = OrderedDict()
+        self._bits = self._hits = self._misses = 0
+        self._lock = Lock()
+
+    def read(self, a: int, j: int, subs: list):
+        """(lcm, [entry (t, a, j) for t in subs]), the block marked as
+        used, or None when one of them is missing."""
+        with self._lock:
+            block = self._held.get((a, j))
+            if block is not None:
+                entries = block[1]
+                try:
+                    values = [entries[t] for t in subs]
+                except KeyError:
+                    pass
+                else:
+                    self._hits += 1
+                    self._held.move_to_end((a, j))
+                    return block[0], values
+            self._misses += 1
+            return None
+
+    def store(self, a: int, j: int, lcm: int, subs: list, values: list) -> None:
+        """Hold the lcm and the entries (t, a, j) not held yet, then drop
+        the least recently used blocks until at most budget bits are
+        held."""
+        held, budget = self._held, self.budget
+        cap = budget >> _ENTRY_SHIFT
+        with self._lock:
+            block = held.get((a, j))
+            if block is None:
+                if lcm.bit_length() > cap:
+                    return
+                block = held[a, j] = [lcm, {}, lcm.bit_length()]
+                self._bits += block[2]
+            else:
+                held.move_to_end((a, j))
+            entries, added = block[1], 0
+            for t, value in zip(subs, values):
+                bits = value.bit_length()
+                if bits <= cap and t not in entries:
+                    entries[t] = value
+                    added += bits
+            block[2] += added
+            self._bits += added
+            while self._bits > budget:
+                self._bits -= held.popitem(last=False)[1][2]
+
+    def cache_info(self) -> _BlockInfo:
+        with self._lock:
+            ints = sum(1 + len(entries) for _, entries, _ in self._held.values())
+            return _BlockInfo(self._hits, self._misses, self.budget, self._bits, ints)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+            self._bits = self._hits = self._misses = 0
+
+
+_blocks = _BlockTable(_TABLE_BITS)
+
+
+def _leaf(s: tuple, first: int, last: int) -> tuple:
+    """(L, u) of the numbers first..last: L = lcm(first..last) and u[i][k]
+    the numerator over L^(s_i + ... + s_{k-1}) of the nested sum over
+    s[i:k], for every i < k.
+
+    h[i] = H_{s_i..s_{r-1}} obeys h[i] += h[i+1] / n^s_i at each n, rows
+    ascending; over L^w that adds (L/n)^s_i to u[i][i+1] and
+    (L/n)^s_i u[i+1][k] to u[i][k] above it, so no step divides.
     """
     r = len(s)
-    if b - a < _LEAF:
-        lcm = math.lcm(*range(a, b + 1))
-        u = [[0] * (r + 1) for _ in range(r + 1)]
-        # rows ascending: row i reads row i + 1 before it changes
-        plan = [(t, i + 1, u[i], u[i + 1], range(i + 2, r + 1)) for i, t in enumerate(s)]
-        for n in range(a, b + 1):
-            q = lcm // n
-            for t, diagonal, row, below, above in plan:
-                c = q**t
-                row[diagonal] += c
-                for j in above:
-                    row[j] += c * below[j]
-        return lcm, u
-    mid = (a + b) // 2
-    ll, ul = _step_lcm(s, w, a, mid, r, first)
-    lh, uh = _step_lcm(s, w, mid + 1, b, rows, 1)
-    g = math.gcd(ll, lh)
-    _rescale(uh, w, ll // g, range(rows), 1)
-    _rescale(ul, w, lh // g, range(r), first)
+    lcm = math.lcm(*range(first, last + 1))
     u = [[0] * (r + 1) for _ in range(r + 1)]
-    for i in range(rows):
-        for j in range(max(i + 1, first), r + 1):
-            acc = uh[i][j] + ul[i][j]
-            for k in range(i + 1, j):
-                acc += uh[i][k] * ul[k][j]
-            u[i][j] = acc
-    return lh * (ll // g), u
+    if r == 1:  # one row, one sum
+        u[0][1] = sum([(lcm // n) ** s[0] for n in range(first, last + 1)])
+        return lcm, u
+    # rows ascending: row i reads row i + 1 before it changes
+    plan = [(t, i + 1, u[i], u[i + 1], range(i + 2, r + 1)) for i, t in enumerate(s)]
+    for n in range(first, last + 1):
+        q = lcm // n
+        for t, diagonal, row, below, above in plan:
+            c = q**t
+            row[diagonal] += c
+            for k in above:
+                row[k] += c * below[k]
+    return lcm, u
 
 
-def _rescale(u: list, w: list, x: int, rows: range, first: int) -> None:
-    """Multiply each entry (i, j), i in rows and j >= first, by x^w[i][j]."""
-    powers: dict = {}
-    for i in rows:
-        row, weights = u[i], w[i]
-        for j in range(max(i + 1, first), len(row)):
-            e = weights[j]
-            if e not in powers:
-                powers[e] = x**e
-            row[j] *= powers[e]
+@lru_cache(maxsize=64)
+def _layouts(r: int) -> tuple:
+    """The cells of the full layout, the places of the suffixes in it, and
+    the sums of the four merges of a composition of depth r (see _Plan),
+    which depend on r alone.  Cell (i, k) of the full layout is at place
+    at[i] + k."""
+    at = [i * r - i * (i + 1) // 2 - 1 for i in range(r)]
+    cells = [(i, k) for i in range(r) for k in range(i + 1, r + 1)]
+    block = [(at[i] + k, at[i] + k, [(at[i] + m, at[m] + k) for m in range(i + 1, k)])
+             for i, k in cells]
+    low_block = [(at[i] + r, i, [(at[i] + m, m) for m in range(i + 1, r)]) for i in range(r)]
+    top = [(k - 1, k - 1, [(m - 1, at[m] + k) for m in range(1, k)]) for k in range(1, r + 1)]
+    last = [(r - 1, 0, [(m - 1, m) for m in range(1, r)])]
+    return cells, [at[i] + r for i in range(r)], block, low_block, top, last
+
+
+class _Plan:
+    """The layouts of the values of a range, and the merges between them,
+    for one composition s of depth r.
+
+    A range's values are the nested sums over s[i:k], i < k, in one of
+    three layouts: every cell (i, k), rows in turn (full, so the prefixes
+    come first), the prefixes s[:k], k = 1..r, or the suffixes s[i:],
+    i = 0..r-1.  full and suffixes hold
+    the sub-compositions of the full and the suffix layout, which key the
+    table, and at_suffixes the places of the suffixes in the full layout.
+    A merge (see _merge) of ranges hi over lo holds the weights
+    w = s_i + ... + s_{k-1} of hi's layout and of lo's, each with its set,
+    and its sums: for each cell (i, k) it makes, the places of (i, k) in
+    hi and lo and of the pairs (i, m) in hi and (m, k) in lo, i < m < k.
+    The merges are
+    - block: two blocks into a block above 1, all cells;
+    - low_block: a block over the block from 1, into the suffixes;
+    - top: the prefixes of the top part over a block above 1, into prefixes;
+    - last: the prefixes of the top part over the block from 1, into s.
+    """
+
+    def __init__(self, s: tuple):
+        r = len(s)
+        cells, self.at_suffixes, block, low_block, top, last = _layouts(r)
+        self.full = [s[i:k] for i, k in cells]
+        self.suffixes = [s[i:] for i in range(r)]
+        ends = [0, *accumulate(s)]
+        full = [ends[k] - ends[i] for i, k in cells]
+        prefixes = ends[1:]
+        suffixes = [ends[r] - end for end in ends[:r]]
+        full, prefixes, suffixes = ((w, set(w)) for w in (full, prefixes, suffixes))
+        self.block = (*full, *full, block)
+        self.low_block = (*full, *suffixes, low_block)
+        self.top = (*prefixes, *full, top)
+        self.last = (*prefixes, *suffixes, last)
+
+
+_plans = lru_cache(maxsize=256)(_Plan)
+
+
+def _merge(hi: tuple, lo: tuple, recipe: tuple) -> tuple:
+    """(L, values) of two adjacent ranges (L, values), hi above lo, by one
+    of a _Plan's merges.
+
+    With lcms L_h and L_l, g = gcd(L_h, L_l), L = L_h x_h = L_l x_l for
+    x_h = L_l / g and x_l = L_h / g; and since a nested sum over s[i:k]
+    splits at each m, i <= m <= k, into the part above (hi, s[i:m]) and
+    the part below (lo, s[m:k]),
+    u[i][k] = A[i][k] + B[i][k] + sum over i < m < k of A[i][m] B[m][k]
+    with A = hi's values times x_h^w and B = lo's times x_l^w.
+    """
+    (lh, uh), (ll, ul) = hi, lo
+    weights_hi, exps_hi, weights_lo, exps_lo, sums = recipe
+    g = math.gcd(lh, ll)
+    xh, xl = ll // g, lh // g
+    powers = {e: xh**e for e in exps_hi}
+    a = [v * powers[e] for v, e in zip(uh, weights_hi)]
+    powers = {e: xl**e for e in exps_lo}
+    b = [v * powers[e] for v, e in zip(ul, weights_lo)]
+    out = []
+    for p, q, pairs in sums:
+        acc = a[p] + b[q]
+        for x, y in pairs:
+            acc += a[x] * b[y]
+        out.append(acc)
+    return lh * xh, out
+
+
+def _block(plan: _Plan, s: tuple, a: int, j: int) -> tuple:
+    """(L, values) of block (a, j): its suffixes for a block from 1 (a = 0),
+    which only ever lies below the rest, else all its cells.  Read from the
+    table where it holds them, else built and stored: a leaf's loop fills
+    and stores every cell, and a longer block merges its halves."""
+    subs = plan.suffixes if a == 0 else plan.full
+    found = _blocks.read(a, j, subs)
+    if found is not None:
+        return found
+    if j == _LEAF_BITS:
+        lcm, u = _leaf(s, (a << j) + 1, (a + 1) << j)
+        values = [v for i, row in enumerate(u[:-1]) for v in row[i + 1:]]
+        _blocks.store(a, j, lcm, plan.full, values)
+        if a == 0:
+            values = [values[p] for p in plan.at_suffixes]
+        return lcm, values
+    lo = _block(plan, s, 2 * a, j - 1)
+    hi = _block(plan, s, 2 * a + 1, j - 1)
+    lcm, values = _merge(hi, lo, plan.low_block if a == 0 else plan.block)
+    _blocks.store(a, j, lcm, subs, values)
+    return lcm, values
+
+
+def _aligned(leaves: int) -> list:
+    """The aligned blocks (a, j) that make up the numbers
+    1..leaves * _LEAF, the highest first: one per binary digit of leaves,
+    the last of them (a = 0) from 1."""
+    blocks = []
+    for bit in range(leaves.bit_length()):
+        if leaves >> bit & 1:
+            leaves ^= 1 << bit
+            blocks.append((leaves >> bit, bit + _LEAF_BITS))
+    return blocks
 
 
 def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
     """H_s(n_max), exact.  The empty composition gives 1.
 
-    h[j] = H_{s_j..s_r}(n) obeys h[j] += h[j+1] / n^s_j for n = 1..n_max,
-    ascending in j, from h = (0, ..., 0, 1); so H_s(n_max) is entry
-    (0, r) of M_{n_max} ... M_1, one Fraction at the end.
-
-    Entry (i, j) of the product over a range R of numbers is the sum over
-    n_i > ... > n_{j-1} in R of prod_k n_k^-s_k, so it is an integer over
-    L_R^w with L_R = lcm(R) and w = s_i + ... + s_{j-1}, as each n_k^s_k
-    divides L_R^s_k (_step_lcm).  H_s(n_max) is U / lcm(1..n_max)^|s|,
-    |s| = s_1 + ... + s_r.
+    The nested sum over s[i:k] of a range R of numbers, the sum over
+    n_i > ... > n_{k-1} in R of prod_m n_m^-s_m, is an integer over L_R^w
+    with L_R = lcm(R) and w = s_i + ... + s_{k-1}, as each n_m^s_m
+    divides L_R^s_m.  [1, n_max] is the partial leaf above the last
+    multiple of _LEAF and the aligned blocks of that multiple's binary
+    digits (_aligned, _block).  They merge from the top down (_merge),
+    keeping only the prefixes s[:k], down to the block from 1, of which
+    only the suffixes are read.  H_s(n_max) is U / lcm(1..n_max)^|s|,
+    |s| = s_1 + ... + s_r.  Below two leaves there is no block to share,
+    and one loop (_leaf) sums [1, n_max].
 
     Since log2 lcm(1..N) < 1.5 N, the answer has fewer than about
     1.5 |s| n_max bits; past _MAX_BITS the sum is refused with DomainError.
@@ -245,11 +432,24 @@ def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
         return Fraction(1)
     if n_max < r:
         return Fraction(0)
-    ends = [0, *accumulate(s)]
-    _check_bits(3 * ends[r] * n_max // 2)
-    w = [[end - start for end in ends] for start in ends]
-    lcm, u = _step_lcm(s, w, 1, n_max, 1, r)
-    return Fraction(u[0][r], lcm ** w[0][r])
+    weight = sum(s)
+    _check_bits(3 * weight * n_max // 2)
+    if n_max < 2 * _LEAF:
+        lcm, u = _leaf(s, 1, n_max)
+        return Fraction(u[0][r], lcm**weight)
+    plan = _plans(s)
+    *upper, lowest = _aligned(n_max >> _LEAF_BITS)
+    top = None  # the numbers above the blocks merged so far, as prefixes
+    if n_max % _LEAF:
+        lcm, u = _leaf(s, n_max - n_max % _LEAF + 1, n_max)
+        top = lcm, u[0][1:]
+    for a, j in upper:
+        block = _block(plan, s, a, j)
+        top = (block[0], block[1][:r]) if top is None else _merge(top, block, plan.top)
+    lcm, values = _block(plan, s, *lowest)
+    if top is not None:
+        lcm, values = _merge(top, (lcm, values), plan.last)
+    return Fraction(values[0], lcm**weight)
 
 
 def neg_taylor_coeff(s: Iterable[int], n: int) -> int:

@@ -46,7 +46,9 @@ order.
 step_product_ref and harmonic_sum_ref are the exact nested sums as they
 were split before the lcm denominators: every entry of every range over
 the one product denominator (prod n)^max(s), leaves of 8 numbers.
-harmonic_sum must give their Fractions.  stirling2_rec is stirling2 as it
+harmonic_sum must give their Fractions, and those of harmonic_sum_loop,
+the former depth >= 2 loop, one Fraction add per n and per row, which
+gives H_s(n) for every n up to its bound.  stirling2_rec is stirling2 as it
 recursed on n.  neg_taylor_coeff_loop is neg_taylor_coeff as it ran the
 nested sum over every m < n; the sum in the binomial basis must give its
 ints.
@@ -741,6 +743,17 @@ def harmonic_sum_ref(s, n_max: int) -> Fraction:
         return Fraction(0)
     den, u = step_product_ref(s, 1, n_max, 1, r)
     return Fraction(u[0][r], den)
+
+
+def harmonic_sum_loop(s, n_max: int) -> list:
+    r = len(s)
+    h = [Fraction(0)] * r + [Fraction(1)]
+    out = [h[0]]
+    for n in range(1, n_max + 1):
+        for j in range(r):
+            h[j] += h[j + 1] / Fraction(n) ** s[j]
+        out.append(h[0])
+    return out
 
 
 @lru_cache(maxsize=None)

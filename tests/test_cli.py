@@ -331,8 +331,14 @@ def test_row_counts_are_the_rows_built_and_the_budget_refuses_past_them(capsys):
         assert len(cli._lyndon_rows(bound)) == cli._ROW_COUNTS["lyndon"](bound)
     code, out, err = run_cli(capsys, "lyndon", "20", "--json")
     assert code == 0 and not err and json.loads(out)["count"] == 111013
+    # the largest bounds each kind's budget admits, which answer within
+    # seconds, and the smallest it refuses
+    for kind, bound in (("lyndon", 20), ("hsum", 15), ("lineg", 11)):
+        cli._check_rows(kind, bound)
     for argv in (("lyndon", "21"), ("table", "lyndon", "21"), ("table", "hsum", "18"),
-                 ("table", "lineg", "17"), ("table", "lineg", "9" * 30)):
+                 ("table", "lineg", "17"), ("table", "lineg", "9" * 30),
+                 ("table", "hsum", "16"), ("table", "hsum", "17"),
+                 ("table", "lineg", "12"), ("table", "lineg", "16")):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 0.1, argv

@@ -93,3 +93,23 @@ def test_latency_table_of_a_few_dozen_numeric_ops(monkeypatch):
         else:
             assert p50 == p90 == "-", kind
     assert rows[-1][1] == str(len(ops) - 4)
+
+
+def test_table_audit_shows_the_block_table_of_exact_sums(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    wl = op_shares.load_workload("numeric")
+    ops = [op for op in op_shares.build_ops(wl, 5, 200) if op[0] == "hsum" and op[3] >= 32]
+    assert len({op[2] for op in ops}) < len(ops)  # some compositions recur
+    tables = op_shares.package_tables()
+    assert "polylog.series._blocks" in tables
+    for fn in tables.values():
+        fn.cache_clear()
+    op_shares.op_shares(wl, ops + ops)  # the second pass reads what the first built
+    lines = op_shares.format_tables(tables).splitlines()
+    rows = {row[0]: [int(x) for x in row[1:]] for row in map(str.split, lines[1:])}
+    hits, misses, size, maxsize = rows["polylog.series._blocks"]
+    info = tables["polylog.series._blocks"].cache_info()
+    assert (hits, misses, size, maxsize) == (info.hits, info.misses, info.currsize, info.maxsize)
+    # size and maxsize count bits; each op of the second pass reads at least
+    # one block that the first built
+    assert hits >= len(ops) and misses > 0 and 0 < size <= maxsize == 1 << 23

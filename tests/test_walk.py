@@ -27,6 +27,7 @@ from starshuffle.polylog.series import (
 from starshuffle.words import Word, composition_of_word, word_of_composition
 
 from kernel_reference import (
+    harmonic_sum_loop,
     harmonic_sum_ref,
     li_series_ref,
     neg_taylor_coeff_loop,
@@ -293,26 +294,14 @@ def test_a_walk_past_max_terms_leaves_the_words_to_the_direct_series():
     assert abs(got - eval_li_word(w, EvalParams(z, eps=1e-14))) <= 1e-9
 
 
-def _harmonic_loop(s, n_max):
-    """The former depth >= 2 loop: one Fraction add per n and per row."""
-    r = len(s)
-    h = [Fraction(0)] * r + [Fraction(1)]
-    out = [Fraction(1) if r == 0 else Fraction(0)]
-    for n in range(1, n_max + 1):
-        for j in range(r):
-            h[j] += h[j + 1] / Fraction(n) ** s[j]
-        out.append(h[0])
-    return out
-
-
 def test_harmonic_sum_equals_the_row_loop():
     for d in (1, 2, 3):
         for s in itertools.product((1, 2, 3), repeat=d):
-            want = _harmonic_loop(s, 60)
+            want = harmonic_sum_loop(s, 60)
             for n in range(61):
                 assert harmonic_sum(s, n) == want[n], (s, n)
     for s in ((2,), (2, 1), (3, 3), (1, 2, 3)):
-        want = _harmonic_loop(s, 2003)
+        want = harmonic_sum_loop(s, 2003)
         for n in (1000, 2003):
             assert harmonic_sum(s, n) == want[n], (s, n)
 

@@ -21,9 +21,11 @@ the median and 90th percentile of each kind's execute times and, in the
 last row, of the whole run's, in milliseconds, interpolated as
 perfbench's latency_p50_ms and latency_p90_ms are (without their
 machine-speed scaling).  A kind with no answers shows "-".  A traffic audit
-of the package's cache tables follows: every lru_cache table found by
-walking the package's modules is emptied before the run, and each one the
-run used gets a row
+of the package's cache tables follows: every table found by walking the
+package's modules (an object with a cache_info: each lru_cache, and
+polylog.series._blocks, the block table of exact sums, whose size and
+maxsize count bits and whose hits and misses count block reads) is
+emptied before the run, and each one the run used gets a row
 
     table  hits  misses  size  maxsize
 
@@ -133,8 +135,9 @@ def format_latency(times: list) -> str:
 
 
 def package_tables() -> dict:
-    """{name: table} of every lru_cache table defined in the package's
-    modules, named by module (below the package) and function."""
+    """{name: table} of every cache table defined in the package's
+    modules, named by module (below the package) and name: each object
+    with a cache_info, but not a class that defines one."""
     import starshuffle
 
     modules = [starshuffle] + [importlib.import_module(info.name) for info in
@@ -142,7 +145,8 @@ def package_tables() -> dict:
     tables = {}
     for module in modules:
         for name, obj in vars(module).items():
-            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+            if (hasattr(obj, "cache_info") and not isinstance(obj, type)
+                    and obj.__module__ == module.__name__):
                 tables[f"{module.__name__.removeprefix('starshuffle.')}.{name}"] = obj
     return tables
 
