@@ -159,6 +159,13 @@ class _Parser:
         self.text = text
         self.toks = tokenize(text)
         self.pos = 0
+        # id of a parenthesised node -> the span of its outermost parentheses
+        self.bracketed: dict[int, tuple[int, int]] = {}
+
+    def outer(self, node: Node) -> tuple[int, int]:
+        """node's span, widened to the parentheses around it: the part of
+        the text that a node built on it covers."""
+        return self.bracketed.get(id(node), node.span)
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -181,7 +188,8 @@ class _Parser:
         return Node(kind, at.line, at.col, (at.start, end.end), value, tuple(kids))
 
     def binop(self, kind: str, lhs: Node, rhs: Node, op: Token) -> Node:
-        return Node(kind, op.line, op.col, (lhs.span[0], rhs.span[1]), None, (lhs, rhs))
+        return Node(kind, op.line, op.col, (self.outer(lhs)[0], self.outer(rhs)[1]), None,
+                    (lhs, rhs))
 
     def parse(self) -> Node:
         node = self.binary()
@@ -207,7 +215,7 @@ class _Parser:
         node = self.primary()
         while self.peek().kind == "*" and self.peek(1).kind not in _PRIMARY_START:
             op = self.take()
-            node = Node("kstar", op.line, op.col, (node.span[0], op.end), None, (node,))
+            node = Node("kstar", op.line, op.col, (self.outer(node)[0], op.end), None, (node,))
         return node
 
     def primary(self) -> Node:
@@ -215,7 +223,7 @@ class _Parser:
         if tok.kind == "-":
             self.take()
             inner = self.primary()
-            return Node("neg", tok.line, tok.col, (tok.start, inner.span[1]), None, (inner,))
+            return Node("neg", tok.line, tok.col, (tok.start, self.outer(inner)[1]), None, (inner,))
         if tok.kind == "int":
             self.take()
             if self.peek().kind == "/":
@@ -245,7 +253,7 @@ class _Parser:
         if tok.kind == "(":
             self.take()
             node = self.binary()
-            self.expect(")")
+            self.bracketed[id(node)] = (tok.start, self.expect(")").end)
             return node
         self.error(tok, f"expected an expression, found {tok.kind!r}")
 

@@ -7,12 +7,13 @@ a 2^j + 1 .. (a + 1) 2^j.  The nested sum over a contiguous
 sub-composition t = s[i:k] and the numbers of a range R is an integer
 over L_R^|t|, L_R = lcm(R) and |t| the sum of the parts, since each n^t_m
 divides L_R^t_m; L_R grows like e^|R|.  A leaf, a block of _LEAF = 16
-numbers, runs the step loop, which fills every sub-composition; a longer
-block merges its two halves (_merge), one rule for all of them.
-[1, N] is the aligned blocks of the binary digits of N above the leaf,
-and one partial leaf on top, merged from the top down; of the block from
-1 only the suffixes s[i:] are ever read, so only those are built.  Below
-N = 2 _LEAF there is no block to share, and the sum is one loop.
+numbers, runs the step loop, which fills every sub-composition.  Every
+range holds its values in one layout, every cell (i, k), i < k, rows in
+turn, and two adjacent ranges merge by one rule (_merge): a longer block
+merges its two halves, and [1, N], the aligned blocks of the binary
+digits of N above the leaf and one partial leaf on top, is merged from
+the top down.  Below N = 2 _LEAF there is no block to share, and the sum
+is one loop.
 
 Every block built goes to one table, _blocks, which holds the entry
 (t, a, j), the numerator over lcm(block)^|t|, under the block (a, j)
@@ -195,6 +196,12 @@ class _BlockTable:
     not, currsize and maxsize count bits, and entries counts the ints
     held.  A lock makes each read and store one step for concurrent
     callers.
+
+    The budget counts the ints' payload, their bits, and not the objects
+    around them: int headers, the dicts and the OrderedDict.  A table of
+    small entries takes several times its reading; every composition of
+    weight <= 12 at N = 40 holds 595 KiB of bits in 12,288 ints, and
+    tracemalloc traces 2,061 KiB (3.5 times).
     """
 
     def __init__(self, budget: int):
@@ -262,9 +269,9 @@ _blocks = _BlockTable(_TABLE_BITS)
 
 
 def _leaf(s: tuple, first: int, last: int) -> tuple:
-    """(L, u) of the numbers first..last: L = lcm(first..last) and u[i][k]
-    the numerator over L^(s_i + ... + s_{k-1}) of the nested sum over
-    s[i:k], for every i < k.
+    """(L, values) of the numbers first..last: L = lcm(first..last), and
+    in cell (i, k), i < k, rows in turn, the numerator over
+    L^(s_i + ... + s_{k-1}) of the nested sum over s[i:k].
 
     h[i] = H_{s_i..s_{r-1}} obeys h[i] += h[i+1] / n^s_i at each n, rows
     ascending; over L^w that adds (L/n)^s_i to u[i][i+1] and
@@ -272,10 +279,9 @@ def _leaf(s: tuple, first: int, last: int) -> tuple:
     """
     r = len(s)
     lcm = math.lcm(*range(first, last + 1))
+    if r == 1:  # one cell, one sum
+        return lcm, [sum([(lcm // n) ** s[0] for n in range(first, last + 1)])]
     u = [[0] * (r + 1) for _ in range(r + 1)]
-    if r == 1:  # one row, one sum
-        u[0][1] = sum([(lcm // n) ** s[0] for n in range(first, last + 1)])
-        return lcm, u
     # rows ascending: row i reads row i + 1 before it changes
     plan = [(t, i + 1, u[i], u[i + 1], range(i + 2, r + 1)) for i, t in enumerate(s)]
     for n in range(first, last + 1):
@@ -285,68 +291,27 @@ def _leaf(s: tuple, first: int, last: int) -> tuple:
             row[diagonal] += c
             for k in above:
                 row[k] += c * below[k]
-    return lcm, u
+    return lcm, [v for i, row in enumerate(u[:-1]) for v in row[i + 1:]]
 
 
-@lru_cache(maxsize=64)
-def _layouts(r: int) -> tuple:
-    """The cells of the full layout, the places of the suffixes in it, and
-    the sums of the four merges of a composition of depth r (see _Plan),
-    which depend on r alone.  Cell (i, k) of the full layout is at place
-    at[i] + k."""
-    at = [i * r - i * (i + 1) // 2 - 1 for i in range(r)]
+@lru_cache(maxsize=256)
+def _plan(s: tuple) -> tuple:
+    """The sub-compositions s[i:k] of the cells (i, k), i < k, rows in
+    turn, which key the table, and the merge rule of s (see _merge): the
+    weights w = s_i + ... + s_{k-1} of the cells, their set, and per cell
+    its place and the places of the pairs (i, m), (m, k), i < m < k."""
+    r = len(s)
     cells = [(i, k) for i in range(r) for k in range(i + 1, r + 1)]
-    block = [(at[i] + k, at[i] + k, [(at[i] + m, at[m] + k) for m in range(i + 1, k)])
-             for i, k in cells]
-    low_block = [(at[i] + r, i, [(at[i] + m, m) for m in range(i + 1, r)]) for i in range(r)]
-    top = [(k - 1, k - 1, [(m - 1, at[m] + k) for m in range(1, k)]) for k in range(1, r + 1)]
-    last = [(r - 1, 0, [(m - 1, m) for m in range(1, r)])]
-    return cells, [at[i] + r for i in range(r)], block, low_block, top, last
+    at = {cell: p for p, cell in enumerate(cells)}
+    ends = [0, *accumulate(s)]
+    weights = [ends[k] - ends[i] for i, k in cells]
+    sums = [(at[i, k], [(at[i, m], at[m, k]) for m in range(i + 1, k)]) for i, k in cells]
+    return [s[i:k] for i, k in cells], (weights, set(weights), sums)
 
 
-class _Plan:
-    """The layouts of the values of a range, and the merges between them,
-    for one composition s of depth r.
-
-    A range's values are the nested sums over s[i:k], i < k, in one of
-    three layouts: every cell (i, k), rows in turn (full, so the prefixes
-    come first), the prefixes s[:k], k = 1..r, or the suffixes s[i:],
-    i = 0..r-1.  full and suffixes hold
-    the sub-compositions of the full and the suffix layout, which key the
-    table, and at_suffixes the places of the suffixes in the full layout.
-    A merge (see _merge) of ranges hi over lo holds the weights
-    w = s_i + ... + s_{k-1} of hi's layout and of lo's, each with its set,
-    and its sums: for each cell (i, k) it makes, the places of (i, k) in
-    hi and lo and of the pairs (i, m) in hi and (m, k) in lo, i < m < k.
-    The merges are
-    - block: two blocks into a block above 1, all cells;
-    - low_block: a block over the block from 1, into the suffixes;
-    - top: the prefixes of the top part over a block above 1, into prefixes;
-    - last: the prefixes of the top part over the block from 1, into s.
-    """
-
-    def __init__(self, s: tuple):
-        r = len(s)
-        cells, self.at_suffixes, block, low_block, top, last = _layouts(r)
-        self.full = [s[i:k] for i, k in cells]
-        self.suffixes = [s[i:] for i in range(r)]
-        ends = [0, *accumulate(s)]
-        full = [ends[k] - ends[i] for i, k in cells]
-        prefixes = ends[1:]
-        suffixes = [ends[r] - end for end in ends[:r]]
-        full, prefixes, suffixes = ((w, set(w)) for w in (full, prefixes, suffixes))
-        self.block = (*full, *full, block)
-        self.low_block = (*full, *suffixes, low_block)
-        self.top = (*prefixes, *full, top)
-        self.last = (*prefixes, *suffixes, last)
-
-
-_plans = lru_cache(maxsize=256)(_Plan)
-
-
-def _merge(hi: tuple, lo: tuple, recipe: tuple) -> tuple:
-    """(L, values) of two adjacent ranges (L, values), hi above lo, by one
-    of a _Plan's merges.
+def _merge(hi: tuple, lo: tuple, rule: tuple) -> tuple:
+    """(L, values) of two adjacent ranges (L, values), hi above lo, by the
+    merge rule of their composition (_plan).
 
     With lcms L_h and L_l, g = gcd(L_h, L_l), L = L_h x_h = L_l x_l for
     x_h = L_l / g and x_l = L_h / g; and since a nested sum over s[i:k]
@@ -356,43 +321,35 @@ def _merge(hi: tuple, lo: tuple, recipe: tuple) -> tuple:
     with A = hi's values times x_h^w and B = lo's times x_l^w.
     """
     (lh, uh), (ll, ul) = hi, lo
-    weights_hi, exps_hi, weights_lo, exps_lo, sums = recipe
+    weights, exps, sums = rule
     g = math.gcd(lh, ll)
     xh, xl = ll // g, lh // g
-    powers = {e: xh**e for e in exps_hi}
-    a = [v * powers[e] for v, e in zip(uh, weights_hi)]
-    powers = {e: xl**e for e in exps_lo}
-    b = [v * powers[e] for v, e in zip(ul, weights_lo)]
+    powers = {e: xh**e for e in exps}
+    a = [v * powers[e] for v, e in zip(uh, weights)]
+    powers = {e: xl**e for e in exps}
+    b = [v * powers[e] for v, e in zip(ul, weights)]
     out = []
-    for p, q, pairs in sums:
-        acc = a[p] + b[q]
+    for p, pairs in sums:
+        acc = a[p] + b[p]
         for x, y in pairs:
             acc += a[x] * b[y]
         out.append(acc)
     return lh * xh, out
 
 
-def _block(plan: _Plan, s: tuple, a: int, j: int) -> tuple:
-    """(L, values) of block (a, j): its suffixes for a block from 1 (a = 0),
-    which only ever lies below the rest, else all its cells.  Read from the
-    table where it holds them, else built and stored: a leaf's loop fills
-    and stores every cell, and a longer block merges its halves."""
-    subs = plan.suffixes if a == 0 else plan.full
+def _block(s: tuple, subs: list, rule: tuple, a: int, j: int) -> tuple:
+    """(L, values) of block (a, j), every cell: read from the table where
+    it holds them, else built and stored, a leaf by its loop and a longer
+    block by merging its halves."""
     found = _blocks.read(a, j, subs)
-    if found is not None:
-        return found
-    if j == _LEAF_BITS:
-        lcm, u = _leaf(s, (a << j) + 1, (a + 1) << j)
-        values = [v for i, row in enumerate(u[:-1]) for v in row[i + 1:]]
-        _blocks.store(a, j, lcm, plan.full, values)
-        if a == 0:
-            values = [values[p] for p in plan.at_suffixes]
-        return lcm, values
-    lo = _block(plan, s, 2 * a, j - 1)
-    hi = _block(plan, s, 2 * a + 1, j - 1)
-    lcm, values = _merge(hi, lo, plan.low_block if a == 0 else plan.block)
-    _blocks.store(a, j, lcm, subs, values)
-    return lcm, values
+    if found is None:
+        if j == _LEAF_BITS:
+            found = _leaf(s, (a << j) + 1, (a + 1) << j)
+        else:
+            lo = _block(s, subs, rule, 2 * a, j - 1)
+            found = _merge(_block(s, subs, rule, 2 * a + 1, j - 1), lo, rule)
+        _blocks.store(a, j, found[0], subs, found[1])
+    return found
 
 
 def _aligned(leaves: int) -> list:
@@ -416,8 +373,7 @@ def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
     divides L_R^s_m.  [1, n_max] is the partial leaf above the last
     multiple of _LEAF and the aligned blocks of that multiple's binary
     digits (_aligned, _block).  They merge from the top down (_merge),
-    keeping only the prefixes s[:k], down to the block from 1, of which
-    only the suffixes are read.  H_s(n_max) is U / lcm(1..n_max)^|s|,
+    and H_s(n_max) is U / lcm(1..n_max)^|s|, U the cell (0, r) and
     |s| = s_1 + ... + s_r.  Below two leaves there is no block to share,
     and one loop (_leaf) sums [1, n_max].
 
@@ -435,21 +391,17 @@ def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
     weight = sum(s)
     _check_bits(3 * weight * n_max // 2)
     if n_max < 2 * _LEAF:
-        lcm, u = _leaf(s, 1, n_max)
-        return Fraction(u[0][r], lcm**weight)
-    plan = _plans(s)
-    *upper, lowest = _aligned(n_max >> _LEAF_BITS)
-    top = None  # the numbers above the blocks merged so far, as prefixes
+        lcm, values = _leaf(s, 1, n_max)
+        return Fraction(values[r - 1], lcm**weight)
+    subs, rule = _plan(s)
+    top = None  # the numbers above the blocks merged so far
     if n_max % _LEAF:
-        lcm, u = _leaf(s, n_max - n_max % _LEAF + 1, n_max)
-        top = lcm, u[0][1:]
-    for a, j in upper:
-        block = _block(plan, s, a, j)
-        top = (block[0], block[1][:r]) if top is None else _merge(top, block, plan.top)
-    lcm, values = _block(plan, s, *lowest)
-    if top is not None:
-        lcm, values = _merge(top, (lcm, values), plan.last)
-    return Fraction(values[0], lcm**weight)
+        top = _leaf(s, n_max - n_max % _LEAF + 1, n_max)
+    for a, j in _aligned(n_max >> _LEAF_BITS):
+        block = _block(s, subs, rule, a, j)
+        top = block if top is None else _merge(top, block, rule)
+    lcm, values = top
+    return Fraction(values[r - 1], lcm**weight)
 
 
 def neg_taylor_coeff(s: Iterable[int], n: int) -> int:

@@ -297,6 +297,29 @@ def test_deep_nesting_exits_with_syntax_error(capsys):
         assert "nested too deeply" in err
 
 
+def _balanced(text):
+    depth = 0
+    for ch in text:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth < 0:
+            return False
+    return depth == 0
+
+
+def test_an_error_quotes_a_parenthesised_operand_whole(capsys):
+    # a node built on a parenthesised operand covers its parentheses, so
+    # the quoted text never cuts them in half
+    for argv, quote in (
+        (("nf", '(w"01")*'), '(w"01")*'),
+        (("nf", 'w"0" . (star(1,0))'), 'w"0" . (star(1,0))'),
+        (("nf", "--", '-((w"01"))*'), '-((w"01"))*'),
+        (("shuffle", "y[1]", 'w"0"'), '(y[1]) # (w"0")'),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.endswith(f": '{quote}'\n") and _balanced(quote), err
+
+
 def test_non_finite_eval_arguments_are_domain_errors(capsys):
     for argv in (("--z", "nan"), ("--z", "0.5", "--eps", "inf"), ("--z", "0.5", "--eps", "nan")):
         code, out, _ = run_cli(capsys, "eval", 'w"1"', *argv)

@@ -15,6 +15,10 @@ from starshuffle.polylog import series
 from starshuffle.polylog.series import _BlockTable, harmonic_sum
 
 COMPOSITIONS = [s for d in range(1, 5) for s in itertools.product(range(1, 5), repeat=d)]
+# deeper compositions, each at one of DEEP_NS, where every cell of a range
+# is a merge of many pairs
+DEEP = [s for d in range(5, 9) for s in itertools.product((1, 2), repeat=d)]
+DEEP_NS = (31, 32, 33, 63, 64, 65, 255, 256, 257, 1000)
 
 
 def _typed(value):
@@ -25,7 +29,9 @@ def _cases():
     """(s, N, H_s(N)): N on both sides of every power of two up to 2^12
     and at 0, 1 and 15 mod 16, each with compositions of parts 1-4 and
     depth <= 4; every such composition up to N = 65 against the row
-    loop, and past it against the product-denominator split."""
+    loop, and past it against the product-denominator split.  Then every
+    composition of parts 1-2 and depth 5-8 at one of DEEP_NS, against the
+    product-denominator split."""
     rng = random.Random(2424)
     powers = {2**j + d for j in range(13) for d in (-1, 0, 1)}
     residues = {16 * m + d for m in (1, 2, 3, 5, 8, 13, 21, 64, 130) for d in (0, 1, 15)}
@@ -39,6 +45,9 @@ def _cases():
         picks = [s for s in COMPOSITIONS if sum(s) <= weight]
         for s in rng.sample(picks, 2):
             cases.append((s, n, harmonic_sum_ref(s, n)))
+    for i, s in enumerate(rng.sample(DEEP, len(DEEP))):
+        n = DEEP_NS[i % len(DEEP_NS)]
+        cases.append((s, n, harmonic_sum_ref(s, n)))
     return cases
 
 
@@ -49,7 +58,8 @@ def test_the_cases_cover_every_edge_and_composition():
     ns = {n for _, n, _ in CASES}
     assert {2**j + d for j in range(13) for d in (-1, 0, 1)} <= ns
     assert {n % 16 for n in ns} >= {0, 1, 15}
-    assert {s for s, _, _ in CASES} == set(COMPOSITIONS)
+    assert {s for s, _, _ in CASES} == set(COMPOSITIONS) | set(DEEP)
+    assert {n for s, n, _ in CASES if len(s) > 4} == set(DEEP_NS)
 
 
 def test_harmonic_sum_is_the_same_fraction_in_any_order_of_calls():
@@ -85,6 +95,23 @@ def test_a_small_budget_keeps_the_answers_and_is_never_passed(monkeypatch, budge
         assert _typed(harmonic_sum(s, n)) == _typed(want), (s, n)
     assert table.cache_info().currsize <= budget
     assert (table.cache_info().entries == 0) == (budget == 0)
+
+
+def test_every_held_entry_is_the_loop_over_its_block():
+    # an entry (t, a, j) is read by every composition with the
+    # sub-composition t, so each one must be the nested sum over its block
+    # as the row loop finds it, whichever merges built it
+    table = series._blocks
+    table.cache_clear()
+    rng = random.Random(2525)
+    for _ in range(40):
+        s = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 6)))
+        harmonic_sum(s, rng.randint(32, 1100))
+    assert table.cache_info().entries > 0
+    for (a, j), (lcm, entries, _) in table._held.items():
+        for t, value in entries.items():
+            want_lcm, cells = series._leaf(t, (a << j) + 1, (a + 1) << j)
+            assert (lcm, value) == (want_lcm, cells[len(t) - 1]), (t, a, j)
 
 
 def test_the_table_drops_the_least_recently_used_blocks_first():

@@ -6,15 +6,18 @@ function).  Lines of other strings, of decorators and of continued
 statements count.  The module ast finds the docstrings; a line counts if
 some statement spans it.
 
-    python tools/code_lines.py [ROOT]
+    python tools/code_lines.py [ROOT] [--base DIR]
 
 prints one "<lines>  <module path>" row per module under ROOT (default
 src/ next to this file's directory) and a final "<lines>  total" row.
-Stdlib only.
+With --base, DIR is the same tree at another commit (a base), and each
+row reads "<base>  <head>  <delta>  <module path>", head being ROOT; a
+module found on one side only counts 0 on the other.  Stdlib only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 from pathlib import Path
@@ -46,14 +49,30 @@ def code_lines(source: str) -> int:
                if (line := text[n - 1].strip()) and not line.startswith("#"))
 
 
+def _counts(root: Path) -> dict:
+    """{module path under root: its code lines}."""
+    return {str(path.relative_to(root)): code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(root.rglob("*.py"))}
+
+
 def main(argv: list[str]) -> None:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(description="Count the code lines of each module.")
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1] / "src")
+    parser.add_argument("--base", type=Path, help="the same tree at a base commit")
+    args = parser.parse_args(argv)
+    head = _counts(args.root)
+    if args.base is None:
+        for module, n in head.items():
+            print(f"{n:6d}  {module}")
+        print(f"{sum(head.values()):6d}  total")
+        return
+    base = _counts(args.base)
+    rows = [(base.get(m, 0), head.get(m, 0), m) for m in sorted(base.keys() | head.keys())]
+    rows.append((sum(base.values()), sum(head.values()), "total"))
+    print(f"{'base':>6}  {'head':>6}  {'delta':>6}  module")
+    for b, h, module in rows:
+        print(f"{b:6d}  {h:6d}  {h - b:+6d}  {module}")
 
 
 if __name__ == "__main__":
