@@ -1,4 +1,14 @@
-"""Expression language for series: parser, elaborator, pretty-printer.
+r"""Expression language for series: parser, elaborator, pretty-printer.
+
+Tokens.  One compiled pattern scans the text, one alternative per token
+kind: whitespace (space, tab, carriage return, newline), skipped; INT,
+which is \d+, the Unicode decimal digits, exactly the ones int() reads;
+the literals w"bits" and y[k,...]; and star, ##, # ( ) + - * . / ,.  Any
+other character is refused.  A literal runs to its first closing quote
+or bracket, and one without it is refused as unterminated.  An INT past
+the interpreter's digit limit (sys.get_int_max_str_digits) is refused
+with int's own message, which names the limit.  Tokens carry offsets
+into the text only.
 
 Grammar.  The binary operators form a precedence table, loosest first,
 and each level is left-associative::
@@ -26,14 +36,21 @@ operation, the y-side operation (on operands lifted to YPoly), and the
 refusal for each side.  An operand on the y-side puts the node there.
 Type mismatches (stuffle on the x-side, star of a non-plane element,
 products of two series) raise ExprTypeError; malformed input raises
-ExprSyntaxError.  Both carry line/column positions.
+ExprSyntaxError.  Both name a line and a column, each from 1, counted
+on the text as given (a newline inside a y[...] literal counts).  They
+are worked out from offsets only where they are reported: an
+ExprSyntaxError counts them from its offset, and the parser reads each
+Node's off one table of line-start offsets, by bisection, so parsing
+stays linear in the text.
 """
 
 from __future__ import annotations
 
 import operator
+import re
+from bisect import bisect_right
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, NoReturn, Optional, Union
 
 from .errors import DomainError
 from .linear import _signed_sum
@@ -61,10 +78,10 @@ class ExprTypeError(ValueError):
 
 
 class Token(NamedTuple):
+    """One token; start and end are offsets into the source text."""
+
     kind: str
     value: object
-    line: int
-    col: int
     start: int
     end: int
 
@@ -92,65 +109,65 @@ _LEVELS = (
 )
 _TIGHTEST = len(_LEVELS) - 1
 
+# One alternative per token kind: whitespace (unnamed, skipped), then the
+# tokens, then any other character, which is refused.  A literal's closing
+# quote or bracket is optional, so that an unterminated literal is matched
+# and then refused.
+_TOKEN = re.compile(r'''[ \t\r\n]+
+    | (?P<int>\d+)
+    | (?P<word>w"(?P<bits>[^"]*)(?P<word_end>")?)
+    | (?P<yword>y\[(?P<indices>[^\]]*)(?P<yword_end>\])?)
+    | (?P<op>star|\#\#|[#()+\-*./,])
+    | (?P<bad>.)''', re.VERBOSE | re.DOTALL)
+
+
+def _syntax_error(text: str, offset: int, msg: str) -> ExprSyntaxError:
+    """The error at an offset, its line and column (both from 1) counted
+    on the text."""
+    line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    return ExprSyntaxError(f"line {line}, column {col}: {msg}")
+
+
+def _word(m: re.Match) -> Word:
+    if m["word_end"] is None:
+        raise ValueError("unterminated word literal")
+    if m["bits"].strip("01"):
+        raise ValueError("word literals contain only 0 and 1")
+    return Word(m["bits"])
+
+
+def _yword(m: re.Match) -> tuple[int, ...]:
+    if m["yword_end"] is None:
+        raise ValueError("unterminated y-word literal")
+    indices = m["indices"].replace(" ", "")
+    try:
+        return tuple(map(int, indices.split(","))) if indices else ()
+    except ValueError:
+        raise ValueError("y-word indices must be integers") from None
+
+
+def _bad(m: re.Match) -> NoReturn:
+    raise ValueError(f"unexpected character {m['bad']!r}")
+
+
+# token kind: its value, read off the match; a ValueError names what is
+# wrong with the token.  int's own names the interpreter's digit limit.
+_VALUE = {"int": lambda m: int(m["int"]), "word": _word, "yword": _yword, "bad": _bad}
+
 
 def tokenize(text: str) -> list[Token]:
     toks = []
-    i, line, col = 0, 1, 1
-
-    def err(msg: str) -> ExprSyntaxError:
-        return ExprSyntaxError(f"line {line}, column {col}: {msg}")
-
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        start, tline, tcol = i, line, col
-
-        def emit(kind: str, value: object, end: int) -> None:
-            nonlocal i, col
-            toks.append(Token(kind, value, tline, tcol, start, end))
-            col += end - i
-            i = end
-
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            emit("int", int(text[i:j]), j)
-        elif ch == "w" and i + 1 < len(text) and text[i + 1] == '"':
-            j = text.find('"', i + 2)
-            if j < 0:
-                raise err("unterminated word literal")
-            bits = text[i + 2 : j]
-            if any(b not in "01" for b in bits):
-                raise err("word literals contain only 0 and 1")
-            emit("word", Word(bits), j + 1)
-        elif ch == "y" and i + 1 < len(text) and text[i + 1] == "[":
-            j = text.find("]", i + 2)
-            if j < 0:
-                raise err("unterminated y-word literal")
-            body = text[i + 2 : j].replace(" ", "")
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "op":
+            toks.append(Token(m["op"], m["op"], m.start(), m.end()))
+        elif kind:
             try:
-                yw = tuple(int(p) for p in body.split(",")) if body else ()
-            except ValueError:
-                raise err("y-word indices must be integers") from None
-            emit("yword", yw, j + 1)
-        elif text.startswith("star", i):
-            emit("star", "star", i + 4)
-        elif ch == "#":
-            if text.startswith("##", i):
-                emit("##", "##", i + 2)
-            else:
-                emit("#", "#", i + 1)
-        elif ch in "()+-*./,":
-            emit(ch, ch, i + 1)
-        else:
-            raise err(f"unexpected character {ch!r}")
-    toks.append(Token("eof", None, line, col, len(text), len(text)))
+                value = _VALUE[kind](m)
+            except ValueError as exc:
+                raise _syntax_error(text, m.start(), str(exc)) from None
+            toks.append(Token(kind, value, m.start(), m.end()))
+    toks.append(Token("eof", None, len(text), len(text)))
     return toks
 
 
@@ -158,6 +175,8 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = tokenize(text)
+        # the offset of each line's first character, for the nodes' positions
+        self.starts = [0] + [m.end() for m in re.finditer("\n", text)]
         self.pos = 0
         # id of a parenthesised node -> the span of its outermost parentheses
         self.bracketed: dict[int, tuple[int, int]] = {}
@@ -182,14 +201,13 @@ class _Parser:
         return self.take()
 
     def error(self, tok: Token, msg: str) -> None:
-        raise ExprSyntaxError(f"line {tok.line}, column {tok.col}: {msg}")
+        raise _syntax_error(self.text, tok.start, msg)
 
-    def node(self, kind: str, at: Token, end: Token, value=None, kids=()) -> Node:
-        return Node(kind, at.line, at.col, (at.start, end.end), value, tuple(kids))
-
-    def binop(self, kind: str, lhs: Node, rhs: Node, op: Token) -> Node:
-        return Node(kind, op.line, op.col, (self.outer(lhs)[0], self.outer(rhs)[1]), None,
-                    (lhs, rhs))
+    def node(self, kind: str, at: Token, start: int, end: int, value=None, kids=()) -> Node:
+        """A node placed at token at, spanning text[start:end]."""
+        line = bisect_right(self.starts, at.start)
+        col = at.start - self.starts[line - 1] + 1
+        return Node(kind, line, col, (start, end), value, tuple(kids))
 
     def parse(self) -> Node:
         node = self.binary()
@@ -208,14 +226,15 @@ class _Parser:
         ):
             op = self.take()
             rhs = self.starred() if level == _TIGHTEST else self.binary(level + 1)
-            node = self.binop(ops[kind], node, rhs, op)
+            node = self.node(ops[kind], op, self.outer(node)[0], self.outer(rhs)[1], None,
+                             (node, rhs))
         return node
 
     def starred(self) -> Node:
         node = self.primary()
         while self.peek().kind == "*" and self.peek(1).kind not in _PRIMARY_START:
             op = self.take()
-            node = Node("kstar", op.line, op.col, (self.outer(node)[0], op.end), None, (node,))
+            node = self.node("kstar", op, self.outer(node)[0], op.end, None, (node,))
         return node
 
     def primary(self) -> Node:
@@ -223,7 +242,7 @@ class _Parser:
         if tok.kind == "-":
             self.take()
             inner = self.primary()
-            return Node("neg", tok.line, tok.col, (tok.start, self.outer(inner)[1]), None, (inner,))
+            return self.node("neg", tok, tok.start, self.outer(inner)[1], None, (inner,))
         if tok.kind == "int":
             self.take()
             if self.peek().kind == "/":
@@ -231,14 +250,12 @@ class _Parser:
                 den = self.expect("int")
                 if den.value == 0:
                     self.error(den, "zero denominator")
-                return self.node("scalar", tok, den, Fraction(tok.value, den.value))
-            return self.node("scalar", tok, tok, Fraction(tok.value))
-        if tok.kind == "word":
+                return self.node("scalar", tok, tok.start, den.end,
+                                 Fraction(tok.value, den.value))
+            return self.node("scalar", tok, tok.start, tok.end, Fraction(tok.value))
+        if tok.kind in ("word", "yword"):
             self.take()
-            return self.node("word", tok, tok, tok.value)
-        if tok.kind == "yword":
-            self.take()
-            return self.node("yword", tok, tok, tok.value)
+            return self.node(tok.kind, tok, tok.start, tok.end, tok.value)
         if tok.kind == "star":
             self.take()
             self.expect("(")
@@ -247,9 +264,9 @@ class _Parser:
                 self.take()
                 second = self.binary()
                 close = self.expect(")")
-                return self.node("plane", tok, close, None, (first, second))
+                return self.node("plane", tok, tok.start, close.end, None, (first, second))
             close = self.expect(")")
-            return self.node("kstar", tok, close, None, (first,))
+            return self.node("kstar", tok, tok.start, close.end, None, (first,))
         if tok.kind == "(":
             self.take()
             node = self.binary()

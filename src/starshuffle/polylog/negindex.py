@@ -12,6 +12,10 @@ shuffle powers of (x0+x1)*, of x0* sh x1*, and of x1* - 1; the nested
 summation indices k_i range over 0..M_i with M_i = s1+..+si - (k1+..+
 k_{i-1}), the last index being forced to k_r = M_r (its binomial is 1),
 and each term carries the product of the remaining binomials C(M_i, k_i).
+Each of the three is one rule, a Stirling block over the route's base.
+R is not an independent value: a shuffle of stars adds exponents, so
+x0* sh x1* is the series (x0+x1)*, and R builds T's factors again, through
+shuffle_star on stars; what it checks is shuffle_star.
 The series routes read the coefficients off the normal form of that
 series modulo the kernel ideal (rewrite.normal_form), so they check the
 reducer.  The factor of each (route, k) is built once, into the bounded
@@ -56,25 +60,20 @@ def _stirling_block(k: int, base: StarSeries, shift: StarSeries) -> StarSeries:
     return shuffle_star(shift, StarSeries._from_row(_combine(parts())))
 
 
+# route: its base series, (x0+x1)*, x0* sh x1* and x1* - 1
+_ROUTE_BASES = {
+    "T": lambda: plane_star(1, 1),
+    "R": lambda: shuffle_star(plane_star(1, 0), plane_star(0, 1)),
+    "F": lambda: plane_star(0, 1) - StarSeries.one(),
+}
+
+
 @lru_cache(maxsize=_FACTOR_TABLE_SIZE)
 def _route_factor(route: str, k: int) -> StarSeries:
     """The series factor of one summation index k of a route.  Cached,
     treat the result as read-only."""
-    if route == "T":
-        if k == 0:
-            return plane_star(1, 1)
-        return _stirling_block(k, plane_star(1, 1), plane_star(0, 1))
-    if route == "R":
-        both = shuffle_star(plane_star(1, 0), plane_star(0, 1))
-        if k == 0:
-            return both
-        return _stirling_block(k, both, plane_star(0, 1))
-    if route == "F":
-        lam = plane_star(0, 1) - StarSeries.one()
-        if k == 0:
-            return lam
-        return _stirling_block(k, lam, plane_star(0, 1))
-    raise ValueError(f"unknown route {route!r}")
+    base = _ROUTE_BASES[route]()
+    return base if k == 0 else _stirling_block(k, base, plane_star(0, 1))
 
 
 def _nested_indices(s: Sequence[int]):

@@ -366,3 +366,13 @@ def test_row_counts_are_the_rows_built_and_the_budget_refuses_past_them(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 0.1, argv
         assert code == 5 and not out and err.startswith("error: "), argv
+
+
+def test_run_exits_with_the_code_of_main(monkeypatch, capsys):
+    from starshuffle.cli import run
+
+    monkeypatch.setattr(sys, "argv", ["starshuffle", "hsum", "2", "3"])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "49/36\n"

@@ -3,10 +3,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starshuffle.expressions import (
     ExprSyntaxError,
     ExprTypeError,
+    Node,
     format_series,
     format_value,
     parse_expr,
@@ -236,3 +239,59 @@ def test_a_nesting_level_costs_at_most_six_frames():
     finally:
         sys.setrecursionlimit(limit)
     assert tree.kind == "scalar"
+
+
+def test_a_digit_int_cannot_read_is_an_unexpected_character():
+    # '²' is a digit to str.isdigit, but not a decimal digit
+    with pytest.raises(ExprSyntaxError, match="^line 1, column 1: unexpected character '²'$"):
+        parse_expr("²")
+    # the Arabic-Indic digits are decimal digits, and int reads them
+    assert parse_value("١٢") == Fraction(12)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_an_integer_past_the_digit_limit_is_a_syntax_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ExprSyntaxError, match=r"^line 1, column 1: .*\(4300 digits\)"):
+            parse_expr("9" * 5000)
+        with pytest.raises(ExprSyntaxError, match=r"^line 2, column 3: .*\(4300 digits\)"):
+            parse_expr("1 +\n  " + "9" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_positions_after_a_literal_that_spans_lines():
+    # the text the stuffle verb parses for the operands 'y[1,\n2] ## q' and 'y[1]'
+    with pytest.raises(ExprSyntaxError, match="^line 2, column 7: unexpected character 'q'$"):
+        parse_expr("(y[1,\n2] ## q) ## (y[1])")
+    node = parse_expr("y[1,\n2] ## y[3]")
+    assert (node.line, node.col) == (2, 4)
+    assert [(kid.line, kid.col) for kid in node.kids] == [(1, 1), (2, 7)]
+    with pytest.raises(ExprTypeError, match="^line 2, column 4: .*'y\\[1,\n2\\] # y\\[3\\]'$"):
+        parse_value("y[1,\n2] # y[3]")
+
+
+def _nodes(node: Node):
+    yield node
+    for kid in node.kids:
+        yield from _nodes(kid)
+
+
+@given(st.one_of(st.text(), st.text(alphabet='01239²١wy"[],()+-*./#star \t\n@')))
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_to_a_node_or_raises_a_syntax_error(text):
+    try:
+        tree = parse_expr(text)
+    except ExprSyntaxError as exc:
+        assert str(exc).startswith("line ") or "nested too deeply" in str(exc)
+        return
+    assert isinstance(tree, Node)
+    # each node's line and column name an offset inside its span
+    starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    for node in _nodes(tree):
+        offset = starts[node.line - 1] + node.col - 1
+        assert node.span[0] <= offset < node.span[1]
+        assert "\n" not in text[starts[node.line - 1]:offset]

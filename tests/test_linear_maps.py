@@ -328,3 +328,11 @@ def test_word_order_is_tuple_order_and_equal_words_hash_equal():
             assert (u < v, u <= v, u > v, u >= v) == (tu < tv, tu <= tv, tu > tv, tu >= tv)
         twin = (Word("1") + u)[1:]
         assert twin == u and hash(twin) == hash(u)
+
+
+def test_items_and_repr_read_the_terms():
+    p = NCPoly({Word("1"): Fraction(3, 2), Word("0"): Fraction(-1)})
+    assert list(p.items()) == list(p.terms.items())
+    assert dict(p.items()) == {Word("1"): Fraction(3, 2), Word("0"): Fraction(-1)}
+    assert repr(p) == f"NCPoly({p.terms!r})"
+    assert repr(NCPoly.zero()) == "NCPoly({})"

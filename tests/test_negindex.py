@@ -141,3 +141,14 @@ def test_closed_form_taylor_coeff_refuses_a_bool_index():
 def test_closed_form_taylor_coeff_refuses_a_float_index():
     with pytest.raises(ValueError, match=r"indexed by integers n >= 1, got 3\.0"):
         closed_form_taylor_coeff([0, 1], 3.0)
+
+
+def test_route_r_builds_the_factors_of_route_t():
+    # a shuffle of stars adds exponents: x0* sh x1* is (x0+x1)*, so R's
+    # factors are T's, built through shuffle_star, dict order included
+    from starshuffle.polylog.negindex import _route_factor
+
+    for k in range(8):
+        r, t = _route_factor("R", k), _route_factor("T", k)
+        assert r == t, k
+        assert list(r.terms.items()) == list(t.terms.items()), k

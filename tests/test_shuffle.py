@@ -297,3 +297,10 @@ def test_poly_text_roundtrip():
         parse_poly("3/2*021")
     with pytest.raises(ValueError):
         parse_poly("")
+
+
+def test_degree_is_the_longest_word_and_minus_one_for_zero():
+    assert NCPoly.zero().degree() == -1
+    assert NCPoly.from_word(Word("")).degree() == 0
+    p = NCPoly({Word("0"): Fraction(1), Word("011"): Fraction(-2)})
+    assert p.degree() == 3

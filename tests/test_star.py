@@ -163,3 +163,9 @@ def test_expand_validates_and_truncates():
     assert set(len(w) for w in expand(s, 2).terms) == {0, 1, 2}
     with pytest.raises(ValueError):
         expand(s, -1)
+
+
+def test_str_is_the_canonical_expression_text():
+    s = plane_star(1, 0) - embed(NCPoly.from_word(Word("01"))).scale(Fraction(1, 2))
+    assert str(s) == '1*star(1,0) - 1/2*w"01"'
+    assert str(StarSeries.zero()) == "0"
