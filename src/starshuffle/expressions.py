@@ -5,7 +5,9 @@ kind: whitespace (space, tab, carriage return, newline), skipped; INT,
 which is \d+, the Unicode decimal digits, exactly the ones int() reads;
 the literals w"bits" and y[k,...]; and star, ##, # ( ) + - * . / ,.  Any
 other character is refused.  A literal runs to its first closing quote
-or bracket, and one without it is refused as unterminated.  An INT past
+or bracket, and one without it is refused as unterminated.  Each index
+k of a y-word is an INT with an optional minus sign, between optional
+whitespace, and a bad one is refused at its own offset.  An INT past
 the interpreter's digit limit (sys.get_int_max_str_digits) is refused
 with int's own message, which names the limit.  Tokens carry offsets
 into the text only.
@@ -41,7 +43,8 @@ on the text as given (a newline inside a y[...] literal counts).  They
 are worked out from offsets only where they are reported: an
 ExprSyntaxError counts them from its offset, and the parser reads each
 Node's off one table of line-start offsets, by bisection, so parsing
-stays linear in the text.
+stays linear in the text.  An ExprTypeError quotes the operand's text
+with its line breaks written as \n and \r, so every message is one line.
 """
 
 from __future__ import annotations
@@ -121,6 +124,12 @@ _TOKEN = re.compile(r'''[ \t\r\n]+
     | (?P<bad>.)''', re.VERBOSE | re.DOTALL)
 
 
+# the whitespace the tokenizer skips, and one y-word index: an INT with an
+# optional minus (the elaborator refuses indices below 1) in whitespace
+_SPACE = " \t\r\n"
+_INDEX = re.compile(r"[ \t\r\n]*-?\d+[ \t\r\n]*")
+
+
 def _syntax_error(text: str, offset: int, msg: str) -> ExprSyntaxError:
     """The error at an offset, its line and column (both from 1) counted
     on the text."""
@@ -139,11 +148,17 @@ def _word(m: re.Match) -> Word:
 def _yword(m: re.Match) -> tuple[int, ...]:
     if m["yword_end"] is None:
         raise ValueError("unterminated y-word literal")
-    indices = m["indices"].replace(" ", "")
-    try:
-        return tuple(map(int, indices.split(","))) if indices else ()
-    except ValueError:
-        raise ValueError("y-word indices must be integers") from None
+    body, at, out = m["indices"], m.start("indices"), []
+    for piece in body.split(",") if body.strip(_SPACE) else ():
+        # the offset of this index's first character that is not whitespace
+        start, at = at + len(piece) - len(piece.lstrip(_SPACE)), at + len(piece) + 1
+        try:
+            if not _INDEX.fullmatch(piece):
+                raise ValueError("y-word indices must be integers")
+            out.append(int(piece))
+        except ValueError as exc:  # int's own names the digit limit
+            raise ValueError(str(exc), start) from None
+    return tuple(out)
 
 
 def _bad(m: re.Match) -> NoReturn:
@@ -151,7 +166,8 @@ def _bad(m: re.Match) -> NoReturn:
 
 
 # token kind: its value, read off the match; a ValueError names what is
-# wrong with the token.  int's own names the interpreter's digit limit.
+# wrong with the token, and a second argument, if any, the offset of the
+# fault inside it.  int's own names the interpreter's digit limit.
 _VALUE = {"int": lambda m: int(m["int"]), "word": _word, "yword": _yword, "bad": _bad}
 
 
@@ -165,7 +181,8 @@ def tokenize(text: str) -> list[Token]:
             try:
                 value = _VALUE[kind](m)
             except ValueError as exc:
-                raise _syntax_error(text, m.start(), str(exc)) from None
+                msg, at = exc.args if len(exc.args) == 2 else (str(exc), m.start())
+                raise _syntax_error(text, at, msg) from None
             toks.append(Token(kind, value, m.start(), m.end()))
     toks.append(Token("eof", None, len(text), len(text)))
     return toks
@@ -333,10 +350,9 @@ class _Elaborator:
         self.text = text
 
     def fail(self, node: Node, msg: str) -> None:
-        s, e = node.span
-        raise ExprTypeError(
-            f"line {node.line}, column {node.col}: {msg}: '{self.text[s:e]}'"
-        )
+        # line breaks escaped, so that the message is one line
+        quote = self.text[slice(*node.span)].replace("\n", "\\n").replace("\r", "\\r")
+        raise ExprTypeError(f"line {node.line}, column {node.col}: {msg}: '{quote}'")
 
     def value(self, node: Node) -> Value:
         method = getattr(self, "_" + node.kind)

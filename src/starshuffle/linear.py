@@ -17,7 +17,8 @@ A combination holds exactly one of two forms at a time:
 Every operation returns the row form: the products and linear maps
 (_bilinear, _linear), sums (_combine), +, -, neg and scale.  Every
 operation reads its operands' rows (_row_of): a map-form operand is
-scaled to its least common denominator once (_common_scale).  The first
+scaled to its least common denominator once (_common_scale), or, with
+one term, read off its Fraction's numerator and denominator.  The first
 read of .terms on a row-form object builds the map from the row
 (_fractions: one Fraction per distinct value, keys in the row's order)
 and drops the row, so from then on the map is the object's only form
@@ -89,7 +90,7 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Tuple
 
-from .words import Word
+from .words import Word, _new
 
 
 class LinearCombination:
@@ -225,8 +226,14 @@ def _is_scalar(x) -> bool:
 
 def _row_of(x: LinearCombination) -> tuple:
     """The row (num, den) of a combination in either form.  A row-form
-    object hands out its own row, which the caller must not write to."""
+    object hands out its own row, which the caller must not write to.  A
+    one-term map-form object {k: c} reads as ({k: c.numerator},
+    c.denominator), which is its _common_scale row, as c is in lowest
+    terms; a longer map goes through _common_scale."""
     if x._row is None:
+        if len(x._terms) == 1:
+            ((k, c),) = x._terms.items()
+            return {k: c.numerator}, c.denominator
         nums, den = _common_scale(x._terms.values())
         return dict(zip(x._terms, nums)), den
     return x._row
@@ -293,10 +300,11 @@ def _bilinear(p: tuple, q: tuple, pair, then=None, wrap=None) -> tuple:
     and q, as a row.  With a rule then(key) -> {key: int}, its linear
     extension is applied to the int sums first, in the order the pair
     loop met their keys; a key whose sum is zero is skipped there, as if
-    the product had been built first.  With wrap, each output key is
-    wrap(key).  Two one-term operands skip the
-    accumulation (see the module docstring); what pair returns is never
-    written to."""
+    the product had been built first.  wrap, if given, is the key type,
+    an int subclass: each output key k is made int.__new__(wrap, k), in
+    C, as shuffle makes its Words from sentinel ints.  Two one-term
+    operands skip the accumulation (see the module docstring); what pair
+    returns is never written to or handed out."""
     (p_num, p_den), (q_num, q_den) = p, q
     if len(p_num) == 1 and len(q_num) == 1:
         ((u, cu),) = p_num.items()
@@ -316,7 +324,7 @@ def _bilinear(p: tuple, q: tuple, pair, then=None, wrap=None) -> tuple:
         acc = _sum_rule(acc.items(), then)
     if wrap is None:
         return _lowest({w: c for w, c in acc.items() if c}, p_den * q_den)
-    return _lowest({wrap(w): c for w, c in acc.items() if c}, p_den * q_den)
+    return _lowest({_new(wrap, w): c for w, c in acc.items() if c}, p_den * q_den)
 
 
 def _combine(parts, den: int = 1) -> tuple:

@@ -48,8 +48,8 @@ from math import comb
 from ..errors import DomainError
 from ..linear import LinearCombination, _bilinear, _combine, _is_scalar, _linear, _row_of, _sum_rule
 from ..rewrite import _canonical
-from ..shuffle_core import _as_word, _shuffle_words
-from ..words import EPSILON, Word, shortlex_key
+from ..shuffle_core import _shuffle_words
+from ..words import EPSILON, Word, _new, shortlex_key
 
 
 class SymFun(LinearCombination):
@@ -192,7 +192,7 @@ def _reduce_trailing_x0(w: Word) -> tuple:
     levels = [{w & (1 << last) - 1 | 1 << last: 1}]  # u, as a sentinel key
     for m in range(1, n + 1):
         levels.append({t: c // -m for t, c in _sum_rule(levels[-1].items(), _times_x0).items()})
-    row = [((_as_word(t | 2 << last + m), n - m), c)
+    row = [((_new(Word, t | 2 << last + m), n - m), c)
            for m, level in enumerate(levels) for t, c in level.items()]
     return tuple(sorted(row, key=_piece_order))
 

@@ -23,14 +23,19 @@ their cells in the order of the first-letter recursion they replace, so
 result dicts keep that recursion's iteration order.
 
 Parts of a cell that end (or, for the stuffle, start) in different
-letters share no key, so they are merged by dict.update, in C: a shuffle
-cell whose two letters differ, where the x0 part keeps its keys and the
-x1 part takes its bit in one comprehension; and a stuffle cell's
-(u[i] + v[j]) part always, since u[i] + v[j] exceeds both letters, and
-its v[j] part whenever u[i] != v[j].  update appends new keys in the
-order of its argument with their own values, which is what the per-term
-loop did for keys it had not met, so values and dict order are the
-loop's.  Only the parts with equal letters are summed term by term.
+letters share no key, so they are merged in C: a shuffle cell whose two
+letters differ by dict.update, where the x0 part keeps its keys and the
+x1 part takes its bit in one comprehension.  A stuffle cell (i, j) with
+x = u[i] != y = v[j] is one dict comprehension over its three disjoint
+parts, in the recursion's order: x (u[i+1:] st v[j:]), y (u[i:] st
+v[j+1:]), then (x + y) (u[i+1:] st v[j+1:]); x + y exceeds both letters,
+so no part shares a key with another.  The one-letter prefixes (x,) and
+(y,) are made once per row and column, (x + y,) once per cell.  When x
+== y, the y part is summed into the x part term by term and the (x + y)
+part is appended by update.  A comprehension or update places new keys
+in the order of its parts with their own values, which is what the
+per-term loop did for keys it had not met, so values and dict order are
+the loop's.
 
 shuffle, stuffle and conc (and the YPoly product) are pair rules,
 _shuffle_bits, _stuffle_tuples and _conc, handed to linear._bilinear, the
@@ -54,14 +59,11 @@ in one pass, making each distinct subword a Word once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 from .linear import LinearCombination, _bilinear, _is_scalar, _linear, _row_of, _signed_sum
-from .words import EPSILON, Word, composition_of_word, shortlex_items, word_of_composition
-
-_new = int.__new__
-_as_word = partial(_new, Word)  # a sentinel int key as a Word
+from .words import EPSILON, Word, _new, composition_of_word, shortlex_items, word_of_composition
 
 
 class NCPoly(LinearCombination):
@@ -154,7 +156,7 @@ def _shuffle_words(u: Word, v: Word) -> dict:
 
 def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
     """Shuffle product, extended bilinearly."""
-    return NCPoly._from_row(_bilinear(_row_of(p), _row_of(q), _shuffle_bits, wrap=_as_word))
+    return NCPoly._from_row(_bilinear(_row_of(p), _row_of(q), _shuffle_bits, wrap=Word))
 
 
 def unshuffle(w: Word) -> dict:
@@ -265,22 +267,25 @@ def _stuffle_tuples(u: tuple, v: tuple) -> dict:
     """
     a, b = len(u), len(v)
     below = [{v[j:]: 1} for j in range(b + 1)]
+    ys = [(y,) for y in v]
     for i in range(a - 1, -1, -1):
         x = u[i]
+        xp = (x,)
         right = {u[i:]: 1}
         row = [right]
         for j in range(b - 1, -1, -1):
             y = v[j]
-            out = {(x,) + w: c for w, c in below[j].items()}
-            if x != y:
-                out.update({(y,) + w: c for w, c in right.items()})
-            else:
-                for w, c in right.items():
-                    w = (y,) + w
-                    out[w] = out.get(w, 0) + c
-            # x + y exceeds both x and y, so this part shares no key.
+            # x + y exceeds both x and y, so its part shares no key.
             xy = (x + y,)
-            out.update({xy + w: c for w, c in below[j + 1].items()})
+            if x != y:
+                parts = ((xp, below[j]), (ys[j], right), (xy, below[j + 1]))
+                out = {p + w: c for p, part in parts for w, c in part.items()}
+            else:
+                out = {xp + w: c for w, c in below[j].items()}
+                for w, c in right.items():
+                    w = xp + w
+                    out[w] = out.get(w, 0) + c
+                out.update({xy + w: c for w, c in below[j + 1].items()})
             row.append(out)
             right = out
         row.reverse()

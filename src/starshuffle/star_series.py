@@ -133,7 +133,7 @@ def _star_pair(x: StarTerm, y: StarTerm) -> dict:
     (u, a0, a1), (v, b0, b1) = x, y
     e0 = _exponent(a0 + b0)
     e1 = _exponent(a1 + b1)
-    return {StarTerm(w, e0, e1): m for w, m in _shuffle_words(u, v).items()}
+    return {_term(StarTerm, (w, e0, e1)): m for w, m in _shuffle_words(u, v).items()}
 
 
 def shuffle_power(s: StarSeries, k: int) -> StarSeries:

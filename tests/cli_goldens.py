@@ -42,11 +42,11 @@ BAD_EXPRS = [
     # ExprSyntaxError
     "y[1,x]", "y[1", 'w"2"', 'w"01', "@", "1/0", "(1", "1 1", "", "star(1",
     "star(1,2,3)", "1/", "*", "w\"1\" +\n  @", "(" * 3000 + "1" + ")" * 3000,
-    "-" * 3000 + "1", "-" * 700 + "1", "²", "y[1,\n2] + @",
+    "-" * 3000 + "1", "-" * 700 + "1", "²", "y[1,\n2] + @", "y[1_0]", "y[+2]", "y[1,,2]",
     # ExprTypeError
     "y[0]", "y[-1]", "star(1,0)*", "star(y[1])", "y[1]*", 'star(w"0",1)',
     'w"1" * w"0"', 'w"1" . star(1,0)', 'y[1] . w"1"', 'y[1] + w"0"', 'w"0" - y[1]',
-    "y[1] # y[1]", 'w"1" ## 1', 'w""*', 'star(w"01")', "y[2] * y[1]",
+    "y[1] # y[1]", 'w"1" ## 1', 'w""*', 'star(w"01")', "y[2] * y[1]", "y[1,\n2] # y[3]",
     # DomainError
     "star(1/2,0)",
 ]

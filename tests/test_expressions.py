@@ -259,6 +259,9 @@ def test_an_integer_past_the_digit_limit_is_a_syntax_error():
             parse_expr("9" * 5000)
         with pytest.raises(ExprSyntaxError, match=r"^line 2, column 3: .*\(4300 digits\)"):
             parse_expr("1 +\n  " + "9" * 5000)
+        # a y-word index is placed at its own position too
+        with pytest.raises(ExprSyntaxError, match=r"^line 2, column 2: .*\(4300 digits\)"):
+            parse_expr("y[1,\n " + "9" * 5000 + "]")
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -270,8 +273,33 @@ def test_positions_after_a_literal_that_spans_lines():
     node = parse_expr("y[1,\n2] ## y[3]")
     assert (node.line, node.col) == (2, 4)
     assert [(kid.line, kid.col) for kid in node.kids] == [(1, 1), (2, 7)]
-    with pytest.raises(ExprTypeError, match="^line 2, column 4: .*'y\\[1,\n2\\] # y\\[3\\]'$"):
+    # the quoted operand's line break is escaped, so the message is one line
+    with pytest.raises(ExprTypeError, match=r"^line 2, column 4: .*'y\[1,\\n2\] # y\[3\]'$"):
         parse_value("y[1,\n2] # y[3]")
+
+
+def test_y_word_indices_are_integer_tokens_placed_at_their_own_position():
+    for text, where in (("y[1_0]", "line 1, column 3"), ("y[+2]", "line 1, column 3"),
+                        ("y[1,,2]", "line 1, column 5"), ("y[1,x]", "line 1, column 5"),
+                        ("y[1,]", "line 1, column 5"), ("y[1,\n 2 ,\t+3]", "line 2, column 6"),
+                        ("y[1\x0c]", "line 1, column 3")):
+        with pytest.raises(ExprSyntaxError, match=f"^{where}: y-word indices must be integers$"):
+            parse_expr(text)
+    # whitespace around an index, a newline included, is skipped
+    assert parse_value("y[ 2 ,\n\t1\r\n]") == YPoly({(2, 1): Fraction(1)})
+    assert parse_value("y[ \n]") == YPoly({(): Fraction(1)})
+    # a minus sign is read, and the elaborator refuses indices below 1
+    for text in ("y[-1]", "y[0]", "y[2, -3]"):
+        with pytest.raises(ExprTypeError, match="must be positive integers"):
+            parse_value(text)
+
+
+def test_a_type_error_quoting_an_operand_across_lines_is_one_line():
+    for text in ("y[1,\n2] # y[3]", "y[1,\r\n2] # y[3]", "(\ny[1]\n) # w\"0\""):
+        with pytest.raises(ExprTypeError) as info:
+            parse_value(text)
+        assert "\n" not in str(info.value) and "\r" not in str(info.value)
+        assert str(info.value).endswith(": '" + text.replace("\n", "\\n").replace("\r", "\\r") + "'")
 
 
 def _nodes(node: Node):

@@ -34,6 +34,7 @@ from kernel_reference import (
     words_up_to,
 )
 from starshuffle.errors import DomainError
+from starshuffle.linear import _bilinear, _common_scale, _row_of
 from starshuffle.polylog.integrate import (
     _J,
     _K,
@@ -336,3 +337,32 @@ def test_items_and_repr_read_the_terms():
     assert dict(p.items()) == {Word("1"): Fraction(3, 2), Word("0"): Fraction(-1)}
     assert repr(p) == f"NCPoly({p.terms!r})"
     assert repr(NCPoly.zero()) == "NCPoly({})"
+
+
+def test_bilinear_wrap_makes_keys_of_exactly_the_wrap_type_from_its_own_dict():
+    """With wrap, every output key has exactly the wrap type, a zero sum is
+    dropped, and the pair rule's dict is neither written to nor handed out."""
+    table = {0b101: 2, 0b110: 0, 0b11: 1}
+
+    def pair(u, v):
+        return table
+
+    for p_num, q_num in (({1: 1}, {1: 1}), ({1: -3}, {1: 5}), ({1: 1, 3: 2}, {2: -1})):
+        got, den = _bilinear((p_num, 7), (q_num, 1), pair, wrap=Word)
+        assert got is not table and table == {0b101: 2, 0b110: 0, 0b11: 1}
+        assert all(type(k) is Word for k in got) and all(type(c) is int for c in got.values())
+        scale = sum(p_num.values()) * sum(q_num.values())
+        assert list(got.items()) == [(Word("10"), 2 * scale), (Word("1"), scale)]
+        assert den == 7
+
+
+def test_a_one_term_map_reads_as_the_common_scale_row():
+    for c in (Fraction(-3), Fraction(-5, 7), Fraction(22, 15), Fraction(1, 3 ** 80),
+              Fraction(-(2 ** 90) - 1, 7 ** 40), Fraction(1)):
+        for p in (NCPoly({Word("01"): c}), YPoly({(2, 1): c}), StarSeries({star_term(Word("1"), 1, 0): c})):
+            assert p._row is None
+            nums, den = _common_scale(p.terms.values())
+            row = _row_of(p)
+            assert row == (dict(zip(p.terms, nums)), den)
+            assert all(type(n) is int for n in row[0].values()) and type(row[1]) is int
+            assert p._row is None and p.terms == {next(iter(p.terms)): c}

@@ -1,6 +1,7 @@
 """tools/op_shares.py: the per-kind count, time and share of a workload's
-operations, run in process on a few dozen generated operations, and the
-audit of the cache tables the run used."""
+operations, run in process on a few dozen generated operations, the
+audit of the cache tables the run used, and the collector's passes and
+time per kind."""
 
 import importlib.util
 import sys
@@ -35,6 +36,37 @@ def test_shares_of_a_few_dozen_ideal_ops(monkeypatch):
 
 def test_format_of_no_ops():
     assert op_shares.format_shares({}).splitlines()[-1].split() == ["total", "0", "0.0000", "0.0%"]
+    assert op_shares.format_gc([], {}).splitlines()[1:] == ["between       0     0.000",
+                                                            "total         0     0.000"]
+
+
+def test_collector_rows_sum_to_the_collectors_totals_for_the_run(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    wl = op_shares.load_workload("shuffle")
+    ops = op_shares.build_ops(wl, 5, 60)
+    import harness
+
+    with harness.GcClock() as clock:
+        times, rows = op_shares.op_runs(wl, ops)
+    assert [(kind, answered) for kind, _, answered in times] == \
+        [(kind, answered) for kind, _, answered in op_shares.op_times(wl, ops)]
+    assert clock.collections > 0 and set(rows) <= {op[0] for op in ops} | {None}
+    assert sum(passes for passes, _ in rows.values()) == clock.collections
+    seconds = sum(s for _, s in rows.values())
+    assert abs(seconds - clock.total) <= 0.05 * clock.total + 1e-3
+    # a kind's collector time lies inside its operations' time
+    shares = op_shares.shares_of(times)
+    for kind, (_, s) in rows.items():
+        if kind is not None:
+            assert s <= shares[kind][1], kind
+    lines = op_shares.format_gc(times, rows).splitlines()
+    assert lines[0].split() == ["kind", "passes", "gc_ms"]
+    table = {row[0]: (int(row[1]), float(row[2])) for row in map(str.split, lines[1:])}
+    assert list(table) == [*dict.fromkeys(kind for kind, _, _ in times), "between", "total"]
+    assert table["total"][0] == clock.collections
+    assert sum(table[kind][0] for kind in list(table)[:-1]) == table["total"][0]
+    assert abs(sum(table[kind][1] for kind in list(table)[:-1]) - table["total"][1]) < 1e-3 * len(table)
+    assert abs(table["total"][1] - 1e3 * seconds) < 1e-3
 
 
 def test_table_audit_of_a_few_dozen_shuffle_ops(monkeypatch):

@@ -169,3 +169,16 @@ def test_str_is_the_canonical_expression_text():
     s = plane_star(1, 0) - embed(NCPoly.from_word(Word("01"))).scale(Fraction(1, 2))
     assert str(s) == '1*star(1,0) - 1/2*w"01"'
     assert str(StarSeries.zero()) == "0"
+
+
+def test_star_product_keys_are_star_terms():
+    s = StarSeries({star_term(Word("01"), 1, Fraction(1, 2)): 3, star_term(EPSILON, -2, 0): Fraction(1, 5)})
+    t = StarSeries({star_term(Word("1"), Fraction(-1, 2), 2): Fraction(-2, 3)})
+    for got in (shuffle_star(s, t), shuffle_star(t, t), shuffle_power(s, 3)):
+        assert got.terms and all(type(k) is StarTerm for k in got.terms)
+        assert all(type(k.w) is Word for k in got.terms)
+        assert all(type(a) in (int, Fraction) for k in got.terms for a in (k.a0, k.a1))
+    # exponents add, and an integral sum is stored as an int
+    u = StarSeries({star_term(Word("01"), 1, Fraction(1, 2)): 3})
+    assert [(k, type(k.a1)) for k in shuffle_star(u, u).terms] == [
+        ((Word("0101"), 2, 1), int), ((Word("0011"), 2, 1), int)]

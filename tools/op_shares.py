@@ -30,6 +30,16 @@ emptied before the run, and each one the run used gets a row
     table  hits  misses  size  maxsize
 
 so a table whose hits stay near zero holds memory that nothing re-reads.
+Last comes the cyclic garbage collector's work, timed from gc.callbacks
+as perfbench's harness.GcClock times it, with each pass charged to the
+kind of the operation running when it starts:
+
+    kind  passes  gc_ms
+
+one row per kind, in the order the kinds first appear, a "between" row
+for passes that start outside every operation (in this tool's own loop),
+and a total row for the run.  The collector runs inside operations, so
+their times above include it.
 The checkout is the one this file lies in; its perfbench/ and src/ are
 imported and nothing in them is changed.  Stdlib only.
 """
@@ -37,6 +47,7 @@ imported and nothing in them is changed.  Stdlib only.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import pkgutil
 import random
@@ -66,22 +77,57 @@ def build_ops(wl, seed: int, n: int) -> list:
     return ops
 
 
-def op_times(wl, ops: list) -> list:
-    """(kind, seconds, answered) of execute alone for each operation, in
-    order; answered is False when it raised."""
+class GcByKind:
+    """A gc.callbacks entry: the collector's {kind: [passes, seconds]},
+    each pass charged to self.kind when it starts (None between
+    operations)."""
+
+    def __init__(self):
+        self.kind = None
+        self.rows: dict = {}
+        self._start = None
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._start = (self.kind, time.perf_counter())
+        elif self._start is not None:
+            kind, t0 = self._start
+            row = self.rows.setdefault(kind, [0, 0.0])
+            row[0] += 1
+            row[1] += time.perf_counter() - t0
+            self._start = None
+
+
+def op_runs(wl, ops: list) -> tuple:
+    """op_times' rows, and the collector's {kind: [passes, seconds]} over
+    the run, None keying the passes that start between operations."""
     import harness
 
     tracer = harness.NullTracer()
+    clock = GcByKind()
     out = []
-    for op in ops:
-        answered = True
-        t0 = time.perf_counter()
-        try:
-            wl.execute(op, tracer)
-        except Exception:  # a refusal: its time counts, its answer is not checked
-            answered = False
-        out.append((op[0], time.perf_counter() - t0, answered))
-    return out
+    gc.callbacks.append(clock)
+    try:
+        for op in ops:
+            answered = True
+            clock.kind = op[0]
+            t0 = time.perf_counter()
+            try:
+                wl.execute(op, tracer)
+            except Exception:  # a refusal: its time counts, its answer is not checked
+                answered = False
+            seconds = time.perf_counter() - t0
+            clock.kind = None
+            out.append((op[0], seconds, answered))
+    finally:
+        gc.callbacks.remove(clock)
+    return out, clock.rows
+
+
+def op_times(wl, ops: list) -> list:
+    """(kind, seconds, answered) of execute alone for each operation, in
+    order; answered is False when it raised."""
+    return op_runs(wl, ops)[0]
 
 
 def shares_of(times: list) -> dict:
@@ -134,6 +180,22 @@ def format_latency(times: list) -> str:
     return "\n".join(lines)
 
 
+def format_gc(times: list, rows: dict) -> str:
+    """The collector's table of op_runs: passes and milliseconds per kind,
+    in the order the kinds first appear in times, then between operations,
+    then for the whole run."""
+    kinds = [*dict.fromkeys(kind for kind, _, _ in times), None]
+    width = max([len("between"), *map(len, kinds[:-1])])
+    lines = [f"{'kind':{width}s} {'passes':>7s} {'gc_ms':>9s}"]
+    for kind in kinds:
+        passes, seconds = rows.get(kind, (0, 0.0))
+        lines.append(f"{kind or 'between':{width}s} {passes:7d} {1e3 * seconds:9.3f}")
+    passes = sum(p for p, _ in rows.values())
+    seconds = sum(s for _, s in rows.values())
+    lines.append(f"{'total':{width}s} {passes:7d} {1e3 * seconds:9.3f}")
+    return "\n".join(lines)
+
+
 def package_tables() -> dict:
     """{name: table} of every cache table defined in the package's
     modules, named by module (below the package) and name: each object
@@ -177,12 +239,14 @@ def main(argv=None) -> None:
     tables = package_tables()
     for fn in tables.values():
         fn.cache_clear()
-    times = op_times(wl, ops)
+    times, gc_rows = op_runs(wl, ops)
     print(format_shares(shares_of(times)))
     print()
     print(format_latency(times))
     print()
     print(format_tables(tables))
+    print()
+    print(format_gc(times, gc_rows))
 
 
 if __name__ == "__main__":
