@@ -48,29 +48,36 @@ end.  So every stored value is a Fraction, and a key keeps the place of
 its first pair.
 
 Every operator in the package is a linear or bilinear map fixed by its
-values on basis keys, and three loops apply such maps to rows; no other
-code does:
+values on basis keys, and three loops apply such maps to rows:
 
     _bilinear  a rule on pairs of keys, pair(u, v) -> {key: int}: every
                product (shuffle, stuffle, star shuffle, the SymFun
                product, concatenation) and the left and right residuals;
     _linear    a rule on single keys, rule(u) -> {key: int}: theta_0,
-               theta_1 and d/dz on SymFuns, the reduction modulo the
-               kernel ideal (through _sum_rule), the projections pi_y
-               and pi_x, and delta_left;
+               theta_1 and d/dz on SymFuns, the projections pi_y and
+               pi_x, and delta_left;
     _combine   a sum of scaled rows, sum of c * (num / d) over the parts
                (c, (num, d)), divided by a common den: +, -, the sections
                iota_0 and iota_1, the basepoint limits, the
-               antiderivative tables, to_pieces, and the lineg series.
+               antiderivative tables, and the lineg series.
+
+Two more loops each sum one kind of cached row straight into one dict,
+with no dict per key: the kernel-ideal reducer rewrite._canonical_sums
+sums the exponent-table rows of (k, l, w) keys, and symfun._piece_sums,
+to_pieces as a row, sums the reduced rows of a SymFun's words under
+_combine's rule.
 
 _bilinear and _linear sum the products with the rule's multiplicities
 as ints over the product of the operands' denominators.  Output keys
 keep the order in which the loop first meets them; a key whose sum is
 zero is dropped only at the end, as LinearCombination's constructor
-drops it.  Both can apply a second linear rule to their sums first: the
-SymFun product reduces its raw keys that way, and theta_i multiplies
-d/dz by z or 1-z.  When both operands of _bilinear have one term, as in
-a product of two words, the pair rule's dict already holds the int sums,
+drops it.  Both can apply a second linear map, then, to their sums
+first: a function of the sums' (key, int) items that returns the summed
+dict, so it runs one loop over all of them.  The reducer is such a map:
+the SymFun product passes it to reduce its raw keys, and theta_i a map
+that shifts the keys of d/dz by the factor z or 1-z and reduces them
+with it.  When both operands of _bilinear have one term, as in a
+product of two words, the pair rule's dict already holds the int sums,
 in the loop's order, and is read with no accumulation loop.  A rule may
 return a cached dict, as symfun._d_rule does, so the loops read every
 dict a rule returns and never write to it or hand it out as a result.
@@ -105,9 +112,7 @@ class LinearCombination:
             items: Iterable[Tuple] = terms.items() if hasattr(terms, "items") else terms
             for key, coeff in items:
                 if type(coeff) is not Fraction:
-                    if isinstance(coeff, Word):
-                        raise TypeError(f"a Word is not a coefficient: {coeff!r}")
-                    coeff = Fraction(coeff)
+                    coeff = _as_fraction(coeff)
                 self._insert(data, key, coeff)
         self.terms = {k: c for k, c in data.items() if c}
 
@@ -224,6 +229,14 @@ def _is_scalar(x) -> bool:
     return isinstance(x, Rational) and not isinstance(x, Word)
 
 
+def _as_fraction(coeff) -> Fraction:
+    """A coefficient that is not exactly a Fraction as a plain Fraction; a
+    Word is refused."""
+    if isinstance(coeff, Word):
+        raise TypeError(f"a Word is not a coefficient: {coeff!r}")
+    return Fraction(coeff)
+
+
 def _row_of(x: LinearCombination) -> tuple:
     """The row (num, den) of a combination in either form.  A row-form
     object hands out its own row, which the caller must not write to.  A
@@ -286,25 +299,26 @@ def _sum_rule(nums, rule) -> dict:
 
 def _linear(row: tuple, rule, then=None) -> tuple:
     """The linear extension of rule(u) -> {key: int} to a row, as a row.
-    With a second rule then, its linear extension is applied to the int
-    sums first."""
+    With a second map then(items) -> {key: int}, a linear map on the
+    (key, int) items of the sums, it is applied to the sums first."""
     num, den = row
     acc = _sum_rule(num.items(), rule)
     if then is not None:
-        acc = _sum_rule(acc.items(), then)
+        acc = then(acc.items())
     return _lowest({k: c for k, c in acc.items() if c}, den)
 
 
 def _bilinear(p: tuple, q: tuple, pair, then=None, wrap=None) -> tuple:
     """The bilinear extension of pair(u, v) -> {key: int} to the rows p
-    and q, as a row.  With a rule then(key) -> {key: int}, its linear
-    extension is applied to the int sums first, in the order the pair
-    loop met their keys; a key whose sum is zero is skipped there, as if
-    the product had been built first.  wrap, if given, is the key type,
-    an int subclass: each output key k is made int.__new__(wrap, k), in
-    C, as shuffle makes its Words from sentinel ints.  Two one-term
-    operands skip the accumulation (see the module docstring); what pair
-    returns is never written to or handed out."""
+    and q, as a row.  With a map then(items) -> {key: int}, a linear map
+    on the (key, int) items of the sums, it is applied to the sums first,
+    in the order the pair loop met their keys; an item whose sum is zero
+    should place no key there, as if the product had been built first.
+    wrap, if given, is the key type, an int subclass: each output key k
+    is made int.__new__(wrap, k), in C, as shuffle makes its Words from
+    sentinel ints.  Two one-term operands skip the accumulation (see the
+    module docstring); what pair returns is never written to or handed
+    out."""
     (p_num, p_den), (q_num, q_den) = p, q
     if len(p_num) == 1 and len(q_num) == 1:
         ((u, cu),) = p_num.items()
@@ -321,7 +335,7 @@ def _bilinear(p: tuple, q: tuple, pair, then=None, wrap=None) -> tuple:
                 for w, m in pair(u, v).items():
                     acc[w] = acc.get(w, 0) + c * m
     if then is not None:
-        acc = _sum_rule(acc.items(), then)
+        acc = then(acc.items())
     if wrap is None:
         return _lowest({w: c for w, c in acc.items() if c}, p_den * q_den)
     return _lowest({_new(wrap, w): c for w, c in acc.items() if c}, p_den * q_den)

@@ -12,8 +12,10 @@ range holds its values in one layout, every cell (i, k), i < k, rows in
 turn, and two adjacent ranges merge by one rule (_merge): a longer block
 merges its two halves, and [1, N], the aligned blocks of the binary
 digits of N above the leaf and one partial leaf on top, is merged from
-the top down.  Below N = 2 _LEAF there is no block to share, and the sum
-is one loop.
+the top down.  That fold reads only row 0 of the part merged so far, the
+sums over the prefixes s[:k], so it asks the rule for those r cells of
+the C(r + 1, 2) alone; the blocks keep every cell.  Below N = 2 _LEAF
+there is no block to share, and the sum is one loop.
 
 Every block built goes to one table, _blocks, which holds the entry
 (t, a, j), the numerator over lcm(block)^|t|, under the block (a, j)
@@ -309,9 +311,12 @@ def _plan(s: tuple) -> tuple:
     return [s[i:k] for i, k in cells], (weights, set(weights), sums)
 
 
-def _merge(hi: tuple, lo: tuple, rule: tuple) -> tuple:
+def _merge(hi: tuple, lo: tuple, rule: tuple, cells: int | None = None) -> tuple:
     """(L, values) of two adjacent ranges (L, values), hi above lo, by the
-    merge rule of their composition (_plan).
+    merge rule of their composition (_plan): every cell, or with cells
+    given only that many, the first in the layout.  A cell (i, k) reads
+    hi's cells (i, m), m < k, which come before it in the layout, so hi
+    may hold only as many cells as are asked for.
 
     With lcms L_h and L_l, g = gcd(L_h, L_l), L = L_h x_h = L_l x_l for
     x_h = L_l / g and x_l = L_h / g; and since a nested sum over s[i:k]
@@ -322,10 +327,11 @@ def _merge(hi: tuple, lo: tuple, rule: tuple) -> tuple:
     """
     (lh, uh), (ll, ul) = hi, lo
     weights, exps, sums = rule
+    sums = sums[:cells]
     g = math.gcd(lh, ll)
     xh, xl = ll // g, lh // g
     powers = {e: xh**e for e in exps}
-    a = [v * powers[e] for v, e in zip(uh, weights)]
+    a = [v * powers[e] for v, e in zip(uh, weights[:len(sums)])]
     powers = {e: xl**e for e in exps}
     b = [v * powers[e] for v, e in zip(ul, weights)]
     out = []
@@ -373,6 +379,7 @@ def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
     divides L_R^s_m.  [1, n_max] is the partial leaf above the last
     multiple of _LEAF and the aligned blocks of that multiple's binary
     digits (_aligned, _block).  They merge from the top down (_merge),
+    each merge computing only the cells (0, k) that the next one reads,
     and H_s(n_max) is U / lcm(1..n_max)^|s|, U the cell (0, r) and
     |s| = s_1 + ... + s_r.  Below two leaves there is no block to share,
     and one loop (_leaf) sums [1, n_max].
@@ -399,7 +406,7 @@ def harmonic_sum(s: Iterable[int], n_max: int) -> Fraction:
         top = _leaf(s, n_max - n_max % _LEAF + 1, n_max)
     for a, j in _aligned(n_max >> _LEAF_BITS):
         block = _block(s, subs, rule, a, j)
-        top = block if top is None else _merge(top, block, rule)
+        top = block if top is None else _merge(top, block, rule, r)
     lcm, values = top
     return Fraction(values[r - 1], lcm**weight)
 

@@ -12,19 +12,22 @@ are equal functions and conversely.
 
 The product is the star-series product on (k, l, w) keys, a pair rule
 (word parts shuffle, exponents add) handed to linear._bilinear, followed
-by the reduction of the merged raw keys on their int sums with
-rewrite._canonical, the package's one reduction rule.  The constructor
-sends the keys that are not canonical yet through the same rule; a
-canonical key is stored as it is, without a multiplication.
+by the reduction of the merged raw keys on their int sums in one pass of
+rewrite._canonical_sums, the reducer loop over the package's one
+reduction rule _canonical.  The constructor sends the keys that are not
+canonical yet through _canonical; a canonical key is stored as it is,
+without a multiplication.  monomial converts and checks as the
+constructor does and returns the row of its key's canonical keys.
 
 d/dz, theta_0 = z d/dz and theta_1 = (1-z) d/dz are linear, so each is a
 rule on canonical keys, key -> {canonical key: int}, handed to
-linear._linear.  A rule reduces its own raw keys with _canonical,
-so the results are already canonical and are wrapped without a second
-pass through _insert.  theta_i is the rule of d/dz followed by the rule
-of the factor z or 1-z on the int sums, not one fused rule per key,
-because a key of d/dz that cancels across terms must place none of its
-images: that keeps the order of the output keys.
+linear._linear.  The rule of d/dz reduces its own raw keys with
+_canonical_sums, so the results are already canonical and are wrapped
+without a second pass through _insert.  theta_i is the rule of d/dz
+followed by one pass over its int sums that shifts each key by the
+factor z or 1-z and reduces it with _canonical_sums, not one fused rule
+per key, because a key of d/dz that cancels across terms must place
+none of its images: that keeps the order of the output keys.
 
 _reduce_trailing_x0(w) is the one reduced row per word: Li_w over the
 basis Li_t log^j(z)/j!, t empty or ending in x1, in the fixed piece order
@@ -35,7 +38,8 @@ multiplicities, so the row is a tuple of ((t, j), int) items with no
 denominator, and a row past _MAX_ROW_LETTERS is refused.  to_pieces,
 the germs and limits of integrate, the numeric evaluator and the public
 reduce_trailing_x0 all read it.  _piece_sums is to_pieces as a row,
-which iota_0 reads.
+which iota_0 reads: it adds each row entry straight into one dict, under
+linear._combine's rule.
 """
 
 from __future__ import annotations
@@ -46,8 +50,9 @@ from functools import lru_cache
 from math import comb
 
 from ..errors import DomainError
-from ..linear import LinearCombination, _bilinear, _combine, _is_scalar, _linear, _row_of, _sum_rule
-from ..rewrite import _canonical
+from ..linear import (LinearCombination, _as_fraction, _bilinear, _is_scalar, _linear, _lowest,
+                      _row_of, _sum_rule)
+from ..rewrite import _canonical, _canonical_sums
 from ..shuffle_core import _shuffle_words
 from ..words import EPSILON, Word, _new, shortlex_key
 
@@ -58,9 +63,7 @@ class SymFun(LinearCombination):
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
         k, l, w = key
-        if (not isinstance(k, int) or not isinstance(l, int)
-                or isinstance(k, (Word, bool)) or isinstance(l, (Word, bool))):
-            raise ValueError("powers k and l must be integers")
+        _check_powers(k, l)
         if l >= 0 and k * l == 0:  # already canonical, the common case
             old = data.get(key)
             data[key] = coeff if old is None else old + coeff
@@ -75,7 +78,19 @@ class SymFun(LinearCombination):
 
     @classmethod
     def monomial(cls, k: int, l: int, w: Word = EPSILON, coeff=1) -> "SymFun":
-        return cls({(k, l, w): coeff})
+        """SymFun({(k, l, w): coeff}), built as the row of its canonical
+        keys: coeff is converted as the constructor converts it, k and l
+        are checked as _insert checks them, and the key is reduced (and
+        refused past the bit budget) even when coeff is 0.  Every
+        reduced row holds a multiplicity 1 or -1, so the row is in
+        lowest terms as it stands."""
+        if type(coeff) is not Fraction:
+            coeff = _as_fraction(coeff)
+        _check_powers(k, l)
+        n = coeff.numerator
+        row = _canonical((k, l, w))
+        return cls._from_row(({key: m * n for key, m in row.items()} if n else {},
+                              coeff.denominator))
 
     @classmethod
     def from_li(cls, w: Word) -> "SymFun":
@@ -83,12 +98,19 @@ class SymFun(LinearCombination):
 
     def __mul__(self, other):
         if isinstance(other, SymFun):
-            return SymFun._from_row(_bilinear(_row_of(self), _row_of(other), _symfun_pair, _canonical))
+            return SymFun._from_row(_bilinear(_row_of(self), _row_of(other), _symfun_pair,
+                                              _canonical_sums))
         if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def _check_powers(k, l) -> None:
+    if (not isinstance(k, int) or not isinstance(l, int)
+            or isinstance(k, (Word, bool)) or isinstance(l, (Word, bool))):
+        raise ValueError("powers k and l must be integers")
 
 
 def _symfun_pair(x: tuple, y: tuple) -> dict:
@@ -123,17 +145,15 @@ def _d_rule(key: tuple) -> dict:
     if len(w):
         u = w[1:]
         raw.append(((k - 1, l, u) if w[0] == 0 else (k, l + 1, u), 1))
-    return _sum_rule(raw, _canonical)
+    return _canonical_sums(raw)
 
 
-def _times_z(key: tuple) -> dict:
-    k, l, w = key
-    return _canonical((k + 1, l, w))
+def _times_z(items) -> dict:
+    return _canonical_sums(((k + 1, l, w), c) for (k, l, w), c in items)
 
 
-def _times_one_minus_z(key: tuple) -> dict:
-    k, l, w = key
-    return _canonical((k, l - 1, w))
+def _times_one_minus_z(items) -> dict:
+    return _canonical_sums(((k, l - 1, w), c) for (k, l, w), c in items)
 
 
 def derivative(f: SymFun) -> SymFun:
@@ -228,10 +248,21 @@ def to_pieces(f: SymFun) -> dict:
 
 
 def _piece_sums(f: SymFun) -> tuple:
-    """to_pieces(f) as a row."""
+    """to_pieces(f) as a row: the reduced rows of its words summed as
+    linear._combine sums them, a key dropped the moment it cancels and
+    appended again if it comes back."""
     num, den = _row_of(f)
-    return _combine(((c, ({(k, l, u, n): m for (u, n), m in _reduce_trailing_x0(w)}, 1))
-                     for (k, l, w), c in num.items()), den)
+    acc: dict = {}
+    get = acc.get
+    for (k, l, w), c in num.items():
+        for (u, n), m in _reduce_trailing_x0(w):
+            key = (k, l, u, n)
+            v = get(key, 0) + c * m
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
+    return _lowest(acc, den)
 
 
 def index_of(f: SymFun) -> int:

@@ -8,11 +8,17 @@ with k * l = 0 are a basis of the quotient: they are the functions z^k
 and (1-z)^(-l), which are linearly independent.  reduce_exponents writes
 z^k (1-z)^(-l) in that basis in closed form.  _canonical is the one
 reduction rule of the package: on a key (k, l, w) it gives the canonical
-keys, k * l = 0 and l >= 0, with their int multiplicities.  normal_form
-and kernel_member sum it over a series with linear._sum_rule, the SymFun
-product applies it to its raw keys, and SymFun's constructor to the keys
-that are not canonical yet; a series lies in the ideal exactly when its
-normal form is 0.
+keys, k * l = 0 and l >= 0, with their int multiplicities.  The reducer
+loop _canonical_sums sums that rule over (key, int) pairs in one pass: a
+canonical key adds its coefficient to itself, and any other adds its
+coefficient times its row of the exponent table, with no dict per key.
+normal_form and kernel_member run it over a series' row, its equal
+Words shared as one object so that key lookups compare them by
+identity; the SymFun product runs it over its raw keys, d/dz over the
+images of a key and theta_i over the shifted keys of d/dz; SymFun's
+constructor applies _canonical to the keys that are not canonical yet,
+and SymFun.monomial builds its row from it.  A series lies in the ideal
+exactly when its normal form is 0.
 
 The rule reads z^k (1-z)^(-l) from the exponent table _exponent_row, a
 bounded lru_cache of reduce_exponents rows keyed by (k, l): each row is a
@@ -31,20 +37,21 @@ a shuffle multiple of the generator.  So no monomial of a level appears
 or vanishes while that level is rewritten, and the "measure" strategy
 (always a monomial of maximal |k| + l, the largest in term order first)
 is level order: from the top level down, each level's rewritable
-monomials sorted once.  The loop runs on the input's row, int numerators
-over one denominator, and each state it records is that row copied in
-lowest terms, so a step is O(1) dict work plus the copy.
+monomials sorted once.  The loop keeps one dict, the state's row of int
+numerators over one denominator, and per level a plain list of the keys
+that entered it, filtered to the live ones and deduplicated when the
+level's turn comes; each state it records is that row copied in lowest
+terms, so a step is O(1) dict work plus the copy.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import chain
 from math import comb
 
 from .errors import DomainError
-from .linear import _lowest, _row_of, _sum_rule
+from .linear import _lowest, _row_of
 from .star_series import StarSeries, StarTerm, _term
 from .words import shortlex_key
 
@@ -104,6 +111,25 @@ def _canonical(key: tuple) -> dict:
     return {(k2, l2, w): m for (k2, l2), m in _exponent_row(k, l)}
 
 
+def _canonical_sums(pairs) -> dict:
+    """sum of c * _canonical(key) over the (key, c) pairs of int numerators,
+    as {canonical key: int}, in one pass: a canonical key adds c to itself
+    and any other adds c times its exponent row.  A zero c places no key,
+    so the sums and their order are those of _sum_rule(pairs, _canonical)."""
+    acc: dict = {}
+    get = acc.get
+    for key, c in pairs:
+        if c:
+            k, l, w = key
+            if l >= 0 and k * l == 0:
+                acc[key] = get(key, 0) + c
+            else:
+                for (k2, l2), m in _exponent_row(k, l):
+                    key = (k2, l2, w)
+                    acc[key] = get(key, 0) + c * m
+    return acc
+
+
 def _check_laurent(s: StarSeries) -> None:
     if not s.is_laurent():
         raise DomainError(
@@ -137,37 +163,37 @@ def rewrite_trace(
     _check_strategy(strategy)
     if strategy == "random" and rng is None:
         rng = random.Random()
-    # The loop runs on keys (i, k, l), with i the rank of the word in term
-    # order, so that plain tuple order is term order and hashing stays in
-    # C; values holds the state's row, StarTerm -> int numerator over den,
-    # in the state's dict order.
+    # values holds the state's row, StarTerm -> int numerator over den, in
+    # the state's dict order.  Each level lists the rewritable keys that
+    # entered it as (i, k, l, term), i the rank of the word in term order,
+    # so that plain tuple order is term order; pieces always land at
+    # strictly lower levels, so an entry can only go stale (cancelled, or
+    # listed twice) before its level is taken, and is filtered out then.
     num, den = _row_of(s)
     words = sorted({t.w for t in num}, key=shortlex_key)
     rank = {w: i for i, w in enumerate(words)}
-    live = {(rank[w], int(k), int(l)): c for (w, k, l), c in num.items()}
     values = dict(num)
-    levels: dict = {}  # |k| + l -> set of the live rewritable keys of that level
-    for key in live:
-        _, k, l = key
+    levels: dict = {}  # |k| + l -> [(i, k, l, term), ...]
+    for t in num:
+        w, k, l = t
         if k and l:
-            levels.setdefault(abs(k) + l, set()).add(key)
+            levels.setdefault(abs(k) + l, []).append((rank[w], int(k), int(l), t))
     states = [StarSeries._from_row(_lowest(dict(values), den))]
     todo: list = []  # the keys left to rewrite, the next one last
     while True:
         if not todo:
-            if not levels:
-                return states
             if strategy == "measure":
-                todo = sorted(levels.pop(max(levels)))
+                while levels and not todo:
+                    todo = sorted({e for e in levels.pop(max(levels)) if e[3] in values})
             else:
-                key = rng.choice(sorted(chain.from_iterable(levels.values())))
-                _drop(levels, abs(key[1]) + key[2], key)
-                todo = [key]
-        key = todo.pop()
-        i, k, l = key
-        c = live.pop(key)
+                todo = sorted({e for level in levels.values() for e in level if e[3] in values})
+                if todo:
+                    todo = [rng.choice(todo)]
+            if not todo:
+                return states
+        i, k, l, t = todo.pop()
+        c = values.pop(t)
         w = words[i]
-        del values[_term(StarTerm, (w, k, l))]
         level = abs(k) + l
         # each piece with its level, 0 when it is already reduced
         if k >= 1:
@@ -177,36 +203,27 @@ def rewrite_trace(
             pieces = ((k, l - 1, c, level - 1 if l > 1 else 0),
                       (k + 1, l, c, level - 1 if k < -1 else 0))
         for k, l, dc, level in pieces:
-            key = (i, k, l)
-            old = live.get(key, 0)
+            t = _term(StarTerm, (w, k, l))
+            old = values.get(t, 0)
             nc = old + dc
             if nc:
-                live[key] = nc
-                values[_term(StarTerm, (w, k, l))] = nc
+                values[t] = nc
                 if level and not old:
-                    levels.setdefault(level, set()).add(key)
+                    levels.setdefault(level, []).append((i, k, l, t))
             else:
-                del live[key], values[_term(StarTerm, (w, k, l))]
-                if level:
-                    _drop(levels, level, key)
+                del values[t]
         states.append(StarSeries._from_row(_lowest(dict(values), den)))
-
-
-def _drop(levels: dict, level: int, key: tuple) -> None:
-    """Take key out of its level's set, and an emptied set out of levels."""
-    bucket = levels.get(level)
-    if bucket is not None:
-        bucket.discard(key)
-        if not bucket:
-            del levels[level]
 
 
 def _reduced(s: StarSeries) -> tuple:
     """The normal form of the Laurent series s as int sums {(k, l, w): n}
-    over one denominator, and that denominator; a sum may be 0."""
+    over one denominator, and that denominator; a sum may be 0.  Equal
+    Words of the input share one object, so that the sums' key lookups
+    compare Words by identity."""
     num, den = _row_of(s)
-    keys = ((int(k), int(l), w) for w, k, l in num)
-    return _sum_rule(zip(keys, num.values()), _canonical), den
+    words: dict = {}
+    return _canonical_sums(((int(k), int(l), words.setdefault(w, w)), c)
+                           for (w, k, l), c in num.items()), den
 
 
 def normal_form(

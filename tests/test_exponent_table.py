@@ -18,9 +18,11 @@ from kernel_reference import (
     symfun_mul_canonical_loop,
 )
 from starshuffle.errors import DomainError
+from starshuffle.linear import _sum_rule
 from starshuffle.polylog.symfun import SymFun
 from starshuffle.rewrite import (
-    _canonical, _exponent_row, kernel_member, normal_form, reduce_exponents, rewrite_trace,
+    _canonical, _canonical_sums, _exponent_row, kernel_member, normal_form, reduce_exponents,
+    rewrite_trace,
 )
 from starshuffle.shuffle_core import NCPoly, YPoly
 from starshuffle.star_series import StarSeries, StarTerm, plane_star, shuffle_star, star_term
@@ -78,6 +80,25 @@ def test_every_row_is_a_tuple_equal_to_the_recursion():
             assert row == tuple(reduce_exponents_rec(k, l).items()), (k, l)
             key = (k, l, Word("01"))
             assert list(_canonical(key).items()) == list(canonical_ref(key).items()), (k, l)
+
+
+def test_the_reducer_loop_sums_the_rule_in_one_pass():
+    """_canonical_sums gives _sum_rule(pairs, _canonical)'s items in its
+    order: zero coefficients, canonical keys, k < 0, l < 0, l = 0,
+    repeated keys, and equal Words that are distinct objects."""
+    rng = random.Random(1703)
+    for _ in range(CASES):
+        pairs = []
+        for _ in range(rng.randint(0, 8)):
+            if pairs and rng.random() < 0.3:  # a repeated key, its Word a distinct object
+                (k, l, w), _ = rng.choice(pairs)
+                key = (k, l, Word(list(w)))
+            else:
+                key = (rng.randint(-6, 6), rng.choice((-2, -1, 0, 0, 1, 2, 5)), _word(rng))
+            pairs.append((key, rng.choice((0, 1, -1, rng.randint(-9, 9)))))
+        got, want = _canonical_sums(pairs), _sum_rule(pairs, _canonical)
+        assert list(got.items()) == list(want.items()), pairs
+        assert all(type(c) is int for c in got.values())
 
 
 def test_normal_form_and_trace_match_their_former_forms():
@@ -142,6 +163,18 @@ def test_constructors_match_their_former_forms_on_every_coefficient_type():
                     assert got == _outcome(construct_ref, cls, terms), (cls, key, c, terms)
                     if got[0] == "value":
                         assert all(type(v) is Fraction for v in cls(terms).terms.values())
+
+
+def test_a_monomial_is_the_constructors_one_term_symfun():
+    """SymFun.monomial(k, l, w, c) gives SymFun({(k, l, w): c})'s items,
+    order, value types and exception class; a zero coefficient still
+    reduces its key, so it is refused past the bit budget."""
+    for key in (*KEYS[SymFun], (100000, 100000, EPSILON), (3, 2, Word("10"))):
+        for c in COEFFS:
+            got = _outcome(SymFun.monomial, *key, c)
+            assert got == _outcome(SymFun, {key: c}), (key, c)
+            if got[0] == "value":
+                assert all(type(v) is Fraction for v in SymFun.monomial(*key, c).terms.values())
 
 
 def test_a_given_fraction_is_stored_as_it_is():

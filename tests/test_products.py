@@ -161,7 +161,7 @@ def test_bilinear_never_writes_or_hands_out_the_pair_rules_dict():
 
     for cu, cv in ((1, 1), (Fraction(1, 2), Fraction(1, 3)), (Fraction(-2, 7), 3)):
         cu, cv = Fraction(cu), Fraction(cv)
-        for then in (None, lambda key: {key.upper(): 1}):
+        for then in (None, lambda items: {k.upper(): c for k, c in items}):
             got, den = _bilinear(({"u": cu.numerator}, cu.denominator),
                                  ({"v": cv.numerator}, cv.denominator), pair, then)
             assert got is not table

@@ -39,7 +39,12 @@ kind of the operation running when it starts:
 one row per kind, in the order the kinds first appear, a "between" row
 for passes that start outside every operation (in this tool's own loop),
 and a total row for the run.  The collector runs inside operations, so
-their times above include it.
+their times above include it.  A kind's row names the kind whose
+operation started a pass, not the kind whose garbage the pass swept: a
+pass of an older generation sweeps what earlier operations of any kind
+left, and a change that shifts allocation counts moves such passes
+between kinds.  So per-kind collector milliseconds compare across
+commits only in the total row.
 The checkout is the one this file lies in; its perfbench/ and src/ are
 imported and nothing in them is changed.  Stdlib only.
 """
@@ -181,9 +186,10 @@ def format_latency(times: list) -> str:
 
 
 def format_gc(times: list, rows: dict) -> str:
-    """The collector's table of op_runs: passes and milliseconds per kind,
-    in the order the kinds first appear in times, then between operations,
-    then for the whole run."""
+    """The collector's table of op_runs: passes and milliseconds per kind
+    that started them, in the order the kinds first appear in times, then
+    between operations, then for the whole run; only the total compares
+    across commits."""
     kinds = [*dict.fromkeys(kind for kind, _, _ in times), None]
     width = max([len("between"), *map(len, kinds[:-1])])
     lines = [f"{'kind':{width}s} {'passes':>7s} {'gc_ms':>9s}"]
@@ -246,6 +252,7 @@ def main(argv=None) -> None:
     print()
     print(format_tables(tables))
     print()
+    print("collector passes by the kind that started them (compare the total across commits)")
     print(format_gc(times, gc_rows))
 
 
