@@ -24,7 +24,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .expressions import ExprSyntaxError, ExprTypeError, _as_series, format_value, parse_value
+from .expressions import (ExprSyntaxError, ExprTypeError, _as_series, _operate, _quoted,
+                          format_value, parse_value)
 from .linear import _signed_sum
 from .polylog import (
     EvalParams,
@@ -171,8 +172,12 @@ def _do_lyndon(args) -> tuple[dict, str, tuple]:
     return data, "\n".join(names), (["word", "length"], rows)
 
 
-def _do_product(args, op: str) -> tuple[dict, str, tuple]:
-    value = parse_value(f"({args.left}) {op} ({args.right})")
+def _do_product(args, op: str, kind: str) -> tuple[dict, str, tuple]:
+    left, right = parse_value(args.left), parse_value(args.right)
+    try:
+        value = _operate(kind, left, right)
+    except ExprTypeError as exc:  # the product itself is refused: no position
+        raise _quoted(str(exc), f"({args.left}) {op} ({args.right})") from None
     text = format_value(value)
     return {"result": text}, text, (["result"], [[text]])
 
@@ -303,9 +308,9 @@ def _arg(name: str, **options) -> tuple[str, dict]:
 # verb: (help text, handler, *arguments as add_argument takes them)
 _VERBS = {
     "lyndon": ("Lyndon words up to a length", _do_lyndon, _arg("max_len", type=int)),
-    "shuffle": ("shuffle product of two expressions", partial(_do_product, op="#"),
+    "shuffle": ("shuffle product of two expressions", partial(_do_product, op="#", kind="shuf"),
                 _arg("left"), _arg("right")),
-    "stuffle": ("stuffle product of two y-expressions", partial(_do_product, op="##"),
+    "stuffle": ("stuffle product of two y-expressions", partial(_do_product, op="##", kind="stuf"),
                 _arg("left"), _arg("right")),
     "nf": ("normal form modulo the kernel ideal", _do_nf, _arg("expr"),
            _arg("--strategy", choices=("measure", "random"), default="measure"),

@@ -36,6 +36,9 @@ Expressions elaborate to a Fraction, a StarSeries (x-side) or a YPoly
 per node kind, the operation on two scalars, the x-side lift and
 operation, the y-side operation (on operands lifted to YPoly), and the
 refusal for each side.  An operand on the y-side puts the node there.
+_operate applies a row to two values; the elaborator places its refusal
+at the node, and the command line's shuffle and stuffle, which parse
+each argument as one expression, apply their row through it too.
 Type mismatches (stuffle on the x-side, star of a non-plane element,
 products of two series) raise ExprTypeError; malformed input raises
 ExprSyntaxError.  Both name a line and a column, each from 1, counted
@@ -345,14 +348,34 @@ _BINARY = {
 }
 
 
+def _operate(kind: str, a: Value, b: Value) -> Value:
+    """a and b under the binary operator of a node kind other than "mul",
+    by its _BINARY row.  A refusal raises ExprTypeError with the row's
+    message alone, which the caller places."""
+    on_scalars, x_lift, x_op, y_op, x_refusal, y_refusal = _BINARY[kind]
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return on_scalars(a, b)
+    y_side = isinstance(a, YPoly) or isinstance(b, YPoly)
+    lift, op, refusal = (_as_ypoly, y_op, y_refusal) if y_side else (x_lift, x_op, x_refusal)
+    la, lb = lift(a), lift(b)
+    if op is None or la is None or lb is None:
+        raise ExprTypeError(refusal)
+    return op(la, lb)
+
+
+def _quoted(msg: str, text: str) -> ExprTypeError:
+    """The type error msg quoting text, its line breaks written as \\n and
+    \\r, so that the message is one line."""
+    text = text.replace("\n", "\\n").replace("\r", "\\r")
+    return ExprTypeError(f"{msg}: '{text}'")
+
+
 class _Elaborator:
     def __init__(self, text: str):
         self.text = text
 
     def fail(self, node: Node, msg: str) -> None:
-        # line breaks escaped, so that the message is one line
-        quote = self.text[slice(*node.span)].replace("\n", "\\n").replace("\r", "\\r")
-        raise ExprTypeError(f"line {node.line}, column {node.col}: {msg}: '{quote}'")
+        raise _quoted(f"line {node.line}, column {node.col}: {msg}", self.text[slice(*node.span)])
 
     def value(self, node: Node) -> Value:
         method = getattr(self, "_" + node.kind)
@@ -376,17 +399,10 @@ class _Elaborator:
     def _binary(self, node: Node) -> Value:
         a = self.value(node.kids[0])
         b = self.value(node.kids[1])
-        on_scalars, x_lift, x_op, y_op, x_refusal, y_refusal = _BINARY[node.kind]
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return on_scalars(a, b)
-        if isinstance(a, YPoly) or isinstance(b, YPoly):
-            lift, op, refusal = _as_ypoly, y_op, y_refusal
-        else:
-            lift, op, refusal = x_lift, x_op, x_refusal
-        la, lb = lift(a), lift(b)
-        if op is None or la is None or lb is None:
-            self.fail(node, refusal)
-        return op(la, lb)
+        try:
+            return _operate(node.kind, a, b)
+        except ExprTypeError as exc:
+            self.fail(node, str(exc))
 
     _add = _sub = _cat = _shuf = _stuf = _binary
 

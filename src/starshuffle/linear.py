@@ -214,10 +214,7 @@ class LinearCombination:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if _is_scalar(other):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.terms!r})"

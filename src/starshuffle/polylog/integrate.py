@@ -10,8 +10,13 @@ z^k (1-z)^(-l) Li_w by four cached tables, each with one job:
                  with base case j = 1 -> Li_{x1 w};
     _J(k, l, w)  integral against dz/z, and
     _K(k, l, w)  integral against dz/(1-z): both write the integrand
-                 against dz with rewrite.reduce_exponents and sum
-                 _P and _A over the pieces.
+                 against dz as a row of the exponent table
+                 rewrite._exponent_row and sum _P and _A over its pieces.
+
+Integrating by parts, _P and _A differentiate Li_w by the rule of
+symfun._d_rule, d Li_{x0 u} = Li_u dz/z and d Li_{x1 u} = Li_u dz/(1-z),
+so each branches once on the first letter of w: an x0 recurses into _P
+or _J, an x1 into _K or _A, and the empty word adds no term.
 
 The integration constant is fixed by a basepoint limit.  iota_1 is
 always anchored at 0.  iota_0 is anchored piecewise: a reduced piece
@@ -47,7 +52,7 @@ loop that sums rows, over the argument's denominator:
 limit_at_one needs no table of its own: it re-keys each word's reduced
 row by the (u, n, -l) group it adds to at z = 1, sums the rows, and
 walks the groups in sorted order.  The antiderivative tables _J and _K
-sum the rows of _P and _A over the pieces of reduce_exponents the same
+sum the rows of _P and _A over the pieces of an exponent row the same
 way.
 
 _J, _K, _A and _P hold SymFuns, and _germ, _iota1_row and _section hold
@@ -63,13 +68,11 @@ from math import factorial
 
 from ..errors import DomainError, NonElementaryConstantError
 from ..linear import _combine, _row_of
-from ..rewrite import reduce_exponents
-from ..words import EPSILON, Word, composition_of_word, shortlex_key
+from ..rewrite import _exponent_row
+from ..words import EPSILON, X0, X1, Word, composition_of_word, shortlex_key
 from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
 from .symfun import SymFun, _piece_order, _piece_sums, _reduce_trailing_x0, from_piece, theta
 
-X0 = Word("0")
-X1 = Word("1")
 _ONE = (0, 0, EPSILON)  # the key of the constant function 1
 # Entries per table.  The ideal workload fills about 100 of each
 # antiderivative table and about 220 germs, iota strings of every word up
@@ -77,24 +80,16 @@ _ONE = (0, 0, EPSILON)  # the key of the constant function 1
 _TABLE_SIZE = 1024
 
 
-def _strip(w: Word, letter: int):
-    """w with a leading letter removed, or None when it does not start
-    with that letter (the corresponding derivative term is absent)."""
-    if len(w) and w[0] == letter:
-        return w[1:]
-    return None
-
-
 @lru_cache(maxsize=_TABLE_SIZE)
 def _J(k: int, l: int, w: Word) -> SymFun:
     """An antiderivative of z^k (1-z)^(-l) Li_w against dz/z."""
-    return _against_dz(reduce_exponents(k - 1, l), w)
+    return _against_dz(_exponent_row(k - 1, l), w)
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
 def _K(k: int, l: int, w: Word) -> SymFun:
     """An antiderivative of z^k (1-z)^(-l) Li_w against dz/(1-z)."""
-    return _against_dz(reduce_exponents(k, l + 1), w)
+    return _against_dz(_exponent_row(k, l + 1), w)
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
@@ -103,12 +98,9 @@ def _A(j: int, w: Word) -> SymFun:
     if j == 1:
         return SymFun.from_li(X1 + w)
     out = SymFun.monomial(0, j - 1, w, Fraction(1, j - 1))
-    u = _strip(w, 0)
-    if u is not None:
-        out -= Fraction(1, j - 1) * _J(0, j - 1, u)
-    u = _strip(w, 1)
-    if u is not None:
-        out -= Fraction(1, j - 1) * _A(j, u)
+    if len(w):
+        u = w[1:]
+        out -= Fraction(1, j - 1) * (_J(0, j - 1, u) if w[0] == 0 else _A(j, u))
     return out
 
 
@@ -118,20 +110,17 @@ def _P(i: int, w: Word) -> SymFun:
     if i == -1:
         return SymFun.from_li(X0 + w)
     out = SymFun.monomial(i + 1, 0, w, Fraction(1, i + 1))
-    u = _strip(w, 0)
-    if u is not None:
-        out -= Fraction(1, i + 1) * _P(i, u)
-    u = _strip(w, 1)
-    if u is not None:
-        out -= Fraction(1, i + 1) * _K(i + 1, 0, u)
+    if len(w):
+        u = w[1:]
+        out -= Fraction(1, i + 1) * (_P(i, u) if w[0] == 0 else _K(i + 1, 0, u))
     return out
 
 
-def _against_dz(pieces: dict, w: Word) -> SymFun:
+def _against_dz(row: tuple, w: Word) -> SymFun:
     """An antiderivative against dz of the sum of c z^k (1-z)^(-l) Li_w
-    over canonical pieces {(k, l): c} with k*l = 0."""
+    over the items ((k, l), c) of an exponent row, each with k*l = 0."""
     return SymFun._from_row(_combine((c, _row_of(_A(l, w) if l else _P(k, w)))
-                                     for (k, l), c in pieces.items()))
+                                     for (k, l), c in row))
 
 
 def _antiderivative(i: int, f: SymFun) -> SymFun:

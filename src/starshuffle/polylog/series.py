@@ -87,10 +87,8 @@ from typing import Iterable, Sequence
 
 from ..errors import ConvergenceError, DomainError
 from ..star_series import StarSeries, term_sort_key
-from ..words import Word, composition_of_word
+from ..words import Word, _new, composition_of_word
 from .symfun import SymFun, _reduce_trailing_x0
-
-_new = int.__new__
 
 
 class EvalParams:

@@ -3,21 +3,21 @@
 Keys are triples (k, l, w): an integer power of z, a nonnegative integer
 power of 1/(1-z), and the word indexing the polylogarithm (the empty word
 gives Li_epsilon = 1, and Li_{x0^n} = log^n(z)/n!).  Keys are canonicalized
-on insertion to k*l = 0 and l >= 0 by rewrite._canonical, the reduction
-rule modulo the kernel ideal, so they are exactly the exponents of
-rewriting normal forms.  Reducing trailing x0 letters of the
-word part is triangular with unit diagonal, so the canonical keys are
-linearly independent as functions on the slit disc: equal SymFun objects
-are equal functions and conversely.
+on insertion to k*l = 0 and l >= 0 by the reduction rule modulo the
+kernel ideal, the exponent table rewrite._exponent_row, so they are
+exactly the exponents of rewriting normal forms.  Reducing trailing x0
+letters of the word part is triangular with unit diagonal, so the
+canonical keys are linearly independent as functions on the slit disc:
+equal SymFun objects are equal functions and conversely.
 
 The product is the star-series product on (k, l, w) keys, a pair rule
 (word parts shuffle, exponents add) handed to linear._bilinear, followed
 by the reduction of the merged raw keys on their int sums in one pass of
-rewrite._canonical_sums, the reducer loop over the package's one
-reduction rule _canonical.  The constructor sends the keys that are not
-canonical yet through _canonical; a canonical key is stored as it is,
-without a multiplication.  monomial converts and checks as the
-constructor does and returns the row of its key's canonical keys.
+rewrite._canonical_sums, the one loop over the exponent table.  The
+constructor reads the table row of each key that is not canonical yet; a
+canonical key is stored as it is, without a multiplication.  monomial
+converts and checks as the constructor does and returns its key's table
+row, re-keyed by the word and scaled by the coefficient.
 
 d/dz, theta_0 = z d/dz and theta_1 = (1-z) d/dz are linear, so each is a
 rule on canonical keys, key -> {canonical key: int}, handed to
@@ -52,7 +52,7 @@ from math import comb
 from ..errors import DomainError
 from ..linear import (LinearCombination, _as_fraction, _bilinear, _is_scalar, _linear, _lowest,
                       _row_of, _sum_rule)
-from ..rewrite import _canonical, _canonical_sums
+from ..rewrite import _canonical_sums, _exponent_row
 from ..shuffle_core import _shuffle_words
 from ..words import EPSILON, Word, _new, shortlex_key
 
@@ -68,7 +68,8 @@ class SymFun(LinearCombination):
             old = data.get(key)
             data[key] = coeff if old is None else old + coeff
             return
-        for canon, m in _canonical(key).items():
+        for (k2, l2), m in _exponent_row(k, l):
+            canon = (k2, l2, w)
             old = data.get(canon)
             data[canon] = coeff * m if old is None else old + coeff * m
 
@@ -78,18 +79,18 @@ class SymFun(LinearCombination):
 
     @classmethod
     def monomial(cls, k: int, l: int, w: Word = EPSILON, coeff=1) -> "SymFun":
-        """SymFun({(k, l, w): coeff}), built as the row of its canonical
-        keys: coeff is converted as the constructor converts it, k and l
-        are checked as _insert checks them, and the key is reduced (and
-        refused past the bit budget) even when coeff is 0.  Every
-        reduced row holds a multiplicity 1 or -1, so the row is in
+        """SymFun({(k, l, w): coeff}), built as its key's exponent row:
+        coeff is converted as the constructor converts it, k and l are
+        checked as _insert checks them, and the row is read (and refused
+        past the bit budget) before coeff is looked at, so even when it
+        is 0.  Every row holds a multiplicity 1 or -1, so the row is in
         lowest terms as it stands."""
         if type(coeff) is not Fraction:
             coeff = _as_fraction(coeff)
         _check_powers(k, l)
+        row = _exponent_row(k, l)
         n = coeff.numerator
-        row = _canonical((k, l, w))
-        return cls._from_row(({key: m * n for key, m in row.items()} if n else {},
+        return cls._from_row(({(k2, l2, w): m * n for (k2, l2), m in row} if n else {},
                               coeff.denominator))
 
     @classmethod

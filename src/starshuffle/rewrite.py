@@ -6,25 +6,25 @@ the algebra of the functions z^k (1-z)^(-l).  Working in the Laurent
 subalgebra (integer x0-exponents k, natural x1-exponents l), the terms
 with k * l = 0 are a basis of the quotient: they are the functions z^k
 and (1-z)^(-l), which are linearly independent.  reduce_exponents writes
-z^k (1-z)^(-l) in that basis in closed form.  _canonical is the one
-reduction rule of the package: on a key (k, l, w) it gives the canonical
-keys, k * l = 0 and l >= 0, with their int multiplicities.  The reducer
-loop _canonical_sums sums that rule over (key, int) pairs in one pass: a
-canonical key adds its coefficient to itself, and any other adds its
-coefficient times its row of the exponent table, with no dict per key.
-normal_form and kernel_member run it over a series' row, its equal
-Words shared as one object so that key lookups compare them by
-identity; the SymFun product runs it over its raw keys, d/dz over the
-images of a key and theta_i over the shifted keys of d/dz; SymFun's
-constructor applies _canonical to the keys that are not canonical yet,
-and SymFun.monomial builds its row from it.  A series lies in the ideal
-exactly when its normal form is 0.
+z^k (1-z)^(-l) in that basis in closed form, and the exponent table
+_exponent_row, a bounded lru_cache of its rows keyed by (k, l), is the
+one reduction rule of the package: a key (k, l, w) reduces to the
+canonical keys (k', l', w), k' * l' = 0 and l' >= 0, of its row, with
+their int multiplicities.  Each row is a tuple of reduce_exponents' items
+in its order, so the binomials of a pair are expanded once and no caller
+can change a row; reduce_exponents has no other reader in the package.
 
-The rule reads z^k (1-z)^(-l) from the exponent table _exponent_row, a
-bounded lru_cache of reduce_exponents rows keyed by (k, l): each row is a
-tuple of reduce_exponents' items in its order, so the binomials of a pair
-are expanded once and no caller can change a row.  A key that is
-already canonical does not reach the table.
+The reducer loop _canonical_sums is the rule's one loop: it sums the
+rule over (key, int) pairs in one pass, a canonical key adding its
+coefficient to itself without reaching the table, and any other its
+coefficient times its row, with no dict per key.  normal_form and
+kernel_member run it over a series' row, its equal Words shared as one
+object so that key lookups compare them by identity; the SymFun product
+runs it over its raw keys, d/dz over the images of a key and theta_i
+over the shifted keys of d/dz.  SymFun's constructor and SymFun.monomial
+read a key's row off the table themselves, and so do the antiderivative
+tables _J and _K of polylog.integrate.  A series lies in the ideal
+exactly when its normal form is 0.
 
 rewrite_trace keeps the step rules as an opt-in trace and as a reference
 for the closed form:
@@ -102,20 +102,12 @@ def _exponent_row(k: int, l: int) -> tuple:
     return tuple(reduce_exponents(k, l).items())
 
 
-def _canonical(key: tuple) -> dict:
-    """The reduction rule: a key (k, l, w) with integer k and l as
-    {canonical key (k', l', w): int}, k' * l' = 0 and l' >= 0."""
-    k, l, w = key
-    if l >= 0 and k * l == 0:
-        return {key: 1}
-    return {(k2, l2, w): m for (k2, l2), m in _exponent_row(k, l)}
-
-
 def _canonical_sums(pairs) -> dict:
-    """sum of c * _canonical(key) over the (key, c) pairs of int numerators,
+    """The reduction rule summed over the (key, c) pairs of int numerators,
     as {canonical key: int}, in one pass: a canonical key adds c to itself
-    and any other adds c times its exponent row.  A zero c places no key,
-    so the sums and their order are those of _sum_rule(pairs, _canonical)."""
+    and any other (k, l, w) adds c times its exponent row _exponent_row(k, l),
+    each entry re-keyed by w.  A zero c places no key, so the sums and their
+    order are those of linear._sum_rule over the pairs with that rule."""
     acc: dict = {}
     get = acc.get
     for key, c in pairs:

@@ -50,6 +50,14 @@ BAD_EXPRS = [
     # DomainError
     "star(1/2,0)",
 ]
+# (left, right) arguments of shuffle and stuffle; each argument is one
+# expression, so a left argument that closes and reopens a parenthesis is
+# refused
+SHUFFLE_PAIRS = [('w"0"', 'w"1"'), ('w"01"', 'w"011"'), ("star(1,0)", "star(0,1)"), ("2", "3/5"),
+                 ('w"1"', "-1"), ("star(1,1) # w\"1\"", 'w"01" - w"10"'), ("y[1]", 'w"0"'),
+                 ('w"0"', "y[1]"), ("1 +", "1"), ('w"0"', "@"), ('w"1") + (w"0"', 'w"1"')]
+STUFFLE_PAIRS = [("y[2]", "y[1]"), ("y[1,2]", "y[2,1]"), ("y[]", "y[3]"), ("2", "y[1] + 1"),
+                 ("1/2", "4"), ('w"0"', "y[1]"), ("y[1]", 'w"1"'), ("y[0]", "y[1]")]
 COMPOSITIONS = ["()", "", "0", "1", "2", "0,0", "2,1", "1,0,2", " 3 ", "x", "2,,1", "-1", "1,-1"]
 POINTS = [
     ("0.5",), ("0.25,0.1",), ("-0.5",), ("0",), ("1.5",), ("nan",), ("abc",), ("1,2,3",),
@@ -66,12 +74,9 @@ def cases() -> list[list[str]]:
 
     for n in ("0", "1", "3", "5", "-1"):
         each_mode("lyndon", n)
-    for left, right in [('w"0"', 'w"1"'), ('w"01"', 'w"011"'), ("star(1,0)", "star(0,1)"),
-                        ("2", "3/5"), ('w"1"', "-1"), ("star(1,1) # w\"1\"", 'w"01" - w"10"'),
-                        ("y[1]", 'w"0"'), ('w"0"', "y[1]"), ("1 +", "1"), ('w"0"', "@")]:
+    for left, right in SHUFFLE_PAIRS:
         each_mode("shuffle", left, right)
-    for left, right in [("y[2]", "y[1]"), ("y[1,2]", "y[2,1]"), ("y[]", "y[3]"), ("2", "y[1] + 1"),
-                        ("1/2", "4"), ('w"0"', "y[1]"), ("y[1]", 'w"1"'), ("y[0]", "y[1]")]:
+    for left, right in STUFFLE_PAIRS:
         each_mode("stuffle", left, right)
     for expr in X_EXPRS:
         each_mode("nf", "--", expr)

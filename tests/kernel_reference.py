@@ -59,13 +59,15 @@ walk_may_win is the floor/ceiling filter that series._li_values ran
 before its two term predictions: wherever it chose the direct series,
 the predictions must choose it too.
 
-canonical_ref is rewrite._canonical as it expanded reduce_exponents on
-every call, before the exponent table; symfun_mul_canonical_loop reads
-it.  construct_ref is the constructors of the four combination types as
-they built every coefficient by Fraction(coeff) and stored a key's first
-value as 0 + coeff, StarSeries making its keys through StarTerm's own
-__new__ and SymFun reducing its raw keys with canonical_ref; their key
-gates are the current ones, which refuse bools.
+canonical_ref is the reduction rule on one key, as the deleted per-key
+rule rewrite._canonical gave it before the exponent table, expanding
+reduce_exponents on every call; the reducer loop _canonical_sums must
+sum it, and symfun_mul_canonical_loop reads it.  construct_ref is the
+constructors of the four combination types as they built every
+coefficient by Fraction(coeff) and stored a key's first value as
+0 + coeff, StarSeries making its keys through StarTerm's own __new__ and
+SymFun reducing its raw keys with canonical_ref; their key gates are the
+current ones, which refuse bools.
 normal_form_ref and rewrite_trace_ref are normal_form and rewrite_trace
 as they were then, the trace dropping each rewritten key from its level
 and wrapping each state by a helper call.  The new forms must give their

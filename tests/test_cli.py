@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import starshuffle
+from cli_goldens import SHUFFLE_PAIRS, STUFFLE_PAIRS
 from starshuffle.cli import main
+from starshuffle.expressions import format_value, parse_value
 
 GENERATOR = 'star(1,0) # star(0,1) - star(0,1) + 1'
 
@@ -37,6 +39,25 @@ def test_stuffle_golden(capsys):
     code, out, _ = run_cli(capsys, "stuffle", "y[2]", "y[1]")
     assert code == 0
     assert out == "1*y[3] + 1*y[1,2] + 1*y[2,1]\n"
+
+
+def test_each_product_argument_is_one_expression(capsys):
+    # a left argument that closes and reopens a parenthesis is not spliced
+    # into the product's text, and a position counts on its own argument
+    code, out, err = run_cli(capsys, "shuffle", 'w"1") + (w"0"', 'w"1"')
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, column 5: unexpected ')' after expression\n"
+    checked = 0
+    for verb, op, pairs in (("shuffle", "#", SHUFFLE_PAIRS), ("stuffle", "##", STUFFLE_PAIRS)):
+        for left, right in pairs:
+            try:
+                parse_value(left), parse_value(right)
+                want = format_value(parse_value(f"({left}) {op} ({right})"))
+            except ValueError:
+                continue
+            assert run_cli(capsys, verb, left, right) == (0, want + "\n", ""), (verb, left, right)
+            checked += 1
+    assert checked == 11
 
 
 def test_nf_and_kernel_golden(capsys):
