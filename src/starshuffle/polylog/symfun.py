@@ -32,28 +32,29 @@ none of its images: that keeps the order of the output keys.
 _reduce_trailing_x0(w) is the one reduced row per word: Li_w over the
 basis Li_t log^j(z)/j!, t empty or ending in x1, in the fixed piece order
 (|t|, t, j).  For w = u x1 x0^n it is the closed form
-u x1 x0^n = sum over m of (-1)^m ((u sh x0^m) x1) sh x0^(n-m), built in
-one pass over m with no recursion; its entries are signed shuffle
-multiplicities, so the row is a tuple of ((t, j), int) items with no
-denominator, and a row past _MAX_ROW_LETTERS is refused.  to_pieces,
-the germs and limits of integrate, the numeric evaluator and the public
-reduce_trailing_x0 all read it.  _piece_sums is to_pieces as a row,
+u x1 x0^n = sum over m of (-1)^m ((u sh x0^m) x1) sh x0^(n-m), whose
+levels u sh x0^m are the cells of the last row of one shuffle table,
+that of u sh x0^n (shuffle_core._shuffle_row, the package's one shuffle
+kernel); its entries are signed shuffle multiplicities, so the row is a
+tuple of ((t, j), int) items with no denominator, and a row past
+_MAX_ROW_LETTERS is refused.  to_pieces, the germs and limits of
+integrate, the numeric evaluator and the public reduce_trailing_x0 all
+read it.  _piece_sums is to_pieces as a row,
 which iota_0 reads: it adds each row entry straight into one dict, under
 linear._combine's rule.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from ..errors import DomainError
 from ..linear import (LinearCombination, _as_fraction, _bilinear, _is_scalar, _linear, _lowest,
-                      _row_of, _sum_rule)
+                      _row_of)
 from ..rewrite import _canonical_sums, _exponent_row
-from ..shuffle_core import _shuffle_words
+from ..shuffle_core import _shuffle_row, _shuffle_words
 from ..words import EPSILON, Word, _new, shortlex_key
 
 
@@ -173,13 +174,14 @@ def theta(i: int, f: SymFun) -> SymFun:
 # Letters per reduced row.  A word u x1 x0^n whose u holds r letters x1
 # has a row of C(r + n + 1, r + 1) pieces, each at most as long as the
 # word; a row whose pieces times the word's length pass this budget is
-# refused before it is built.  A piece costs about 30 us to build and
+# refused before it is built.  A piece costs about 20 us to build and
 # evaluate, and a piece count alone would let x1 x0^60000 through, whose
 # words hold 1.8e9 letters.  At the budget the largest row, of x1^9 x0^10
-# (92,378 pieces), is evaluated in about 3 s and 70 MB.  The tests' rows
-# stay below half of it: x1 x0^1030 holds about 1.06e6 letters,
-# x0^540 x1 x0^560 about 6.2e5, and every other row at most 11,088; the
-# workloads' rows at most 50.
+# (92,378 pieces, about 1.76e6 letters), is built in about 0.2 s and
+# evaluated in about 2 s and 60 MB.  The tests build rows up to it:
+# x1 x0^1400 holds about 1.96e6 letters, (x0x1)^10 x0^8 about 1.23e6,
+# x1 x0^1030 about 1.06e6, x0^540 x1 x0^560 about 6.2e5, and every other
+# row at most 38,808; the workloads' rows at most 50.
 _MAX_ROW_LETTERS = 1 << 21
 
 
@@ -193,11 +195,12 @@ def _reduce_trailing_x0(w: Word) -> tuple:
         u x1 x0^n = sum over m = 0..n of (-1)^m ((u sh x0^m) x1) sh x0^(n-m):
 
     with u sh x0^m = sum c_t t, the piece (t x1, n - m) gets (-1)^m c_t.
-    The level (-1)^m u sh x0^m is the last level shuffled with the one
-    letter x0 (_times_x0) and divided by -m, exactly, since
-    x0^(m-1) sh x0 = m x0^m; so the row takes one pass, no recursion, and
-    a dict update per piece and letter.  No two pieces share a key, and
-    every coefficient is a signed shuffle multiplicity.
+    Every level u sh x0^m is cell m of the last row of the one shuffle
+    table of u sh x0^n, so the row takes one call of the shuffle kernel
+    and no recursion.  Its keys carry the sentinel bit top = 1 << (|u| + n)
+    of the full length, so a key t of cell m is t x1 as t ^ top |
+    3 << (|u| + m).  No two pieces share a key, and every coefficient is
+    a signed shuffle multiplicity.
 
     Returns the row (((t, j), int), ...) in the piece order (|t|, t, j);
     cached, and a tuple, so no caller can change it.  A row of more than
@@ -210,18 +213,11 @@ def _reduce_trailing_x0(w: Word) -> tuple:
     n = len(w) - 1 - last
     if comb(n + w.count(1), n) * len(w) > _MAX_ROW_LETTERS:
         raise DomainError(f"the reduced row would hold more than {_MAX_ROW_LETTERS} letters")
-    levels = [{w & (1 << last) - 1 | 1 << last: 1}]  # u, as a sentinel key
-    for m in range(1, n + 1):
-        levels.append({t: c // -m for t, c in _sum_rule(levels[-1].items(), _times_x0).items()})
-    row = [((_new(Word, t | 2 << last + m), n - m), c)
+    top = 1 << last + n
+    levels = _shuffle_row(w & (1 << last) - 1 | 1 << last, 1 << n)  # u sh x0^m, m = 0..n
+    row = [((_new(Word, t ^ top | 3 << last + m), n - m), -c if m & 1 else c)
            for m, level in enumerate(levels) for t, c in level.items()]
     return tuple(sorted(row, key=_piece_order))
-
-
-def _times_x0(t: int) -> Counter:
-    """t sh x0 on sentinel keys: an x0 put before each letter of t, or at
-    its end."""
-    return Counter(t & (1 << i) - 1 | t >> i << i + 1 for i in range(t.bit_length()))
 
 
 def _piece_order(item: tuple) -> tuple:

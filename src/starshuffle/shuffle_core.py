@@ -10,17 +10,22 @@ quasi-shuffle (stuffle) product.
 A Word is its sentinel key, the int ``bits | 1 << n`` (bit i is letter
 i, and the top bit keeps x0-padded words apart), so the kernels take
 Words as ints and return plain-int keys, which one int.__new__(Word, key)
-call per key turns back into Words without decoding.  _shuffle_bits
-reads the lengths from bit_length and is a dynamic programme over
-prefix lengths: cell (i, j) of its table holds u[:i] sh v[:j], filled
-from (i - 1, j) by appending u[i-1] and from (i, j - 1) by appending
-v[j-1], in that order.  Appending a letter at position i + j - 1 ors in
-one bit, and appending x0 copies the key unchanged.  Every seed of the
-table already carries the sentinel bit 1 << (a + b) of the result's
-length, so its keys come out as sentinel keys and need no second pass.
-_stuffle_tuples runs the same programme over suffix lengths.  Both fill
-their cells in the order of the first-letter recursion they replace, so
-result dicts keep that recursion's iteration order.
+call per key turns back into Words without decoding.  _shuffle_row,
+the package's one shuffle kernel, reads the lengths from bit_length and
+is a dynamic programme over prefix lengths: cell (i, j) of its table
+holds u[:i] sh v[:j], filled from (i - 1, j) by appending u[i-1] and
+from (i, j - 1) by appending v[j-1], in that order.  Appending a letter
+at position i + j - 1 ors in one bit, and appending x0 copies the key
+unchanged.  Every seed of the table already carries the sentinel bit
+1 << (a + b) of the result's length, so its keys come out as sentinel
+keys and need no second pass.  It returns its last row, u sh v[:j] for
+j = 0..b: the product u sh v is the last cell (_shuffle_bits), and the
+cells j < b carry the full length's sentinel, so a reader of a shorter
+product moves that bit from a + b to a + j (symfun._reduce_trailing_x0
+reads every u sh x0^m so from one table).  _stuffle_tuples runs the
+same programme over suffix lengths.  Both fill their cells in the order
+of the first-letter recursion they replace, so result dicts keep that
+recursion's iteration order.
 
 Parts of a cell that end (or, for the stuffle, start) in different
 letters share no key, so they are merged in C: a shuffle cell whose two
@@ -43,11 +48,11 @@ package's one loop over pairs of terms, which keeps multiplicities and
 numerators as ints; so are the left and right residuals.  pi_y and pi_x
 are rules on single words handed to linear._linear.
 
-Both products sum their DP tables directly: shuffle sums _shuffle_bits
-and stuffle sums _stuffle_tuples, and each kernel returns a dict its
-caller owns.  _shuffle_words and _stuffle_words are the two kernels
-behind lru caches of fixed size, which hold whole products, never the
-prefix or suffix pairs of a table.  Only the star and SymFun pair rules
+Both products sum their DP tables directly: shuffle sums _shuffle_bits,
+the last cell of _shuffle_row, and stuffle sums _stuffle_tuples, and
+each returns a dict its caller owns.  _shuffle_words and _stuffle_words
+are the two products behind lru caches of fixed size, which hold whole
+products, never the prefix or suffix pairs of a table.  Only the star and SymFun pair rules
 (and the expand oracle) read _shuffle_words, whose word pairs recur.
 Stuffle products are not re-read (a shuffle benchmark run of 4,500
 operations met none of its 450 twice), so the package keeps none;
@@ -106,12 +111,14 @@ def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     return NCPoly._from_row(_bilinear(_row_of(p), _row_of(q), _conc))
 
 
-def _shuffle_bits(ub: int, vb: int) -> dict:
-    """Shuffle of the words with sentinel keys ub and vb (Words or ints) as
-    a {sentinel key: multiplicity} map of plain ints.  Only the letter bits
-    below each sentinel are read.
+def _shuffle_row(ub: int, vb: int) -> list:
+    """The last row of the shuffle table of the words with sentinel keys ub
+    and vb (Words or ints): cell j is u sh v[:j] as a {key: multiplicity}
+    map of plain ints, whose keys all carry the sentinel bit
+    1 << (|u| + |v|) of the full length, so the last cell is u sh v in
+    sentinel keys.  Only the letter bits below each sentinel are read.
 
-    The caller owns the returned dict.
+    The caller owns the returned list and its dicts.
     """
     a = ub.bit_length() - 1
     b = vb.bit_length() - 1
@@ -142,7 +149,13 @@ def _shuffle_bits(ub: int, vb: int) -> dict:
             row.append(out)
             left = out
         prev = row
-    return prev[b]
+    return prev
+
+
+def _shuffle_bits(ub: int, vb: int) -> dict:
+    """u sh v as a {sentinel key: multiplicity} map, the last cell of
+    _shuffle_row; the caller owns the returned dict."""
+    return _shuffle_row(ub, vb)[-1]
 
 
 @lru_cache(maxsize=1024)

@@ -19,6 +19,11 @@ summed the cached products of _stuffle_words through linear._bilinear;
 stuffle, which sums the uncached kernel, must give its values, value
 types and dict order.
 
+reduce_trailing_x0_levels_ref is symfun._reduce_trailing_x0 as it built
+its levels u sh x0^m one from another with a second shuffle kernel,
+_times_x0; the row read off the last row of one shuffle table must give
+its items, int types and order.
+
 reduce_exponents_rec is rewrite.reduce_exponents as it expanded k >= 1
 through k + 1 recursive calls; the one loop that replaced them must give
 its values and dict order.
@@ -77,6 +82,7 @@ values, value types, exception classes and dict order.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, product
@@ -91,7 +97,7 @@ from starshuffle.polylog.series import (
     _series_sum,
     stirling2,
 )
-from starshuffle.polylog.symfun import SymFun, _symfun_pair
+from starshuffle.polylog.symfun import SymFun, _piece_order, _symfun_pair
 from starshuffle.linear import _bilinear, _common_scale, _fractions, _row_of, _sum_rule
 from starshuffle.rewrite import _check_laurent, _check_strategy, reduce_exponents
 from starshuffle.shuffle_core import (
@@ -103,7 +109,8 @@ from starshuffle.shuffle_core import (
     unshuffle,
 )
 from starshuffle.star_series import StarSeries, StarTerm, _exponent, plane_star, shuffle_star
-from starshuffle.words import EPSILON, Word, composition_of_word, shortlex_key, word_of_composition
+from starshuffle.words import (EPSILON, Word, _new, composition_of_word, shortlex_key,
+                               word_of_composition)
 
 
 @lru_cache(maxsize=None)
@@ -483,6 +490,30 @@ def reduce_trailing_x0_loop(w: Word) -> dict:
             for key, c2 in reduce_trailing_x0_loop(t + tail).items():
                 out[key] = out.get(key, 0) - c * c2
     return {key: c for key, c in out.items() if c}
+
+
+def reduce_trailing_x0_levels_ref(w: Word) -> tuple:
+    """symfun._reduce_trailing_x0 as it built the level (-1)^m u sh x0^m
+    from the level before, shuffled with the one letter x0 (_times_x0_ref)
+    and divided by -m, exactly, since x0^(m-1) sh x0 = m x0^m.  Neither
+    cached nor bounded by the letter budget."""
+    last = (w ^ 1 << len(w)).bit_length() - 1  # the position of the last x1, or -1
+    if last < 0:
+        return ((EPSILON, len(w)), 1),
+    n = len(w) - 1 - last
+    levels = [{w & (1 << last) - 1 | 1 << last: 1}]  # u, as a sentinel key
+    for m in range(1, n + 1):
+        level = _sum_rule(levels[-1].items(), _times_x0_ref)
+        levels.append({t: c // -m for t, c in level.items()})
+    row = [((_new(Word, t | 2 << last + m), n - m), c)
+           for m, level in enumerate(levels) for t, c in level.items()]
+    return tuple(sorted(row, key=_piece_order))
+
+
+def _times_x0_ref(t: int) -> Counter:
+    """t sh x0 on sentinel keys: an x0 put before each letter of t, or at
+    its end."""
+    return Counter(t & (1 << i) - 1 | t >> i << i + 1 for i in range(t.bit_length()))
 
 
 def sorted_row(w: Word) -> dict:

@@ -67,6 +67,33 @@ def test_beyond_the_bound_is_worse_in_either_direction():
     assert out["latency_p50_ms"]["verdict"] == "within"
 
 
+def test_a_gain_does_not_count_with_a_larger_failure_share():
+    pairs = _pairs(PARENT, [120] * 9 + [90])
+    pairs[4]["change"]["failed"] = 1
+    s = bench_pairs.summarise(pairs, SPEC)["ops_per_s"]
+    assert (s["wins"], s["verdict"]) == (9, "within")
+    pairs[6]["parent"]["failed"] = 1  # an equal share on both sides
+    assert bench_pairs.summarise(pairs, SPEC)["ops_per_s"]["verdict"] == "gain"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    wide = [60, 140, 70, 130, 80, 120, 90, 110, 100, 100]  # spread about 0.45
+    s = bench_pairs.summarise(_pairs(wide, PARENT), SPEC)["ops_per_s"]
+    assert (s["parent_spread"] > 0.24, s["change_spread"] < 0.24) == (True, True)
+    assert s["verdict"] == "unresolved"
+    s = bench_pairs.summarise(_pairs(PARENT, wide), SPEC)["ops_per_s"]
+    assert s["verdict"] == "unresolved"
+
+
+def test_a_wide_spread_is_resolved_when_every_change_run_is_better():
+    parent = [50, 60, 70, 80, 90, 100, 110, 120, 130, 140]
+    change = [141 + i for i in range(10)]  # medians differ by less than the parent's IQR
+    s = bench_pairs.summarise(_pairs(parent, change), SPEC)["ops_per_s"]
+    assert (s["wins"], s["parent_spread"] > 0.24, s["verdict"]) == (10, True, "within")
+    change[0] = 140  # a tie with the parent's best run
+    assert bench_pairs.summarise(_pairs(parent, change), SPEC)["ops_per_s"]["verdict"] == "unresolved"
+
+
 def test_lower_is_better_gains_by_falling():
     s = bench_pairs.summarise(_pairs(PARENT, PARENT, p50=(1.0, 0.5)), SPEC)["latency_p50_ms"]
     assert (s["wins"], s["verdict"]) == (10, "gain")

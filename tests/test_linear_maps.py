@@ -25,6 +25,7 @@ from kernel_reference import (
     pi_x_loop,
     pi_y_loop,
     reduce_exponents_rec,
+    reduce_trailing_x0_levels_ref,
     reduce_trailing_x0_loop,
     right_residual_loop,
     sorted_row,
@@ -294,7 +295,8 @@ def test_reduced_rows_and_pieces_match_their_loops():
 
 def test_closed_form_rows_match_the_recursion():
     # every word of <= 10 letters and 300 seeded words of 11-16 letters:
-    # the int row equals the recursion's Fractions, key by key, in order
+    # the int row equals the recursion's Fractions, key by key, in order,
+    # and the former levels loop's ints, item for item
     rng = random.Random(21)
     words = list(words_up_to(10))
     words += [Word([rng.randrange(2) for _ in range(rng.randint(11, 16))]) for _ in range(300)]
@@ -304,6 +306,13 @@ def test_closed_form_rows_match_the_recursion():
         assert [(key, type(c)) for key, c in row] == [(key, int) for key in want], w
         assert dict(row) == want == reduce_trailing_x0_loop(w), w
         assert _typed(reduce_trailing_x0(w)) == _typed(want), w
+        assert _typed(dict(row)) == _typed(dict(reduce_trailing_x0_levels_ref(w))), w
+    # rows too long for the recursion, up to the letter budget: the levels loop alone
+    for text in ("1" + "0" * 1030, "1" + "0" * 1400, "1" * 9 + "0" * 10, "0" * 540 + "1" + "0" * 560,
+                 "01" * 10 + "0" * 8, "1" * 5 + "0" * 30 + "1" + "0" * 6):
+        w = Word(text)
+        row = _reduce_trailing_x0(w)
+        assert _typed(dict(row)) == _typed(dict(reduce_trailing_x0_levels_ref(w))), text
 
 
 def test_antiderivative_tables_match_their_loop():

@@ -14,6 +14,7 @@ from kernel_reference import (
     stuffle_ref,
     stuffle_words_rec,
     unshuffle_rec,
+    words_up_to,
 )
 from starshuffle.errors import DomainError, NonElementaryConstantError
 from starshuffle.polylog.integrate import iota
@@ -22,6 +23,7 @@ from starshuffle.rewrite import normal_form
 from starshuffle.shuffle_core import (
     NCPoly,
     YPoly,
+    _shuffle_row,
     _shuffle_words,
     _stuffle_words,
     conc,
@@ -35,6 +37,24 @@ from starshuffle.words import Word
 
 def test_shuffle_words_match_the_recursion_exhaustively():
     assert check_shuffle_words(5) == 63**2
+
+
+def test_the_last_row_holds_the_shuffle_with_each_prefix():
+    """Cell j of the kernel's last row is u sh v[:j] under the sentinel bit
+    of |u| + |v|; moved to |u| + j, it is the recursion's product, in
+    order.  The last cell is the product itself, whose reader is
+    _shuffle_words."""
+    words = words_up_to(5)
+    for u in words:
+        for v in words:
+            row = _shuffle_row(u, v)
+            top = 1 << len(u) + len(v)
+            assert len(row) == len(v) + 1, (u, v)
+            for j, cell in enumerate(row):
+                got = [(t ^ top | 1 << len(u) + j, c) for t, c in cell.items()]
+                want = [(int(w), c) for w, c in shuffle_words_rec(u, v[:j]).items()]
+                assert got == want, (u, v, j)
+            assert list(row[-1].items()) == [(int(w), c) for w, c in _shuffle_words(u, v).items()]
 
 
 def test_unshuffle_matches_the_recursion_exhaustively():

@@ -8,14 +8,20 @@ the parent first on even pairs and the change first on odd ones, so that
 a drift in machine speed falls on both sides.  The run length, the
 end-to-end metrics, their better direction and their bounds are read
 from the change's BENCHMARK.json.  For every metric it prints each
-side's median and quartiles, the pairs the change won (ties count for
-neither side), and a verdict:
+side's median and quartiles, each side's spread (Q3 - Q1) / median, the
+pairs the change won (ties count for neither side), and a verdict, the
+first of these that holds:
 
-    gain        the change won at least 9 in 10 pairs and the medians
-                differ by more than the parent's interquartile range;
+    gain        the change won at least 9 in 10 pairs, the medians
+                differ by more than the parent's interquartile range,
+                and the change failed no larger share of its operations
+                than the parent did;
     worse       the change's median is worse than the parent's by more
                 than the metric's bound;
-    within      neither.
+    unresolved  the spread of either side is wider than the bound, so
+                the runs cannot tell the change from the parent, unless
+                every change run reads better than every parent run;
+    within      none of these.
 
 It also prints each side's failed and attempted operations per
 workload, and stops, naming the side, workload and seed, at the first
@@ -71,7 +77,11 @@ def quartiles(values: list) -> tuple:
 
 
 def summarise(pairs: list, spec: dict) -> dict:
-    """Per-metric medians, quartiles, wins and verdict over the pairs."""
+    """Per-metric medians, quartiles, spreads, wins and verdict over the
+    pairs."""
+    shares = failure_shares(pairs)
+    par_f, chg_f = shares["parent"], shares["change"]
+    more_failures = chg_f["failed"] * par_f["attempted"] > par_f["failed"] * chg_f["attempted"]
     out = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
@@ -81,18 +91,24 @@ def summarise(pairs: list, spec: dict) -> dict:
         losses = sum((c > p) if lower else (c < p) for p, c in zip(par, chg))
         pm, cm = statistics.median(par), statistics.median(chg)
         pq, cq = quartiles(par), quartiles(chg)
+        ps = (pq[1] - pq[0]) / pm if pm else 0.0
+        cs = (cq[1] - cq[0]) / cm if cm else 0.0
         worse_by = ((cm - pm) if lower else (pm - cm)) / pm if pm else 0.0
         gained = (cm < pm) if lower else (cm > pm)
-        if wins >= 0.9 * len(pairs) and gained and abs(cm - pm) > pq[1] - pq[0]:
+        apart = max(chg) < min(par) if lower else min(chg) > max(par)
+        if (wins >= 0.9 * len(pairs) and gained and abs(cm - pm) > pq[1] - pq[0]
+                and not more_failures):
             verdict = "gain"
         elif worse_by > m["bound"]:
             verdict = "worse"
+        elif max(ps, cs) > m["bound"] and not apart:
+            verdict = "unresolved"
         else:
             verdict = "within"
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            "parent_median": pm, "parent_q1": pq[0], "parent_q3": pq[1],
-            "change_median": cm, "change_q1": cq[0], "change_q3": cq[1],
+            "parent_median": pm, "parent_q1": pq[0], "parent_q3": pq[1], "parent_spread": ps,
+            "change_median": cm, "change_q1": cq[0], "change_q3": cq[1], "change_spread": cs,
             "change_vs_parent": (cm - pm) / pm if pm else None,
             "wins": wins, "losses": losses, "pairs": len(pairs), "verdict": verdict,
         }
@@ -111,12 +127,14 @@ def print_summary(workload: str, summary: dict, failures: dict) -> None:
     print("  failed/attempted: " + ", ".join(
         f"{side} {f['failed']}/{f['attempted']}" for side, f in failures.items()))
     print(f"  {'metric':15s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
-          f" {'change':>8s} {'wins':>6s}  verdict")
+          f" {'change':>8s} {'spreads':>13s} {'wins':>6s}  verdict")
     for name, s in summary.items():
         par = f"{s['parent_median']:.4g} [{s['parent_q1']:.4g}, {s['parent_q3']:.4g}]"
         chg = f"{s['change_median']:.4g} [{s['change_q1']:.4g}, {s['change_q3']:.4g}]"
         rel = "" if s["change_vs_parent"] is None else f"{100 * s['change_vs_parent']:+.1f}%"
-        print(f"  {name:15s} {par:>30s} {chg:>30s} {rel:>8s} {s['wins']:>3d}/{s['pairs']:<2d}  {s['verdict']}")
+        spreads = f"{s['parent_spread']:.3f}/{s['change_spread']:.3f}"
+        print(f"  {name:15s} {par:>30s} {chg:>30s} {rel:>8s} {spreads:>13s}"
+              f" {s['wins']:>3d}/{s['pairs']:<2d}  {s['verdict']}")
 
 
 def main() -> None:
