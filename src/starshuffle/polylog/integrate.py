@@ -49,11 +49,23 @@ loop that sums rows, over the argument's denominator:
                    sorted piece order, with each c read off the row
                    symfun._piece_sums.
 
-limit_at_one needs no table of its own: it re-keys each word's reduced
-row by the (u, n, -l) group it adds to at z = 1, sums the rows, and
-walks the groups in sorted order.  The antiderivative tables _J and _K
-sum the rows of _P and _A over the pieces of an exponent row the same
-way.
+limit_at_one needs no table of its own: it is limit_at_zero after
+z -> 1 - t, word by word.  At z = 1 - t the reduced piece
+z^k (1-z)^(-l) Li_u log^n/n! is (-1)^n (1-t)^k t^(-l) Li_{x1^n}(t) Li_u,
+as log^n(z)/n! = (-1)^n Li_{x1^n}(t).  Since k*l = 0, (1-t)^k is 1
+when l > 0 and changes no order t^m, m <= 0, of a power series when
+l = 0, so those orders of the factor before Li_u are the germ of the
+key (-l, 0, x1^n), read as a function of t.  So limit_at_one sums
+(-1)^n c * _germ((-l, 0, x1^n)) over the pieces of each word u of
+symfun._piece_sums and reads the limit R_u(1) of that factor with
+_limit_of_germ: poles that cancel within a word are decided exactly,
+and a pole that survives is divergent.  The limit is R_u(1) Li_u(1)
+summed over the words: the empty word gives the exact part, and a
+nonzero R_u(1) on a word starting with x1, whose Li_u diverges at 1, is
+divergent.  Cancellation across different words needs relations between
+the values Li_u(1) and is out of scope.  The antiderivative tables _J
+and _K sum the rows of _P and _A over the pieces of an exponent row
+with _combine as well.
 
 _J, _K, _A and _P hold SymFuns, and _germ, _iota1_row and _section hold
 rows; their readers take rows with linear._row_of and never write to
@@ -64,14 +76,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from ..errors import DomainError, NonElementaryConstantError
 from ..linear import _combine, _row_of
 from ..rewrite import _exponent_row
 from ..words import EPSILON, X0, X1, Word, composition_of_word, shortlex_key
 from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
-from .symfun import SymFun, _piece_order, _piece_sums, _reduce_trailing_x0, from_piece, theta
+from .symfun import SymFun, _piece_sums, _reduce_trailing_x0, from_piece, theta
 
 _ONE = (0, 0, EPSILON)  # the key of the constant function 1
 # Entries per table.  The ideal workload fills about 100 of each
@@ -157,12 +168,13 @@ def _germ(key: tuple) -> tuple:
     return _combine(parts)
 
 
-def _limit_of_germ(germ: tuple) -> Fraction:
-    """The limit at 0 of the function whose germ is the row germ: its
-    constant term; DomainError when a pole or a logarithm survives."""
+def _limit_of_germ(germ: tuple, z: int) -> Fraction:
+    """The limit at the basepoint z (0, or 1 for a germ in t = 1 - z) of
+    the function whose germ is the row germ: its constant term;
+    DomainError when a pole or a logarithm survives."""
     num, den = germ
     if any(g != (0, 0) for g in num):
-        raise DomainError("divergent basepoint limit at z = 0")
+        raise DomainError(f"divergent basepoint limit at z = {z}")
     return Fraction(num.get((0, 0), 0), den)
 
 
@@ -170,7 +182,7 @@ def limit_at_zero(f: SymFun) -> Fraction:
     """The limit of f at 0 along the disc, exact; DomainError when it
     does not exist (a pole or a logarithm survives)."""
     num, den = _row_of(f)
-    return _limit_of_germ(_combine(((c, _germ(key)) for key, c in num.items()), den))
+    return _limit_of_germ(_combine(((c, _germ(key)) for key, c in num.items()), den), 0)
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
@@ -187,7 +199,7 @@ def _iota1(f: SymFun) -> SymFun:
     single terms may cancel."""
     num, den = _row_of(f)
     rows = [(c, _iota1_row(key)) for key, c in num.items()]
-    base = _limit_of_germ(_combine(((c, germ) for c, (_, germ) in rows), den))
+    base = _limit_of_germ(_combine(((c, germ) for c, (_, germ) in rows), den), 0)
     # no key of _K is the constant 1 (each has k != 0, l != 0 or a
     # nonempty word), so the anchor is a new last key, as in
     # anti - base * SymFun.one()
@@ -222,36 +234,36 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     limit involves a polylogarithm constant at 1, raises
     NonElementaryConstantError unless numeric_fallback is set, in which
     case a float is returned.  DomainError when the limit is infinite,
-    also when another group carries a non-elementary constant.
-    Divergences are detected group by group in the reduced basis;
-    cancellations across different Li_u log^n groups are out of scope.
+    also when another word carries a non-elementary constant.
+
+    Each word u of the reduced basis is decided alone, by the germ rule
+    of limit_at_zero at t = 1 - z (see the module docstring), so poles
+    and logarithms that cancel within a word are decided exactly.
+    Cancellations across different words are out of scope: they raise
+    DomainError.
     """
-    # each word's row re-keyed by the group (u, n, -l) a piece adds to at 1
-    num, den = _row_of(f)
-    sums, den = _combine(((c, ({(u, n, -l): m for (u, n), m in _reduce_trailing_x0(w)}, 1))
-                          for (k, l, w), c in num.items()), den)
-    groups: dict = {}
-    for (u, n, j), c in sums.items():
-        groups.setdefault((u, n), {})[j] = c
+    sums, den = _piece_sums(f)
+    parts: dict = {}
+    for (_, l, u, n), c in sums.items():
+        germ = _germ((-l, 0, Word._raw((1 << n) - 1, n)))  # of t^(-l) Li_{x1^n}(t)
+        parts.setdefault(u, []).append((-c if n & 1 else c, germ))
     exact = Fraction(0)
     constants = []
-    for (u, n), sig in sorted(groups.items(), key=_piece_order):
-        neg_beyond = any(j < -n for j in sig)
-        at = sig.get(-n, 0)  # over den
-        if neg_beyond or (at and len(u) and u[0] == 1):
-            raise DomainError("divergent basepoint limit at z = 1")
-        if len(u) == 0:
-            exact += Fraction((-1) ** n * at, factorial(n))
-        elif at:
-            constants.append((u, n, at))
-    exact /= den
+    for u in sorted(parts, key=shortlex_key):
+        value = _limit_of_germ(_combine(parts[u], den), 1)
+        if not len(u):
+            exact = value
+        elif value:
+            if u[0] == 1:
+                raise DomainError("divergent basepoint limit at z = 1")
+            constants.append((u, value))
     if not constants:
         return exact
     if not numeric_fallback:
         raise NonElementaryConstantError()
     approx = 0.0
-    for u, n, at in constants:
-        approx += at / den * ((-1) ** n / factorial(n)) * _zeta_numeric(u)
+    for u, value in constants:
+        approx += value * _zeta_numeric(u)
     return float(exact) + approx
 
 

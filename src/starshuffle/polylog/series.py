@@ -87,7 +87,7 @@ from typing import Iterable, Sequence
 
 from ..errors import ConvergenceError, DomainError
 from ..star_series import StarSeries, term_sort_key
-from ..words import Word, _new, composition_of_word
+from ..words import Word, _is_int, _new, composition_of_word
 from .symfun import SymFun, _reduce_trailing_x0
 
 
@@ -136,11 +136,6 @@ class EvalParams:
 
     def __reduce__(self):
         return (EvalParams, self._key())
-
-
-def _is_int(n) -> bool:
-    """True for an int that is neither a bool nor a Word."""
-    return isinstance(n, int) and not isinstance(n, (bool, Word))
 
 
 def _check_composition(s: Sequence[int], minimum: int) -> tuple:
@@ -435,7 +430,6 @@ def neg_taylor_coeff(s: Iterable[int], n: int) -> int:
     return n ** s[0] * sum(c * math.comb(n, k) for k, c in enumerate(a))
 
 
-@lru_cache(maxsize=1024)
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind, from S2(m, j) =
     j S2(m-1, j) + S2(m-1, j-1) one row m at a time."""

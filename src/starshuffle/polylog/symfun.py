@@ -40,8 +40,8 @@ tuple of ((t, j), int) items with no denominator, and a row past
 _MAX_ROW_LETTERS is refused.  to_pieces, the germs and limits of
 integrate, the numeric evaluator and the public reduce_trailing_x0 all
 read it.  _piece_sums is to_pieces as a row,
-which iota_0 reads: it adds each row entry straight into one dict, under
-linear._combine's rule.
+which iota_0 and limit_at_one read: it adds each row entry straight into
+one dict, under linear._combine's rule.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from ..linear import (LinearCombination, _as_fraction, _bilinear, _is_scalar, _l
                       _row_of)
 from ..rewrite import _canonical_sums, _exponent_row
 from ..shuffle_core import _shuffle_row, _shuffle_words
-from ..words import EPSILON, Word, _new, shortlex_key
+from ..words import EPSILON, Word, _is_int, _new, shortlex_key
 
 
 class SymFun(LinearCombination):
@@ -110,8 +110,7 @@ class SymFun(LinearCombination):
 
 
 def _check_powers(k, l) -> None:
-    if (not isinstance(k, int) or not isinstance(l, int)
-            or isinstance(k, (Word, bool)) or isinstance(l, (Word, bool))):
+    if not _is_int(k) or not _is_int(l):
         raise ValueError("powers k and l must be integers")
 
 

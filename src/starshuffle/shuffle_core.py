@@ -68,7 +68,8 @@ from functools import lru_cache
 from math import comb
 
 from .linear import LinearCombination, _bilinear, _is_scalar, _linear, _row_of, _signed_sum
-from .words import EPSILON, Word, _new, composition_of_word, shortlex_items, word_of_composition
+from .words import (EPSILON, Word, _is_int, _new, composition_of_word, shortlex_items,
+                    word_of_composition)
 
 
 class NCPoly(LinearCombination):
@@ -242,7 +243,7 @@ class YPoly(LinearCombination):
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
         key = tuple(key)
-        if any(not isinstance(k, int) or isinstance(k, (Word, bool)) or k < 1 for k in key):
+        if any(not _is_int(k) or k < 1 for k in key):
             raise ValueError(f"y-word indices must be positive integers, got {key!r}")
         old = data.get(key)
         data[key] = coeff if old is None else old + coeff

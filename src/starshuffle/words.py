@@ -19,7 +19,8 @@ Everything else a Word does is a word's, not an int's:
 - + concatenates Words and * k repeats; adding an int raises TypeError.
 
 A Word is still an int to isinstance and to int-only code, so the
-package's gates on numbers and on int arguments exclude it explicitly.
+package's gates on numbers exclude it explicitly, and _is_int, its test
+of an int argument, refuses a Word and a bool.
 int arithmetic on Words (such as w - 1 or w >> 1) is not part of the API.
 """
 
@@ -252,13 +253,19 @@ def clf_factorize(w: Word) -> list[Word]:
     return out
 
 
+def _is_int(n) -> bool:
+    """True for an int that is neither a bool nor a Word: the package's
+    one test of an int argument."""
+    return isinstance(n, int) and not isinstance(n, (bool, Word))
+
+
 def word_of_composition(s: Iterable[int]) -> Word:
     """Encode a composition of positive integers as the word
     x0^(s1-1) x1 ... x0^(sr-1) x1.  The empty composition gives the
     empty word."""
     letters: list[int] = []
     for part in s:
-        if not isinstance(part, int) or isinstance(part, Word) or part < 1:
+        if not _is_int(part) or part < 1:
             raise ValueError(f"composition parts must be positive integers, got {part!r}")
         letters.extend([0] * (part - 1))
         letters.append(1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from starshuffle.polylog import integrate, series, symfun
+from starshuffle.polylog import integrate, symfun
 from starshuffle.polylog.negindex import li_neg_closed_form
 from starshuffle.rewrite import normal_form, rewrite_trace
 from starshuffle.star_series import (
@@ -242,5 +242,5 @@ def test_series_routes_match_the_recursion_up_to_weight_7_depth_3():
 
 def test_tables_are_bounded():
     for fn in (integrate._J, integrate._K, integrate._A, integrate._P,
-               integrate._zeta_numeric, symfun._reduce_trailing_x0, series.stirling2):
+               integrate._zeta_numeric, symfun._reduce_trailing_x0):
         assert fn.cache_info().maxsize is not None, fn.__name__

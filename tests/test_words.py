@@ -154,6 +154,8 @@ def test_composition_encoding():
         word_of_composition((0,))
     with pytest.raises(ValueError):
         word_of_composition((2, -1))
+    with pytest.raises(ValueError, match="positive integers, got True"):
+        word_of_composition((True, 2))  # a bool is not a part
 
 
 @given(st.lists(st.integers(1, 6), max_size=5))
