@@ -25,7 +25,7 @@ otherwise at 1, which makes the string of operators read off a word
 reproduce the polylogarithm of that word.
 
 The sections and the limits are linear in their argument's row, so
-each sums its int numerators times bounded tables of rows, one row per
+each sums its int numerators times bounded tables, one entry per
 canonical key (k, l, w) or reduced piece, with linear._combine, the one
 loop that sums rows, over the argument's denominator:
 
@@ -36,18 +36,23 @@ loop that sums rows, over the argument's denominator:
                    entry, and it exists exactly when no other entry
                    survives.
     _iota1_row(key)  _K of the key and that antiderivative's germ.
-                   iota_1 sums both, then subtracts the limit of the
-                   summed germ.  Its anchor is the limit of the whole
-                   antiderivative, taken per call, so divergences of
-                   single terms may cancel.
-    _section(k, l, u, n)  iota_0's anchored section of a reduced piece:
-                   _J's antiderivative of it minus its basepoint limit
-                   or, when the limit is a non-elementary constant, the
-                   antiderivative and that constant as a float.  Because
-                   iota_0 is anchored piece by piece, it sums
-                   c * _section over the pieces of its argument, in the
-                   sorted piece order, with each c read off the row
-                   symfun._piece_sums.
+    _anchor(k, l, u, n)  iota_0's basepoint constant of a reduced piece:
+                   the limit of _J's antiderivative of it, a Fraction, or
+                   a float when it is a non-elementary constant.
+
+iota builds both sections with one _combine: the antiderivative rows of
+its argument's keys (_J or _K) come first, so the result's keys follow
+them, and the basepoint constants follow as one row on the constant key.
+iota_1's constant is the limit of the summed germ of _iota1_row, the
+limit of the whole antiderivative taken per call, so divergences of
+single terms may cancel.  iota_0's is the sum of c * _anchor over the
+pieces of its argument, each c read off the row symfun._piece_sums.
+That is the piecewise anchoring, since _antiderivative is linear and a
+key's reduced row is an identity w = sum m (u sh x0^n): the pieces'
+antiderivatives add up to the key's _J row exactly.  The exact
+constants are rationals, whose sum does not depend on the piece order;
+only the pieces whose constant is a float are summed in the sorted
+piece order, so that float is the same bit for bit.
 
 limit_at_one needs no table of its own: it is limit_at_zero after
 z -> 1 - t, word by word.  At z = 1 - t the reduced piece
@@ -67,9 +72,9 @@ the values Li_u(1) and is out of scope.  The antiderivative tables _J
 and _K sum the rows of _P and _A over the pieces of an exponent row
 with _combine as well.
 
-_J, _K, _A and _P hold SymFuns, and _germ, _iota1_row and _section hold
-rows; their readers take rows with linear._row_of and never write to
-them.
+_J, _K, _A and _P hold SymFuns, _germ and _iota1_row hold rows, and
+_anchor holds limits; the readers of SymFuns take rows with
+linear._row_of, and no reader writes to a row.
 """
 
 from __future__ import annotations
@@ -80,8 +85,8 @@ from functools import lru_cache
 from ..errors import DomainError, NonElementaryConstantError
 from ..linear import _combine, _row_of
 from ..rewrite import _exponent_row
-from ..words import EPSILON, X0, X1, Word, composition_of_word, shortlex_key
-from .series import EvalParams, eval_li_word, eval_symfun, harmonic_sum
+from ..words import EPSILON, X0, X1, Word, _is_int, composition_of_word, shortlex_key
+from .series import EvalParams, _li_values, eval_symfun, harmonic_sum
 from .symfun import SymFun, _piece_sums, _reduce_trailing_x0, from_piece, theta
 
 _ONE = (0, 0, EPSILON)  # the key of the constant function 1
@@ -193,20 +198,6 @@ def _iota1_row(key: tuple) -> tuple:
     return anti, _combine(((c, _germ(g)) for g, c in num.items()), den)
 
 
-def _iota1(f: SymFun) -> SymFun:
-    """iota_1: the antiderivative of f against dz/(1-z) minus its limit
-    at 0.  That limit is taken of the summed germ, so divergences of
-    single terms may cancel."""
-    num, den = _row_of(f)
-    rows = [(c, _iota1_row(key)) for key, c in num.items()]
-    base = _limit_of_germ(_combine(((c, germ) for c, (_, germ) in rows), den), 0)
-    # no key of _K is the constant 1 (each has k != 0, l != 0 or a
-    # nonempty word), so the anchor is a new last key, as in
-    # anti - base * SymFun.one()
-    return SymFun._from_row(_combine([*((c, anti) for c, (anti, _) in rows),
-                                      (-base * den, ({_ONE: 1}, 1))], den))
-
-
 # One float per convergent word; the numeric workload asks for about 12.
 @lru_cache(maxsize=256)
 def _zeta_numeric(u: Word) -> float:
@@ -214,16 +205,15 @@ def _zeta_numeric(u: Word) -> float:
 
     Splits the iterated integral at z = 1/2: Li_u(1) equals the sum over
     factorizations u = p q of Li_{p~}(1/2) Li_q(1/2), where p~ reverses p
-    and swaps the letters.  Every factor converges geometrically."""
-    params = EvalParams(0.5, eps=1e-15)
+    and swaps the letters.  Every factor converges geometrically, and
+    ends in x1, so all of them come from one _li_values call."""
+    cuts = [(Word([1 - a for a in reversed(list(u[:cut]))]), u[cut:])
+            for cut in range(len(u) + 1)]
+    li = _li_values(list({w: None for cut in cuts for w in cut if len(w)}),
+                    EvalParams(0.5, eps=1e-15))
     total = 0.0
-    for cut in range(len(u) + 1):
-        pre = u[:cut]
-        suf = u[cut:]
-        tilde = Word([1 - a for a in reversed(list(pre))])
-        va = eval_li_word(tilde, params).real if len(tilde) else 1.0
-        vb = eval_li_word(suf, params).real if len(suf) else 1.0
-        total += va * vb
+    for tilde, suf in cuts:
+        total += (li[tilde].real if len(tilde) else 1.0) * (li[suf].real if len(suf) else 1.0)
     return total
 
 
@@ -242,7 +232,7 @@ def limit_at_one(f: SymFun, *, numeric_fallback: bool = False):
     Cancellations across different words are out of scope: they raise
     DomainError.
     """
-    sums, den = _piece_sums(f)
+    sums, den = _piece_sums(_row_of(f))
     parts: dict = {}
     for (_, l, u, n), c in sums.items():
         germ = _germ((-l, 0, Word._raw((1 << n) - 1, n)))  # of t^(-l) Li_{x1^n}(t)
@@ -272,27 +262,16 @@ def _piece_index(k: int, u: Word) -> int:
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _section(k: int, l: int, u: Word, n: int) -> tuple:
-    """iota_0 on the reduced piece z^k (1-z)^(-l) Li_u log^n/n!, anchored
-    at 0 when its index is >= 1 and at 1 otherwise.
-
-    Returns (row, constant): the section is the row.  constant is None
-    when the basepoint limit is rational (it is then subtracted inside
-    the row); otherwise it is that limit as a float, and the row is the
-    bare antiderivative.  Raises DomainError when the limit does not
-    exist.  Cached: callers read the row and never write to it.
-    """
+def _anchor(k: int, l: int, u: Word, n: int):
+    """iota_0's basepoint constant of the reduced piece
+    z^k (1-z)^(-l) Li_u log^n/n!: the limit of _J's antiderivative of it,
+    at 0 when its index is >= 1 and at 1 otherwise.  A Fraction, or a
+    float when the limit is a non-elementary constant; DomainError when
+    it does not exist."""
     anti = _antiderivative(0, from_piece(k, l, u, n))
     if _piece_index(k, u) >= 1:
-        base = limit_at_zero(anti)
-    else:
-        base = limit_at_one(anti, numeric_fallback=True)
-    constant = None
-    if isinstance(base, Fraction):
-        anti = anti - base * SymFun.one()
-    else:
-        constant = base
-    return _row_of(anti), constant
+        return limit_at_zero(anti)
+    return limit_at_one(anti, numeric_fallback=True)
 
 
 def _section_order(item: tuple) -> tuple:
@@ -303,31 +282,46 @@ def _section_order(item: tuple) -> tuple:
 
 
 def iota(i: int, f: SymFun, *, numeric_constants: bool = False):
-    """The section iota_i of theta_i.
+    """The section iota_i of theta_i: the antiderivative of f against
+    dz/z (i = 0) or dz/(1-z) (i = 1) minus its basepoint constants.
 
-    iota_1 integrates against dz/(1-z) from 0.  iota_0 integrates against
-    dz/z, anchoring each reduced piece at 0 when its index is >= 1 and at
-    1 otherwise.  Returns a SymFun; with numeric_constants=True returns
-    (SymFun, float) where the float carries any non-elementary basepoint
-    constants (the exact rational part stays in the SymFun).
+    iota_1 is anchored at 0, at the limit of the whole antiderivative.
+    iota_0 anchors each reduced piece of f at 0 when its index is >= 1
+    and at 1 otherwise.  Returns a SymFun; with numeric_constants=True
+    returns (SymFun, float) where the float carries any non-elementary
+    basepoint constants (the exact rational part stays in the SymFun).
+
+    Refusals: DomainError when a basepoint limit does not exist (for
+    iota_0, that of any piece); otherwise NonElementaryConstantError when
+    a non-elementary constant remains and numeric_constants is False.
     """
     if i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
-    if i == 1:
-        result = _iota1(f)
-        return (result, 0.0) if numeric_constants else result
-    parts = []
+    num, den = _row_of(f)
     numeric = 0.0
-    # the pieces' coefficients are the int sums c over den
-    sums, den = _piece_sums(f)
-    for piece, c in sorted(sums.items(), key=_section_order):
-        row, constant = _section(*piece)
-        if constant is not None:
-            if not numeric_constants:
-                raise NonElementaryConstantError()
-            numeric -= c / den * constant
-        parts.append((c, row))
-    sym = SymFun._from_row(_combine(parts, den))
+    if i:
+        rows = [(c, _iota1_row(key)) for key, c in num.items()]
+        antis = [(c, anti) for c, (anti, _) in rows]
+        constants = [(_limit_of_germ(_combine(((c, germ) for c, (_, germ) in rows), den), 0),
+                      ({_ONE: 1}, 1))]
+    else:
+        antis = [(c, _row_of(_J(*key))) for key, c in num.items()]
+        sums, pden = _piece_sums((num, den))
+        floats = []
+        constants = []
+        for piece, c in sums.items():
+            base = _anchor(*piece)
+            if isinstance(base, float):
+                floats.append((piece, c))
+            elif base:
+                constants.append((base, ({_ONE: c}, pden)))
+        if floats and not numeric_constants:
+            raise NonElementaryConstantError()
+        for piece, c in sorted(floats, key=_section_order):
+            numeric -= c / pden * _anchor(*piece)
+    # no key of _J or _K is the constant 1, so the anchor is a new last
+    # key, as in anti - base * SymFun.one()
+    sym = SymFun._from_row(_combine([*antis, (-den, _combine(constants))], den))
     return (sym, numeric) if numeric_constants else sym
 
 
@@ -358,7 +352,7 @@ def discontinuity_demo(n_max: int, z: float) -> dict:
     """
     if not 0 < z < 1:
         raise DomainError("demo needs a real z strictly between 0 and 1")
-    if n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise ValueError("n_max must be at least 1")
     params = EvalParams(z)
     f_running = SymFun.one()

@@ -433,7 +433,7 @@ def neg_taylor_coeff(s: Iterable[int], n: int) -> int:
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind, from S2(m, j) =
     j S2(m-1, j) + S2(m-1, j-1) one row m at a time."""
-    if n < 0 or k < 0:
+    if not _is_int(n) or not _is_int(k) or n < 0 or k < 0:
         raise ValueError("stirling2 needs nonnegative arguments")
     if k > n:
         return 0

@@ -240,14 +240,14 @@ def from_piece(k: int, l: int, u: Word, n: int) -> SymFun:
 def to_pieces(f: SymFun) -> dict:
     """Decompose into the reduced basis: {(k, l, u, n): coeff} where u is
     empty or ends in x1 and the piece means z^k (1-z)^(-l) Li_u log^n/n!."""
-    return LinearCombination._from_row(_piece_sums(f)).terms
+    return LinearCombination._from_row(_piece_sums(_row_of(f))).terms
 
 
-def _piece_sums(f: SymFun) -> tuple:
-    """to_pieces(f) as a row: the reduced rows of its words summed as
-    linear._combine sums them, a key dropped the moment it cancels and
-    appended again if it comes back."""
-    num, den = _row_of(f)
+def _piece_sums(row: tuple) -> tuple:
+    """to_pieces as a row, of a SymFun's row (num, den): the reduced rows
+    of its words summed as linear._combine sums them, a key dropped the
+    moment it cancels and appended again if it comes back."""
+    num, den = row
     acc: dict = {}
     get = acc.get
     for (k, l, w), c in num.items():

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .errors import DomainError
 from .linear import LinearCombination, _bilinear, _linear, _row_of
 from .shuffle_core import NCPoly, _shuffle_words
-from .words import EPSILON, Word, shortlex_key
+from .words import EPSILON, Word, _is_int, shortlex_key
 
 
 class StarTerm(NamedTuple):
@@ -138,7 +138,7 @@ def _star_pair(x: StarTerm, y: StarTerm) -> dict:
 
 def shuffle_power(s: StarSeries, k: int) -> StarSeries:
     """k-th shuffle power; the zeroth power is the unit series."""
-    if k < 0:
+    if not _is_int(k) or k < 0:
         raise ValueError("shuffle_power needs k >= 0")
     out = StarSeries.one()
     for _ in range(k):
@@ -175,7 +175,7 @@ def expand(s: StarSeries, n: int) -> NCPoly:
     The coefficient of v in (a0 x0)* sh (a1 x1)* is a0^(#x0 in v) times
     a1^(#x1 in v), so a star term expands to a finite sum word by word.
     """
-    if n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError("expand needs n >= 0")
     out: dict = {}
     for (u, a0, a1), c in s.terms.items():

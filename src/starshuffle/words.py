@@ -130,7 +130,7 @@ class Word(int):
         raise TypeError(f"can only concatenate Word (not {type(other).__name__!r}) to Word")
 
     def __mul__(self, k: int) -> "Word":
-        if not isinstance(k, int) or isinstance(k, Word):
+        if not _is_int(k):
             raise TypeError(f"can't multiply Word by non-int of type {type(k).__name__!r}")
         return Word(str(self) * k)
 
@@ -221,7 +221,7 @@ X1 = Word("1")
 def lyndon_up_to(max_len: int) -> list[Word]:
     """All Lyndon words over {0, 1} of length <= max_len, in lexicographic
     order (Duval's generation algorithm)."""
-    if max_len < 0:
+    if not _is_int(max_len) or max_len < 0:
         raise ValueError("max_len must be nonnegative")
     out: list[Word] = []
     w = "0"

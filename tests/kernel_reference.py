@@ -46,7 +46,15 @@ insertion), and the star series of the lineg routes.  The antiderivative
 and the basepoint limits among them are the former Fraction loops over
 the reduced pieces, which took every limit's Taylor coefficients afresh.
 Each new form must give their values, raised exception classes and dict
-order.
+order.  iota_ref is the antiderivative of f minus its basepoint
+constants, iota_0's being summed over the reduced pieces, each
+re-integrated alone; iota0_sections_ref is iota_0 as it summed the
+anchored section of each piece, in the sorted piece order, and iota_0
+must give its values and floats, though not its dict order, and refuses
+with DomainError a piece with no limit that it met after a float
+constant.  zeta_numeric_ref is integrate._zeta_numeric as it evaluated
+each factor of its split at z = 1/2 with its own eval_li_word call, whose
+floats _zeta_numeric must give bit for bit.
 
 step_product_ref and harmonic_sum_ref are the exact nested sums as they
 were split before the lcm denominators: every entry of every range over
@@ -92,9 +100,11 @@ from starshuffle.errors import DomainError, NonElementaryConstantError
 from starshuffle.polylog.integrate import _A, _J, _K, _P, _li_coeffs, _piece_index, _zeta_numeric
 from starshuffle.polylog.negindex import _nested_indices
 from starshuffle.polylog.series import (
+    EvalParams,
     _check_composition,
     _refuse_hopeless,
     _series_sum,
+    eval_li_word,
     stirling2,
 )
 from starshuffle.polylog.symfun import SymFun, _piece_order, _symfun_pair
@@ -637,20 +647,67 @@ def limit_at_one_ref(f: SymFun, *, numeric_fallback: bool = False):
     return float(exact) + approx
 
 
+def zeta_numeric_ref(u: Word) -> float:
+    """Li_u(1) for a convergent word, summed over the factorizations
+    u = p q as Li_{p~}(1/2) Li_q(1/2), one eval_li_word call per factor."""
+    params = EvalParams(0.5, eps=1e-15)
+    total = 0.0
+    for cut in range(len(u) + 1):
+        pre = u[:cut]
+        suf = u[cut:]
+        tilde = Word([1 - a for a in reversed(list(pre))])
+        va = eval_li_word(tilde, params).real if len(tilde) else 1.0
+        vb = eval_li_word(suf, params).real if len(suf) else 1.0
+        total += va * vb
+    return total
+
+
+def _section_order_ref(piece):
+    k, l, u, n = piece
+    return k, l, len(u), tuple(u), n
+
+
+def _piece_limit_ref(k: int, l: int, u: Word, n: int):
+    """iota_0's basepoint constant of a reduced piece, re-integrated in
+    Fractions: the limit of its antiderivative at 0 when its index is
+    >= 1 and at 1 otherwise, a float for a non-elementary constant."""
+    anti = _antiderivative_ref(0, from_piece_ref(k, l, u, n))
+    if _piece_index(k, u) >= 1:
+        return limit_at_zero_ref(anti)
+    return limit_at_one_ref(anti, numeric_fallback=True)
+
+
 def iota_ref(i: int, f: SymFun, *, numeric_constants: bool = False):
-    """iota re-integrating and re-anchoring every reduced piece per call."""
+    """iota as the antiderivative of f minus its basepoint constants:
+    iota_1's is the limit at 0 of the whole antiderivative, iota_0's the
+    sum of c * the limit of each reduced piece, re-integrated per call.
+    Every limit is taken before a float constant is refused."""
     if i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
+    anti = _antiderivative_ref(i, f)
+    numeric = 0.0
     if i == 1:
-        anti = _antiderivative_ref(1, f)
         base = limit_at_zero_ref(anti)
-        result = anti - base * SymFun.one()
-        return (result, 0.0) if numeric_constants else result
+    else:
+        pieces = to_pieces_loop(f)
+        limits = {piece: _piece_limit_ref(*piece) for piece in pieces}
+        floats = sorted((p for p in pieces if isinstance(limits[p], float)), key=_section_order_ref)
+        if floats and not numeric_constants:
+            raise NonElementaryConstantError()
+        for piece in floats:
+            numeric -= float(pieces[piece]) * limits[piece]
+        base = sum((c * limits[p] for p, c in pieces.items() if p not in floats), Fraction(0))
+    result = anti - base * SymFun.one()
+    return (result, numeric) if numeric_constants else result
+
+
+def iota0_sections_ref(f: SymFun, *, numeric_constants: bool = False):
+    """iota_0 as the sum of c * the anchored section of each reduced
+    piece, in the sorted piece order, refusing a float constant as soon
+    as its piece is reached."""
     sym = SymFun.zero()
     numeric = 0.0
-    for (k, l, u, n), c in sorted(
-        to_pieces_loop(f).items(), key=lambda g: (g[0][0], g[0][1], len(g[0][2]), tuple(g[0][2]), g[0][3])
-    ):
+    for (k, l, u, n), c in sorted(to_pieces_loop(f).items(), key=lambda g: _section_order_ref(g[0])):
         anti = _antiderivative_ref(0, from_piece_ref(k, l, u, n))
         if _piece_index(k, u) >= 1:
             base = limit_at_zero_ref(anti)

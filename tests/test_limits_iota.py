@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_reference import zeta_numeric_ref
 from starshuffle.errors import DomainError, NonElementaryConstantError
 from starshuffle.polylog.integrate import (
     _antiderivative,
@@ -146,6 +147,15 @@ def test_zeta_numeric_pins():
     assert abs(_zeta_numeric(Word("0001")) - math.pi**4 / 90) < 1e-12
 
 
+def test_zeta_numeric_gives_its_per_factor_floats():
+    # every convergent word of at most 8 letters: x0 v x1
+    words = [Word([0, *((bits >> j) & 1 for j in range(n)), 1])
+             for n in range(7) for bits in range(1 << n)]
+    assert len(set(words)) == 127
+    for u in words:
+        assert _zeta_numeric(u).hex() == zeta_numeric_ref(u).hex(), u
+
+
 def test_limit_at_one_power_prefactors():
     # z^2 Li_{x0x1} -> zeta(2): positive-power branch of the expansion
     f = SymFun.monomial(2, 0, Word("01"))
@@ -267,8 +277,20 @@ def test_discontinuity_demo_limits():
     assert abs(report2["g_image_values"][-1] - 0.25) < 1e-6
     with pytest.raises(DomainError):
         discontinuity_demo(10, 1.5)
-    with pytest.raises(ValueError):
-        discontinuity_demo(0, 0.5)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            discontinuity_demo(bad, 0.5)
+
+
+def test_iota0_refuses_a_piece_with_no_limit_before_a_float_constant():
+    # z^-1 Li_{x1 x0} = z^-1 (Li_{x1} log - Li_{x0 x1}): the first piece
+    # is anchored at 1, at -zeta(2), and the second, anchored at 0, has
+    # no limit there; the missing limit is refused, with either flag
+    f = SymFun({(-2, 0, EPSILON): 1, (-1, 0, Word("10")): 1})
+    for numeric in (False, True):
+        with pytest.raises(DomainError) as info:
+            iota(0, f, numeric_constants=numeric)
+        assert info.type is DomainError, numeric
 
 
 def test_iota_rejects_bad_index():

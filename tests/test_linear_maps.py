@@ -16,6 +16,7 @@ from kernel_reference import (
     build_neg_series_ref,
     delta_left_loop,
     derivative_ref,
+    iota0_sections_ref,
     iota_ref,
     kernel_member_loop,
     left_residual_loop,
@@ -34,14 +35,14 @@ from kernel_reference import (
     to_pieces_loop,
     words_up_to,
 )
-from starshuffle.errors import DomainError
+from starshuffle.errors import DomainError, NonElementaryConstantError
 from starshuffle.linear import _bilinear, _common_scale, _row_of
 from starshuffle.polylog.integrate import (
     _J,
     _K,
+    _anchor,
     _germ,
     _iota1_row,
-    _section,
     apply_word_op,
     iota,
     limit_at_one,
@@ -138,6 +139,27 @@ def test_iota_matches_its_reference():
                 assert got == _outcome(iota_ref, i, f, numeric_constants=numeric), (i, numeric, f)
 
 
+def test_iota0_sums_the_anchored_sections_of_its_pieces():
+    """iota_0 is the sum of its pieces' anchored sections: the same
+    values and floats, bit for bit.  The sections refuse a float constant
+    as soon as its piece is reached, where iota_0 refuses a piece with no
+    limit first."""
+    floats = 0
+    for _, f in _cases(2, _differentiated):
+        for numeric in (False, True):
+            got = _outcome(iota, 0, f, numeric_constants=numeric)
+            want = _outcome(iota0_sections_ref, f, numeric_constants=numeric)
+            if want[0] == "ok":
+                assert got[0] == "ok" and dict(got[1]) == dict(want[1]), (numeric, f)
+                assert [x.hex() for x in got[2:]] == [x.hex() for x in want[2:]], f
+                floats += numeric and got[2] != 0
+            elif want[1] is NonElementaryConstantError:
+                assert got[1] in (NonElementaryConstantError, DomainError), f
+            else:
+                assert got == want, (numeric, f)
+    assert floats > 0
+
+
 def test_word_op_strings_match_their_references():
     for rng, f in _cases(3, _differentiated):
         w = _word(rng, 3)
@@ -196,16 +218,18 @@ def test_iota_returns_fresh_results_and_its_table_is_bounded():
         want = list(first.terms.items())
         first.terms.clear()
         assert list(iota(i, f).terms.items()) == want
-    for table in (_section, _germ, _iota1_row):
+    for table in (_anchor, _germ, _iota1_row):
         assert table.cache_info().maxsize is not None
 
 
 def test_no_dz_over_one_minus_z_antiderivative_has_a_constant_term():
-    # so iota_1 appends its anchor at 0 as a new key, as anti - base * 1 does
+    # so iota appends its anchor as a new key, as anti - base * 1 does;
+    # the antiderivatives against dz/z have none either
     for k, l in product(range(-4, 5), range(5)):
         if k * l == 0:
             for w in words_up_to(3):
-                assert (0, 0, EPSILON) not in _K(k, l, w).terms, (k, l, w)
+                for table in (_J, _K):
+                    assert (0, 0, EPSILON) not in table(k, l, w).terms, (table, k, l, w)
 
 
 def _compositions(weight_max, depth_max):

@@ -231,7 +231,7 @@ def test_reading_the_tables_terms_leaves_later_results_unchanged():
     objects.  Reading their .terms turns them to map form, which later
     reads take through the common scale: every later result keeps its
     items, values, value types and order."""
-    from starshuffle.polylog.integrate import _J, _K, _iota1_row, _section, iota
+    from starshuffle.polylog.integrate import _J, _K, _anchor, _iota1_row, iota
     from starshuffle.polylog.negindex import _route_factor, build_neg_series
 
     f = SymFun({(0, 1, Word("01")): Fraction(1, 2), (2, 0, Word("1")): Fraction(-3),
@@ -242,7 +242,7 @@ def test_reading_the_tables_terms_leaves_later_results_unchanged():
         out = [[(k, c, type(c)) for k, c in iota(i, f).terms.items()] for i in (0, 1)]
         return out + [list(build_neg_series(s, r).terms.items()) for s in comps for r in "TRF"]
 
-    for table in (_J, _K, _section, _iota1_row, _route_factor):
+    for table in (_J, _K, _anchor, _iota1_row, _route_factor):
         table.cache_clear()
     before = results()
     read = 0
@@ -257,6 +257,6 @@ def test_reading_the_tables_terms_leaves_later_results_unchanged():
             _route_factor(route, k).terms
     assert read > 100
     assert results() == before
-    _section.cache_clear()
+    _anchor.cache_clear()
     _iota1_row.cache_clear()
     assert results() == before

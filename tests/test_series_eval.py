@@ -97,8 +97,9 @@ def test_stirling2_matches_inclusion_exclusion():
     for n in range(8):
         for k in range(8):
             assert stirling2(n, k) == brute_stirling2(n, k)
-    with pytest.raises(ValueError):
-        stirling2(-1, 0)
+    for bad in ((-1, 0), (True, 1), (2.5, 1), (2, True)):
+        with pytest.raises(ValueError, match="nonnegative arguments"):
+            stirling2(*bad)
 
 
 def test_eval_params_domain():

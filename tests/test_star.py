@@ -106,8 +106,9 @@ def test_shuffle_power():
     s = plane_star(1, 0)
     assert shuffle_power(s, 0) == StarSeries.one()
     assert shuffle_power(s, 3) == plane_star(3, 0)
-    with pytest.raises(ValueError):
-        shuffle_power(s, -1)
+    for bad in (-1, True, 2.5):
+        with pytest.raises(ValueError):
+            shuffle_power(s, bad)
 
 
 def test_embed_words_shuffle_like_polynomials():
@@ -161,8 +162,9 @@ def test_is_laurent():
 def test_expand_validates_and_truncates():
     s = plane_star(1, 1)
     assert set(len(w) for w in expand(s, 2).terms) == {0, 1, 2}
-    with pytest.raises(ValueError):
-        expand(s, -1)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError):
+            expand(s, bad)
 
 
 def test_str_is_the_canonical_expression_text():

@@ -73,6 +73,12 @@ def test_word_basics():
     assert hash(Word("01")) == hash(Word([0, 1]))
 
 
+def test_word_repeats_only_by_an_int():
+    for bad in (True, 2.5, Word("1")):
+        with pytest.raises(TypeError, match="can't multiply Word by non-int"):
+            Word("01") * bad
+
+
 def test_word_rejects_bad_letters():
     with pytest.raises(ValueError):
         Word("012")
@@ -119,8 +125,9 @@ def test_lyndon_matches_rotation_oracle_and_is_sorted():
 def test_lyndon_edge_cases():
     assert lyndon_up_to(0) == []
     assert [str(w) for w in lyndon_up_to(1)] == ["0", "1"]
-    with pytest.raises(ValueError):
-        lyndon_up_to(-1)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError):
+            lyndon_up_to(bad)
 
 
 def test_clf_examples():
