@@ -42,7 +42,8 @@ The constructor takes (key, coefficient) pairs or a map.  A coefficient
 whose type is exactly Fraction is stored as it is; any other goes through
 Fraction(coeff), so an int, a bool, a str such as "3/4" or a Fraction
 subclass is stored as a plain Fraction, and a Word is refused with
-TypeError.  _insert stores the first coefficient of a key as it is and
+TypeError.  So is a key whose word part is not a Word, by the _insert of
+NCPoly, StarSeries and SymFun (words._check_word).  _insert stores the first coefficient of a key as it is and
 adds later ones to it; the keys whose sums are zero are dropped at the
 end.  So every stored value is a Fraction, and a key keeps the place of
 its first pair.

@@ -81,6 +81,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from ..errors import DomainError, NonElementaryConstantError
 from ..linear import _combine, _row_of
@@ -295,7 +296,7 @@ def iota(i: int, f: SymFun, *, numeric_constants: bool = False):
     iota_0, that of any piece); otherwise NonElementaryConstantError when
     a non-elementary constant remains and numeric_constants is False.
     """
-    if i not in (0, 1):
+    if not _is_int(i) or i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
     num, den = _row_of(f)
     numeric = 0.0
@@ -346,24 +347,27 @@ def discontinuity_demo(n_max: int, z: float) -> dict:
     """Apply iota_0 to two sequences with the same pointwise limit and
     report the values at z, exhibiting the discontinuity of the section.
 
-    f_n sums Li over x0^m (the partial exponential of log z) and g_n
-    alternates Li over x1^m; both converge pointwise to the identity
-    function of z, yet the iota_0-images converge to z - 1 and to z.
+    f_n sums Li over x0^m, m = 0..n (the partial exponential of log z),
+    and g_n sums (-1)^(m+1) Li over x1^m, m = 1..n, for n = 1..n_max;
+    both converge pointwise to the identity function of z, yet the
+    iota_0-images converge to z - 1 and to z.  iota_0 and evaluation are
+    linear, so each term is imaged and evaluated once, its image one word
+    (Li_{x0^(m+1)}, anchored at 1, and Li_{x0 x1^m}, anchored at 0, both
+    with constant 0), and the values are the running sums of those
+    floats: 2 n_max + 1 images in all.
     """
     if not 0 < z < 1:
         raise DomainError("demo needs a real z strictly between 0 and 1")
     if not _is_int(n_max) or n_max < 1:
         raise ValueError("n_max must be at least 1")
     params = EvalParams(z)
-    f_running = SymFun.one()
-    g_running = SymFun.zero()
-    f_values = []
-    g_values = []
-    for n in range(1, n_max + 1):
-        f_running += SymFun.from_li(Word([0] * n))
-        g_running += SymFun.from_li(Word([1] * n)) * ((-1) ** (n + 1))
-        f_values.append(eval_symfun(iota(0, f_running), params).real)
-        g_values.append(eval_symfun(iota(0, g_running), params).real)
+
+    def running(terms) -> list:
+        return list(accumulate(eval_symfun(iota(0, t), params).real for t in terms))
+
+    # the first running sum, of the constant 1 alone, is no f_n
+    f_values = running(SymFun.from_li(Word([0] * m)) for m in range(n_max + 1))[1:]
+    g_values = running(SymFun.from_li(Word([1] * m)) * (-1) ** (m + 1) for m in range(1, n_max + 1))
     return {
         "z": z,
         "n_max": n_max,

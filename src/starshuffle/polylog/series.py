@@ -37,8 +37,9 @@ Numeric evaluation first reduces every word to words u ending in x1
 them at once, by one of two routes:
 
 - the direct series (_series_sum), Li_u(z) = sum z^n / n^s1 * H_tail(n-1),
-  which stops at the first n >= depth with |term| < eps * (1 - |z|) and
-  costs O(1 / (1 - |z|)) terms;
+  which stops at the first n >= depth with |term| < eps * (1 - |z|) whose
+  next term is no larger, so a deep word's rising first terms do not stop
+  it, and costs O(1 / (1 - |z|)) terms;
 - the walk (_walk), which takes the values of every suffix of every word
   at p0 = z / (2|z|) from the direct series, then carries them to z by
   Taylor steps along the differential equations
@@ -454,7 +455,8 @@ _LOG_TINY = -700.0
 
 def _cannot_stop(s: tuple, z: complex, cutoff: float, max_terms: int) -> bool:
     """True when no n <= max_terms can meet the stop rule of _series_sum,
-    n >= depth and |term_n| < cutoff.
+    whose first two tests are n >= depth and |term_n| < cutoff; its
+    next-term test only makes the rule stricter.
 
     For n >= depth, h[0] = H_tail(n-1) >= H_tail(r) = prod_j (r-j)^-t_j,
     r = len(tail), as h[0] never decreases; so
@@ -495,9 +497,14 @@ def _series_sum(s: tuple, z, cutoff: float, n_max: int):
     the walk.
 
     Stop rule: stop after the first term n >= depth with |term_n| < cutoff,
-    cutoff = eps * (1 - |z|).  For depth 1 the terms |z|^n / n^s1 shrink
-    at least geometrically, so the tail left behind is below eps; deeper
-    words grow h[0] = H_tail(n-1) slowly and the rule is a heuristic.
+    cutoff = eps * (1 - |z|), and |term_{n+1}| <= |term_n|, the next term
+    read off h[0] = H_tail(n) after this step's row update.  For depth 1
+    the terms |z|^n / n^s1 shrink at least geometrically, so the next-term
+    test always holds and the tail left behind is below eps.  A deeper
+    word's first term carries h[0] = H_tail(depth - 1), as small as
+    1/(depth - 1)! for x1^depth, and its terms grow while h[0] grows
+    faster than |z|^n shrinks: the next-term test keeps the sum going
+    past that peak.  Past it h[0] grows slowly and the rule is a heuristic.
 
     Refusal: ConvergenceError is raised when n_max terms do not meet the
     rule.  _cannot_stop proves this up front from the lower bound
@@ -534,15 +541,16 @@ def _series_sum(s: tuple, z, cutoff: float, n_max: int):
                 zn *= z
                 term = zn / n**s1 * h[0]
                 block += term
-                if n >= depth and abs(term) < cutoff:
-                    blocks.append(block)
-                    return _fsum(blocks, number)
                 for j in rows:
                     try:
                         h[j] += h[j + 1] / n ** tail[j]
                     except OverflowError:  # h[j] stays put from here on
                         rows = range(j)
                         break
+                if (n >= depth and abs(term) < cutoff
+                        and abs(zn * z / (n + 1)**s1 * h[0]) <= abs(term)):
+                    blocks.append(block)
+                    return _fsum(blocks, number)
             blocks.append(block)
     except OverflowError:  # of n**s1; caught out here so that terms cost no more
         blocks.append(block)

@@ -55,7 +55,7 @@ from ..linear import (LinearCombination, _as_fraction, _bilinear, _is_scalar, _l
                       _row_of)
 from ..rewrite import _canonical_sums, _exponent_row
 from ..shuffle_core import _shuffle_row, _shuffle_words
-from ..words import EPSILON, Word, _is_int, _new, shortlex_key
+from ..words import EPSILON, Word, _check_word, _is_int, _new, shortlex_key
 
 
 class SymFun(LinearCombination):
@@ -64,7 +64,7 @@ class SymFun(LinearCombination):
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
         k, l, w = key
-        _check_powers(k, l)
+        _check_key(k, l, w)
         if l >= 0 and k * l == 0:  # already canonical, the common case
             old = data.get(key)
             data[key] = coeff if old is None else old + coeff
@@ -81,14 +81,14 @@ class SymFun(LinearCombination):
     @classmethod
     def monomial(cls, k: int, l: int, w: Word = EPSILON, coeff=1) -> "SymFun":
         """SymFun({(k, l, w): coeff}), built as its key's exponent row:
-        coeff is converted as the constructor converts it, k and l are
-        checked as _insert checks them, and the row is read (and refused
+        coeff is converted as the constructor converts it, k, l and w
+        are checked as _insert checks them, and the row is read (and refused
         past the bit budget) before coeff is looked at, so even when it
         is 0.  Every row holds a multiplicity 1 or -1, so the row is in
         lowest terms as it stands."""
         if type(coeff) is not Fraction:
             coeff = _as_fraction(coeff)
-        _check_powers(k, l)
+        _check_key(k, l, w)
         row = _exponent_row(k, l)
         n = coeff.numerator
         return cls._from_row(({(k2, l2, w): m * n for (k2, l2), m in row} if n else {},
@@ -109,9 +109,10 @@ class SymFun(LinearCombination):
     __rmul__ = __mul__
 
 
-def _check_powers(k, l) -> None:
+def _check_key(k, l, w) -> None:
     if not _is_int(k) or not _is_int(l):
         raise ValueError("powers k and l must be integers")
+    _check_word(w)
 
 
 def _symfun_pair(x: tuple, y: tuple) -> dict:
@@ -164,7 +165,7 @@ def derivative(f: SymFun) -> SymFun:
 
 def theta(i: int, f: SymFun) -> SymFun:
     """theta_0 = z d/dz and theta_1 = (1-z) d/dz."""
-    if i not in (0, 1):
+    if not _is_int(i) or i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
     factor = _times_z if i == 0 else _times_one_minus_z
     return SymFun._from_row(_linear(_row_of(f), _d_rule, factor))
@@ -234,6 +235,8 @@ def reduce_trailing_x0(w: Word) -> dict:
 def from_piece(k: int, l: int, u: Word, n: int) -> SymFun:
     """The function z^k (1-z)^(-l) Li_u log^n(z)/n! as a SymFun, using
     Li_u log^n/n! = Li_{u sh x0^n}."""
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"the log power n must be an integer >= 0, got {n!r}")
     return SymFun.monomial(k, l, u) * SymFun.from_li(Word([0] * n))
 
 

@@ -68,7 +68,7 @@ from functools import lru_cache
 from math import comb
 
 from .linear import LinearCombination, _bilinear, _is_scalar, _linear, _row_of, _signed_sum
-from .words import (EPSILON, Word, _is_int, _new, composition_of_word, shortlex_items,
+from .words import (EPSILON, Word, _check_word, _is_int, _new, composition_of_word, shortlex_items,
                     word_of_composition)
 
 
@@ -78,6 +78,11 @@ class NCPoly(LinearCombination):
     ``*`` is concatenation (or scalar multiplication when one side is a
     rational number); use shuffle() for the shuffle product.
     """
+
+    @classmethod
+    def _insert(cls, data: dict, key, coeff: Fraction) -> None:
+        _check_word(key)
+        super()._insert(data, key, coeff)
 
     @classmethod
     def one(cls) -> "NCPoly":

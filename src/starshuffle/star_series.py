@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .errors import DomainError
 from .linear import LinearCombination, _bilinear, _linear, _row_of
 from .shuffle_core import NCPoly, _shuffle_words
-from .words import EPSILON, Word, _is_int, shortlex_key
+from .words import EPSILON, Word, _check_word, _is_int, shortlex_key
 
 
 class StarTerm(NamedTuple):
@@ -72,6 +72,7 @@ class StarSeries(LinearCombination):
         # a StarTerm with int exponents is already what star_term makes
         if type(key) is not StarTerm or type(key[1]) is not int or type(key[2]) is not int:
             key = star_term(*key)
+        _check_word(key[0])
         old = data.get(key)
         data[key] = coeff if old is None else old + coeff
 
@@ -149,7 +150,7 @@ def shuffle_power(s: StarSeries, k: int) -> StarSeries:
 def delta_left(letter: int, s: StarSeries) -> StarSeries:
     """Left derivative by x_letter: strip a leading letter from the word
     part and add the eigenvalue contribution of each star factor."""
-    if letter not in (0, 1):
+    if not _is_int(letter) or letter not in (0, 1):
         raise ValueError("letter must be 0 or 1")
 
     num, den = _row_of(s)

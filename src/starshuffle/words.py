@@ -259,6 +259,12 @@ def _is_int(n) -> bool:
     return isinstance(n, int) and not isinstance(n, (bool, Word))
 
 
+def _check_word(w) -> None:
+    """Refuse a word part of a basis key that is not a Word."""
+    if not isinstance(w, Word):
+        raise TypeError(f"a word part must be a Word, got {w!r}")
+
+
 def word_of_composition(s: Iterable[int]) -> Word:
     """Encode a composition of positive integers as the word
     x0^(s1-1) x1 ... x0^(sr-1) x1.  The empty composition gives the

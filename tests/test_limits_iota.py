@@ -294,8 +294,10 @@ def test_iota0_refuses_a_piece_with_no_limit_before_a_float_constant():
 
 
 def test_iota_rejects_bad_index():
-    with pytest.raises(ValueError):
-        iota(2, SymFun.one())
+    f = SymFun.from_li(Word("01"))
+    for bad in (2, True, False, 1.0, 0.0):
+        with pytest.raises(ValueError, match="operator index must be 0 or 1"):
+            iota(bad, f)
 
 
 def test_antiderivative_tables_are_sections_of_theta_on_a_grid():

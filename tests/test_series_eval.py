@@ -356,6 +356,19 @@ def test_li_x1_reaches_eps_near_the_circle():
         assert abs(got + cmath.log(1 - z)) <= 1e-12, z
 
 
+def test_deep_x1_powers_match_their_closed_form():
+    # Li_{x1^m}(z) = (-log(1 - z))^m / m!.  The first terms of a deep word
+    # are tiny and then grow, so the direct series must not stop before
+    # their peak; the stop rule is a heuristic past depth 1, so allow 4 eps
+    eps = 1e-12
+    for z in (0.5, 0.9, 0.95):
+        params = EvalParams(z, eps=eps)
+        for m in range(1, 21):
+            want = (-math.log1p(-z)) ** m / math.factorial(m)
+            got = eval_li_word(Word("1" * m), params)
+            assert abs(got - want) <= 4 * eps, (z, m, got, want)
+
+
 def test_max_terms_must_be_a_positive_int():
     for bad in (2.5, 0, -5, True, False, "10", None):
         with pytest.raises(DomainError, match="max_terms"):

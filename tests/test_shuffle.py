@@ -215,6 +215,16 @@ def test_ypoly_rejects_nonpositive_indices():
         YPoly.from_yword((2, -1))
 
 
+def test_ncpoly_word_parts_must_be_words():
+    # an int word part would be read as a sentinel key: shuffle(p, p) of
+    # NCPoly({5: 1}) gave 2 * 1010 + 4 * 1100, the square of Word("01")
+    for bad in (5, "01", (0, 1)):
+        with pytest.raises(TypeError, match="word part must be a Word"):
+            NCPoly({bad: 1})
+        with pytest.raises(TypeError, match="word part must be a Word"):
+            NCPoly.from_word(bad)
+
+
 def test_residual_letter_rules():
     # x left-divides w y: nonzero only when x == y, stripping from the right
     for x in "01":

@@ -159,6 +159,21 @@ def test_is_laurent():
     assert embed(NCPoly.from_word(Word("01"))).is_laurent()
 
 
+def test_delta_left_refuses_a_bool_or_float_letter():
+    s = plane_star(1, 2)
+    for bad in (True, False, 1.0, 0.0):
+        with pytest.raises(ValueError, match="letter must be 0 or 1"):
+            delta_left(bad, s)
+
+
+def test_star_series_word_parts_must_be_words():
+    # an int word part would be read as a sentinel key, 5 as Word("01")
+    for bad in (5, "01"):
+        for key in ((bad, 0, 0), (bad, Fraction(1, 2), 1), star_term(bad)):
+            with pytest.raises(TypeError, match="word part must be a Word"):
+                StarSeries({key: 1})
+
+
 def test_expand_validates_and_truncates():
     s = plane_star(1, 1)
     assert set(len(w) for w in expand(s, 2).terms) == {0, 1, 2}

@@ -111,8 +111,27 @@ def test_theta_examples():
     assert theta(0, SymFun.from_li(Word("0"))) == SymFun.one()
     assert theta(1, SymFun.from_li(Word("1"))) == SymFun.one()
     assert theta(0, SymFun.one()) == SymFun.zero()
-    with pytest.raises(ValueError):
-        theta(2, SymFun.one())
+    for bad in (2, True, False, 1.0, 0.0):
+        with pytest.raises(ValueError, match="operator index must be 0 or 1"):
+            theta(bad, SymFun.from_li(Word("01")))
+
+
+def test_from_piece_refuses_a_log_power_that_is_not_an_int_at_least_0():
+    assert from_piece(0, 0, Word("1"), 2) == SymFun.from_li(Word("1")) * SymFun.from_li(Word("00"))
+    for u, bad in ((EPSILON, -1), (Word("1"), -2), (Word("1"), True), (Word("1"), 1.5)):
+        with pytest.raises(ValueError, match="log power"):
+            from_piece(0, 0, u, bad)
+
+
+def test_symfun_word_parts_must_be_words():
+    # an int word part would be read as a sentinel key, 5 as Word("01")
+    for bad in (5, "01", (0, 1)):
+        with pytest.raises(TypeError, match="word part must be a Word"):
+            SymFun({(0, 0, bad): 1})
+        with pytest.raises(TypeError, match="word part must be a Word"):
+            SymFun.monomial(0, 0, bad)
+        with pytest.raises(TypeError, match="word part must be a Word"):
+            SymFun.monomial(-1, 2, bad)
 
 
 def all_words(max_len):
