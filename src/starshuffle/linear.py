@@ -203,9 +203,7 @@ class LinearCombination:
         return self.scale(-1)
 
     def scale(self, scalar) -> "LinearCombination":
-        if isinstance(scalar, Word):
-            raise TypeError(f"a Word is not a scalar: {scalar!r}")
-        scalar = Fraction(scalar)
+        scalar = _as_fraction(scalar)
         num, den = _row_of(self) if scalar else ({}, 1)
         n = scalar.numerator
         return self._from_row(_lowest({k: n * c for k, c in num.items()}, den * scalar.denominator))

@@ -17,12 +17,16 @@ sums over the prefixes s[:k], so it asks the rule for those r cells of
 the C(r + 1, 2) alone; the blocks keep every cell.  Below N = 2 _LEAF
 there is no block to share, and the sum is one loop.
 
-Every block built goes to one table, _blocks, which holds the entry
-(t, a, j), the numerator over lcm(block)^|t|, under the block (a, j)
-with its lcm.  So calls that share blocks read them instead of building
-them: other N with the same high digits (a run of N, as in the
-coefficients H_tail(p - 1) of _li_coeffs), other compositions with the
-same sub-compositions.  The table is bounded by the bits of its ints,
+Every left half, a block (a, j) with a even, goes to one table, _blocks,
+which holds the entry (t, a, j), the numerator over lcm(block)^|t|,
+under the block with its lcm.  So calls that share blocks read them
+instead of building them: other N with the same high digits (a run of
+N, as in the coefficients H_tail(p - 1) of _li_coeffs), other
+compositions with the same sub-compositions.  A right half (a odd) is
+built, merged into its parent and dropped: the blocks of the binary
+digits of N all have a even, as the digits below each are cleared, so
+no sum folds a right half, and only its parent, built in the same call,
+reads it.  The table is bounded by the bits of its ints,
 _TABLE_BITS = 2^23, the least recently used blocks out first, and never
 holds an int longer than a 2^-_ENTRY_SHIFT part of that; cache_info()
 and cache_clear() read and empty it as they do an lru_cache's.
@@ -110,7 +114,7 @@ class EvalParams:
             raise DomainError("evaluation needs |z| < 1")
         if z.imag == 0 and z.real < 0:
             raise DomainError("evaluation point must avoid the negative real axis")
-        if not 0 < eps < math.inf:
+        if isinstance(eps, bool) or not 0 < eps < math.inf:
             raise DomainError("eps must be positive and finite")
         if not _is_int(max_terms) or max_terms < 1:
             raise DomainError(f"max_terms must be an integer >= 1, got {max_terms!r}")
@@ -179,9 +183,9 @@ _BlockInfo = namedtuple("_BlockInfo", "hits misses maxsize currsize entries")
 
 
 class _BlockTable:
-    """The entries of the aligned blocks that harmonic_sum has built, the
-    least recently used blocks out first once they hold more than budget
-    bits.
+    """The entries of the left halves, the aligned blocks (a, j) with a
+    even, that harmonic_sum has built, the least recently used blocks out
+    first once they hold more than budget bits.
 
     The entry (t, a, j), the numerator of block (a, j)'s nested sum over
     the composition t, an int over lcm(block)^|t|, is held under the
@@ -196,8 +200,8 @@ class _BlockTable:
     The budget counts the ints' payload, their bits, and not the objects
     around them: int headers, the dicts and the OrderedDict.  A table of
     small entries takes several times its reading; every composition of
-    weight <= 12 at N = 40 holds 595 KiB of bits in 12,288 ints, and
-    tracemalloc traces 2,061 KiB (3.5 times).
+    weight <= 12 at N = 40 holds 355 KiB of bits in 8,192 ints, and
+    cache_clear() then frees 908 KiB traced by tracemalloc (2.6 times).
     """
 
     def __init__(self, budget: int):
@@ -338,17 +342,22 @@ def _merge(hi: tuple, lo: tuple, rule: tuple, cells: int | None = None) -> tuple
 
 
 def _block(s: tuple, subs: list, rule: tuple, a: int, j: int) -> tuple:
-    """(L, values) of block (a, j), every cell: read from the table where
-    it holds them, else built and stored, a leaf by its loop and a longer
-    block by merging its halves."""
-    found = _blocks.read(a, j, subs)
+    """(L, values) of block (a, j), every cell, a leaf by its loop and a
+    longer block by merging its halves.  A left half (a even) is read
+    from the table where it holds it, else built and stored; a right half
+    (a odd) is only built.  _aligned yields only even a, so the left
+    halves are the blocks a sum can fold, and a right half is read only
+    by its parent, built in the same call."""
+    held = not a & 1
+    found = _blocks.read(a, j, subs) if held else None
     if found is None:
         if j == _LEAF_BITS:
             found = _leaf(s, (a << j) + 1, (a + 1) << j)
         else:
             lo = _block(s, subs, rule, 2 * a, j - 1)
             found = _merge(_block(s, subs, rule, 2 * a + 1, j - 1), lo, rule)
-        _blocks.store(a, j, found[0], subs, found[1])
+        if held:
+            _blocks.store(a, j, found[0], subs, found[1])
     return found
 
 

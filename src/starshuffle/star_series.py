@@ -46,8 +46,8 @@ _term = tuple.__new__
 def _exponent(a) -> int | Fraction:
     """An exact exponent: an int when integral, else a Fraction."""
     if type(a) is not int:
-        if isinstance(a, Word):
-            raise TypeError(f"a Word is not an exponent: {a!r}")
+        if isinstance(a, (Word, bool)):
+            raise TypeError(f"a {type(a).__name__} is not an exponent: {a!r}")
         a = Fraction(a)
         if a.denominator == 1:
             a = a.numerator

@@ -185,3 +185,42 @@ def test_threads_sharing_the_table_get_the_right_sums_and_keep_its_count(monkeyp
     assert info.currsize == sum(bits for _, _, bits in blocks) <= 1 << 16
     assert info.entries == sum(1 + len(entries) for _, entries, _ in blocks)
     assert info.hits + info.misses > 4 * len(cases)
+
+
+def test_the_table_reads_and_holds_left_halves_only(monkeypatch):
+    # _aligned yields only even a, so a right half (a odd) is never folded;
+    # it is built, merged into its parent and dropped, never read or held
+    table = series._blocks
+    table.cache_clear()
+    touched = []
+
+    def recorded(call):
+        def record(a, j, *rest):
+            touched.append((call.__name__, a, j))
+            return call(a, j, *rest)
+        return record
+
+    for name in ("read", "store"):
+        monkeypatch.setattr(table, name, recorded(getattr(table, name)))
+    for s, n, want in CASES:
+        assert harmonic_sum(s, n) == want, (s, n)
+    assert {name for name, _, _ in touched} == {"read", "store"}
+    odd = [call for call in touched if call[1] & 1]
+    assert not odd, (len(odd), odd[:3])
+
+
+def test_a_smaller_bound_finds_every_block_it_folds():
+    # the left halves inside H_s(2000)'s build are the blocks that the
+    # sums at 1000, 1003 and 500 fold, so those read every block and build
+    # none
+    s = (3, 1, 2)
+    series._blocks.cache_clear()
+    assert harmonic_sum(s, 2000) == harmonic_sum_ref(s, 2000)
+    for n in (1000, 1003, 500):
+        before = series._blocks.cache_info()
+        assert harmonic_sum(s, n) == harmonic_sum_ref(s, n)
+        after = series._blocks.cache_info()
+        folded = series._aligned(n >> series._LEAF_BITS)
+        assert all(a % 2 == 0 for a, _ in folded)
+        assert after.hits - before.hits == len(folded), n
+        assert after.misses == before.misses, n

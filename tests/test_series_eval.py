@@ -126,6 +126,14 @@ def test_eval_params_reject_non_finite_values():
             EvalParams(0.5, eps=eps)
 
 
+def test_eval_params_refuse_a_bool_eps():
+    # eps=True read as 1 and summed Li_1(1/2) to 0.625, not log 2
+    for eps in (True, False):
+        with pytest.raises(DomainError, match="eps must be positive and finite"):
+            EvalParams(0.5, eps=eps)
+    assert EvalParams(0.5, eps=1).eps == 1
+
+
 def test_eval_li_known_values():
     p = EvalParams(0.5)
     assert abs(eval_li_word(Word("1"), p) - math.log(2)) < 1e-11

@@ -225,6 +225,12 @@ def test_ncpoly_word_parts_must_be_words():
             NCPoly.from_word(bad)
 
 
+def test_scale_refuses_a_word_as_every_coefficient_is_refused():
+    # one rule and one message, _as_fraction's, for a Word met as a number
+    with pytest.raises(TypeError, match="^a Word is not a coefficient: "):
+        NCPoly.one().scale(Word("0"))
+
+
 def test_residual_letter_rules():
     # x left-divides w y: nonzero only when x == y, stripping from the right
     for x in "01":

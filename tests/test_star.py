@@ -174,6 +174,17 @@ def test_star_series_word_parts_must_be_words():
                 StarSeries({key: 1})
 
 
+def test_star_exponents_refuse_a_bool():
+    # a bool is an int to Python, but not an exponent, as SymFun.monomial
+    # already holds through words._is_int
+    for a0, a1 in ((True, False), (False, 0), (2, True)):
+        with pytest.raises(TypeError, match="bool is not an exponent"):
+            plane_star(a0, a1)
+        with pytest.raises(TypeError, match="bool is not an exponent"):
+            star_term(Word("0"), a0, a1)
+    assert type(star_term(Word("0"), 1, Fraction(2)).a1) is int
+
+
 def test_expand_validates_and_truncates():
     s = plane_star(1, 1)
     assert set(len(w) for w in expand(s, 2).terms) == {0, 1, 2}
