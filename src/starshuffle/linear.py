@@ -14,24 +14,36 @@ A combination holds exactly one of two forms at a time:
                primitive part of a rational polynomial (Knuth, TAOCP
                vol. 2, 4.6.1).  _from_row wraps one.
 
+A class whose map keys are an int subclass names it as _key_type
+(NCPoly: Word), and its rows key each word by its plain int sentinel key
+instead: _row_of reads a map's keys through int, and .terms makes each
+row key int.__new__(_key_type, key), in C, in the same pass that makes
+the Fractions.  So between two operations an NCPoly holds neither Words
+nor Fractions, and the numerator dict of its row, holding ints only, is
+not tracked by the cyclic collector, where a Word and every dict that
+holds one are.
+Every other class has _key_type None, and its keys pass as they are.
+
 Every operation returns the row form: the products and linear maps
 (_bilinear, _linear), sums (_combine), +, -, neg and scale.  Every
 operation reads its operands' rows (_row_of): a map-form operand is
 scaled to its least common denominator once (_common_scale), or, with
 one term, read off its Fraction's numerator and denominator.  The first
 read of .terms on a row-form object builds the map from the row
-(_fractions: one Fraction per distinct value, keys in the row's order)
-and drops the row, so from then on the map is the object's only form
-and a caller that mutates .terms is obeyed.  Fractions are therefore
+(_fractions: one Fraction per distinct value, keys in the row's order,
+made of _key_type) and drops the row, so from then on the map is the
+object's only form and a caller that mutates .terms is obeyed.  Fractions are therefore
 built only by the constructor and when .terms is read (by coeff, items,
-printing and the numeric evaluator), never between two operations.
+printing and the numeric evaluator), never between two operations, and
+so are the Words of an NCPoly.
 
 Rows are normalised eagerly (_lowest): when den > 1, one
 gcd(den, *nums) divides them out, so the row of a value is unique.  A
 map's _common_scale row is normalised already, as the Fractions are in
 lowest terms.  Equality and hashing are then plain comparisons of rows
-of either form, and denominators cannot grow along chains of products.
-Normalising only in == and hash instead would save the gcd on rows that
+of either form (an NCPoly's are int-keyed in both, so no Word is ever
+compared with an int), and denominators cannot grow along chains of
+products.  Normalising only in == and hash instead would save the gcd on rows that
 are never compared, but it is cheap: under cProfile, 3,000 operations
 of the shuffle benchmark workload (seed 2101, Python 3.11) spend 0.001 s
 of 1.5 s in 5,000 gcd calls, and of the ideal workload 0.004 s of 0.57 s
@@ -69,10 +81,12 @@ to_pieces as a row, sums the reduced rows of a SymFun's words under
 _combine's rule.
 
 _bilinear and _linear sum the products with the rule's multiplicities
-as ints over the product of the operands' denominators.  Output keys
-keep the order in which the loop first meets them; a key whose sum is
-zero is dropped only at the end, as LinearCombination's constructor
-drops it.  Both can apply a second linear map, then, to their sums
+as ints over the product of the operands' denominators, and the rules
+take and give row keys: the word rules of shuffle_core (shuffle,
+concatenation, the residuals and pi_x) work on sentinel ints, which
+pass through as they are.  Output keys keep the order in which the loop
+first meets them; a key whose sum is zero is dropped only at the end,
+as LinearCombination's constructor drops it.  Both can apply a second linear map, then, to their sums
 first: a function of the sums' (key, int) items that returns the summed
 dict, so it runs one loop over all of them.  The reducer is such a map:
 the SymFun product passes it to reduce its raw keys, and theta_i a map
@@ -94,6 +108,7 @@ _signed_sum is the one renderer of a signed sum of terms.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Tuple
@@ -106,6 +121,7 @@ class LinearCombination:
     map or row form (see the module docstring)."""
 
     __slots__ = ("_terms", "_row")
+    _key_type = None  # the int subclass of map keys whose rows hold plain ints
 
     def __init__(self, terms=None):
         data: dict = {}
@@ -122,7 +138,7 @@ class LinearCombination:
         """The {key: Fraction} map, built from the row on first read; it is
         the object's only form from then on."""
         if self._row is not None:
-            self._terms, self._row = _fractions(*self._row), None
+            self._terms, self._row = _fractions(*self._row, self._key_type), None
         return self._terms
 
     @terms.setter
@@ -238,14 +254,17 @@ def _row_of(x: LinearCombination) -> tuple:
     object hands out its own row, which the caller must not write to.  A
     one-term map-form object {k: c} reads as ({k: c.numerator},
     c.denominator), which is its _common_scale row, as c is in lowest
-    terms; a longer map goes through _common_scale."""
-    if x._row is None:
-        if len(x._terms) == 1:
-            ((k, c),) = x._terms.items()
-            return {k: c.numerator}, c.denominator
-        nums, den = _common_scale(x._terms.values())
-        return dict(zip(x._terms, nums)), den
-    return x._row
+    terms; a longer map goes through _common_scale.  A map's keys are
+    read through int when the class has a _key_type."""
+    if x._row is not None:
+        return x._row
+    terms = x._terms
+    keys = terms if x._key_type is None else map(int, terms)
+    if len(terms) == 1:
+        (k,), (c,) = keys, terms.values()
+        return {k: c.numerator}, c.denominator
+    nums, den = _common_scale(terms.values())
+    return dict(zip(keys, nums)), den
 
 
 def _common_scale(coeffs) -> tuple:
@@ -257,12 +276,14 @@ def _common_scale(coeffs) -> tuple:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _fractions(num: dict, den: int) -> dict:
-    """{key: Fraction(value, den)} for the nonzero int values.  Terms of
+def _fractions(num: dict, den: int, key_type=None) -> dict:
+    """{key: Fraction(value, den)} for the nonzero int values, each key
+    made int.__new__(key_type, key) when key_type is given.  Terms of
     equal value share one Fraction, which is immutable."""
+    keys = num if key_type is None else map(_new, repeat(key_type), num)
     out = {}
     made: dict = {}
-    for k, c in num.items():
+    for k, c in zip(keys, num.values()):
         if c:
             f = made.get(c)
             if f is None:
@@ -304,17 +325,14 @@ def _linear(row: tuple, rule, then=None) -> tuple:
     return _lowest({k: c for k, c in acc.items() if c}, den)
 
 
-def _bilinear(p: tuple, q: tuple, pair, then=None, wrap=None) -> tuple:
+def _bilinear(p: tuple, q: tuple, pair, then=None) -> tuple:
     """The bilinear extension of pair(u, v) -> {key: int} to the rows p
     and q, as a row.  With a map then(items) -> {key: int}, a linear map
     on the (key, int) items of the sums, it is applied to the sums first,
     in the order the pair loop met their keys; an item whose sum is zero
     should place no key there, as if the product had been built first.
-    wrap, if given, is the key type, an int subclass: each output key k
-    is made int.__new__(wrap, k), in C, as shuffle makes its Words from
-    sentinel ints.  Two one-term operands skip the accumulation (see the
-    module docstring); what pair returns is never written to or handed
-    out."""
+    Two one-term operands skip the accumulation (see the module
+    docstring); what pair returns is never written to or handed out."""
     (p_num, p_den), (q_num, q_den) = p, q
     if len(p_num) == 1 and len(q_num) == 1:
         ((u, cu),) = p_num.items()
@@ -332,9 +350,7 @@ def _bilinear(p: tuple, q: tuple, pair, then=None, wrap=None) -> tuple:
                     acc[w] = acc.get(w, 0) + c * m
     if then is not None:
         acc = then(acc.items())
-    if wrap is None:
-        return _lowest({w: c for w, c in acc.items() if c}, p_den * q_den)
-    return _lowest({_new(wrap, w): c for w, c in acc.items() if c}, p_den * q_den)
+    return _lowest({w: c for w, c in acc.items() if c}, p_den * q_den)
 
 
 def _combine(parts, den: int = 1) -> tuple:

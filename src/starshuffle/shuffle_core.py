@@ -1,20 +1,24 @@
 """Exact arithmetic in the free algebra over {x0, x1} and its stuffle cousin.
 
 NCPoly is a noncommutative polynomial: a finite Word -> Fraction map with
-concatenation as ``*``.  The shuffle product, unshuffle coproduct, left and
-right residuals, the exchangeability test and the X/Y projections live here
-as module functions.  YPoly is the analogue over the indexed alphabet
+concatenation as ``*``, whose rows key each word by its sentinel int.
+The shuffle product, unshuffle coproduct, left and right residuals, the
+exchangeability test and the X/Y projections live here as module
+functions.  YPoly is the analogue over the indexed alphabet
 {y_k : k >= 1}, whose words are tuples of positive integers, with the
 quasi-shuffle (stuffle) product.
 
 A Word is its sentinel key, the int ``bits | 1 << n`` (bit i is letter
 i, and the top bit keeps x0-padded words apart), so the kernels take
-Words as ints and return plain-int keys, which one int.__new__(Word, key)
-call per key turns back into Words without decoding.  _shuffle_row,
-the package's one shuffle kernel, reads the lengths from bit_length and
-is a dynamic programme over prefix lengths: cell (i, j) of its table
-holds u[:i] sh v[:j], filled from (i - 1, j) by appending u[i-1] and
-from (i, j - 1) by appending v[j-1], in that order.  Appending a letter
+Words as ints and return plain-int keys.  An NCPoly's rows hold those
+keys as they are, so a product hands them on between operations, and
+its .terms makes them Words (linear's _key_type) on first read, with no
+decoding; only the cached _shuffle_words, read by the star and SymFun
+rules whose keys are Words, makes one int.__new__(Word, key) call per
+key.  _shuffle_row, the package's one shuffle kernel, reads the lengths
+from bit_length and is a dynamic programme over prefix lengths: cell
+(i, j) of its table holds u[:i] sh v[:j], filled from (i - 1, j) by
+appending u[i-1] and from (i, j - 1) by appending v[j-1], in that order.  Appending a letter
 at position i + j - 1 ors in one bit, and appending x0 copies the key
 unchanged.  Every seed of the table already carries the sentinel bit
 1 << (a + b) of the result's length, so its keys come out as sentinel
@@ -43,10 +47,13 @@ per-term loop did for keys it had not met, so values and dict order are
 the loop's.
 
 shuffle, stuffle and conc (and the YPoly product) are pair rules,
-_shuffle_bits, _stuffle_tuples and _conc, handed to linear._bilinear, the
-package's one loop over pairs of terms, which keeps multiplicities and
-numerators as ints; so are the left and right residuals.  pi_y and pi_x
-are rules on single words handed to linear._linear.
+_shuffle_bits, _stuffle_tuples, _conc_bits and _conc_tuples, handed to
+linear._bilinear, the package's one loop over pairs of terms, which
+keeps multiplicities and numerators as ints; so are the left and right
+residuals.  pi_y and pi_x are rules on single words handed to
+linear._linear.  The word rules take and give sentinel ints:
+concatenation and the prefix and suffix tests of the residuals are
+shifts and masks.
 
 Both products sum their DP tables directly: shuffle sums _shuffle_bits,
 the last cell of _shuffle_row, and stuffle sums _stuffle_tuples, and
@@ -77,7 +84,14 @@ class NCPoly(LinearCombination):
 
     ``*`` is concatenation (or scalar multiplication when one side is a
     rational number); use shuffle() for the shuffle product.
+
+    Keys are Words in the map form (.terms, the constructor, _trusted)
+    and the plain sentinel ints of those Words in a row, as coefficients
+    are ints in a row and Fractions in the map: between operations an
+    NCPoly holds neither, and the first read of .terms makes both.
     """
+
+    _key_type = Word
 
     @classmethod
     def _insert(cls, data: dict, key, coeff: Fraction) -> None:
@@ -107,14 +121,16 @@ class NCPoly(LinearCombination):
         return format_poly(self)
 
 
-def _conc(u, v) -> dict:
-    """The concatenation rule on words and on y-words."""
-    return {u + v: 1}
+def _conc_bits(u: int, v: int) -> dict:
+    """The concatenation rule on sentinel keys: v's bits, sentinel
+    included, move up past u's letters."""
+    n = u.bit_length() - 1
+    return {u ^ 1 << n | v << n: 1}
 
 
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     """Concatenation product."""
-    return NCPoly._from_row(_bilinear(_row_of(p), _row_of(q), _conc))
+    return NCPoly._from_row(_bilinear(_row_of(p), _row_of(q), _conc_bits))
 
 
 def _shuffle_row(ub: int, vb: int) -> list:
@@ -175,7 +191,7 @@ def _shuffle_words(u: Word, v: Word) -> dict:
 
 def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
     """Shuffle product, extended bilinearly."""
-    return NCPoly._from_row(_bilinear(_row_of(p), _row_of(q), _shuffle_bits, wrap=Word))
+    return NCPoly._from_row(_bilinear(_row_of(p), _row_of(q), _shuffle_bits))
 
 
 def unshuffle(w: Word) -> dict:
@@ -184,7 +200,9 @@ def unshuffle(w: Word) -> dict:
     Each letter is primitive, so the coproduct of a word is the product of
     x (x) 1 + 1 (x) x over its letters.  Dual to shuffle:
     sum of m * <p|w1><q|w2> over the coproduct equals <shuffle(p, q)|w>.
+    Anything but a Word is refused with TypeError.
     """
+    _check_word(w)
     # Keys are pairs of sentinel ints; appending letter a to a word of
     # length n adds (a + 1) << n, which moves the sentinel up one place.
     out = {(1, 1): 1}
@@ -204,14 +222,18 @@ def unshuffle(w: Word) -> dict:
     return {(words[u], words[v]): counts[c] for (u, v), c in out.items()}
 
 
-def _left_pair(v: Word, u: Word) -> dict:
-    """The left residual rule: v = w u gives w, other pairs nothing."""
-    return {v[: len(v) - len(u)]: 1} if v.endswith(u) else {}
+def _left_pair(v: int, u: int) -> dict:
+    """The left residual rule on sentinel keys: v = w u gives w (v's low
+    n bits under a new sentinel, n = |v| - |u|), other pairs nothing."""
+    n = v.bit_length() - u.bit_length()
+    return {v & (1 << n) - 1 | 1 << n: 1} if n >= 0 and v >> n == u else {}
 
 
-def _right_pair(v: Word, u: Word) -> dict:
-    """The right residual rule: v = u w gives w, other pairs nothing."""
-    return {v[len(u) :]: 1} if v.startswith(u) else {}
+def _right_pair(v: int, u: int) -> dict:
+    """The right residual rule on sentinel keys: v = u w gives w (v shifted
+    down past u's p letters), other pairs nothing."""
+    p = u.bit_length() - 1
+    return {v >> p: 1} if p < v.bit_length() and not (v ^ u) & (1 << p) - 1 else {}
 
 
 def left_residual(p: NCPoly, s: NCPoly) -> NCPoly:
@@ -240,6 +262,11 @@ def is_exchangeable(p: NCPoly) -> bool:
     return True
 
 
+def _conc_tuples(u: tuple, v: tuple) -> dict:
+    """The concatenation rule on y-words."""
+    return {u + v: 1}
+
+
 class YPoly(LinearCombination):
     """Polynomial over the alphabet {y_k : k >= 1}; words are tuples of
     positive integers.  ``*`` is concatenation; use stuffle() for the
@@ -263,7 +290,7 @@ class YPoly(LinearCombination):
 
     def __mul__(self, other):
         if isinstance(other, YPoly):
-            return YPoly._from_row(_bilinear(_row_of(self), _row_of(other), _conc))
+            return YPoly._from_row(_bilinear(_row_of(self), _row_of(other), _conc_tuples))
         if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
@@ -323,14 +350,15 @@ def stuffle(p: YPoly, q: YPoly) -> YPoly:
     return YPoly._from_row(_bilinear(_row_of(p), _row_of(q), _stuffle_tuples))
 
 
-def _pi_y_rule(w: Word) -> dict:
-    if len(w) and w[-1] != 1:
+def _pi_y_rule(w: int) -> dict:
+    n = w.bit_length() - 1
+    if n and not w >> n - 1 & 1:  # w ends in x0
         return {}
-    return {composition_of_word(w): 1}
+    return {composition_of_word(_new(Word, w)): 1}
 
 
 def _pi_x_rule(yw: tuple) -> dict:
-    return {word_of_composition(yw): 1}
+    return {int(word_of_composition(yw)): 1}
 
 
 def pi_y(p: NCPoly) -> YPoly:
@@ -369,9 +397,11 @@ def parse_poly(text: str) -> NCPoly:
             if ws and any(ch not in "01" for ch in ws):
                 raise ValueError(f"bad word {ws!r} in polynomial text")
             key = Word(ws)
-            c = Fraction(cs)
         else:
-            key = EPSILON
-            c = Fraction(piece)
+            cs, key = piece, EPSILON
+        try:
+            c = Fraction(cs)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator {cs!r} in polynomial text") from None
         out[key] = out.get(key, 0) + c
     return NCPoly(out)

@@ -3,6 +3,7 @@ operations, run in process on a few dozen generated operations, the
 audit of the cache tables the run used, and the collector's passes and
 time per kind."""
 
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -67,6 +68,51 @@ def test_collector_rows_sum_to_the_collectors_totals_for_the_run(monkeypatch):
     assert sum(table[kind][0] for kind in list(table)[:-1]) == table["total"][0]
     assert abs(sum(table[kind][1] for kind in list(table)[:-1]) - table["total"][1]) < 1e-3 * len(table)
     assert abs(table["total"][1] - 1e3 * seconds) < 1e-3
+
+
+def test_check_runs_each_answers_oracle_after_its_clock_stops(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    wl = op_shares.load_workload("shuffle")
+    ops = op_shares.build_ops(wl, 5, 60)
+    import harness
+
+    oracle, seen = wl.check, []
+
+    def check(op, res):
+        (clock,) = [cb for cb in gc.callbacks if isinstance(cb, op_shares.GcByKind)]
+        seen.append((op, clock.kind))
+        oracle(op, res)
+
+    monkeypatch.setattr(wl, "check", check)
+    plain, _ = op_shares.op_runs(wl, ops)
+    assert seen == []
+    times, rows = op_shares.op_runs(wl, ops, check=True)
+    assert [(kind, answered) for kind, _, answered in times] == \
+        [(kind, answered) for kind, _, answered in plain]
+    assert [op for op, _ in seen] == [op for op, (_, _, answered) in zip(ops, times)
+                                      if answered and op[1] is None]
+    assert len(seen) > len(ops) // 2 and all(kind is None for _, kind in seen)
+    assert set(rows) <= {op[0] for op in ops} | {None}
+
+    def disagree(op, res):  # an oracle that rejects every pair
+        if op[0] == "pair":
+            raise harness.Mismatch("planted")
+
+    monkeypatch.setattr(wl, "check", disagree)
+    times, _ = op_shares.op_runs(wl, ops, check=True)
+    assert [answered for _, _, answered in times] == \
+        [answered and kind != "pair" for kind, _, answered in plain]
+    assert "mismatch: ('pair'" in capsys.readouterr().err
+
+
+def test_main_prints_the_same_tables_with_and_without_check(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    heads = []
+    for flags in ([], ["--check"]):
+        op_shares.main(["--workload", "shuffle", "--seed", "5", "--ops", "40", *flags])
+        out = capsys.readouterr().out
+        heads.append([line.split()[0] for line in out.splitlines() if line])
+    assert heads[0] == heads[1] and heads[0][0] == "kind"
 
 
 def test_table_audit_of_a_few_dozen_shuffle_ops(monkeypatch):

@@ -18,7 +18,8 @@ from kernel_reference import (
 from starshuffle.linear import _bilinear
 from starshuffle.polylog.symfun import SymFun
 from starshuffle.rewrite import normal_form
-from starshuffle.shuffle_core import NCPoly, YPoly, _shuffle_words, _stuffle_words, conc, shuffle, stuffle
+from starshuffle.shuffle_core import (NCPoly, YPoly, _shuffle_words, _stuffle_words, conc, left_residual,
+                                     pi_x, right_residual, shuffle, stuffle)
 from starshuffle.star_series import StarSeries, shuffle_star, star_term
 from starshuffle.words import Word
 
@@ -127,8 +128,8 @@ def _one_term_pairs(seed, make):
 def test_one_term_products_match_their_loops():
     """Two one-term operands skip _bilinear's accumulation: the pair rule's
     dict is read as it is when the numerators multiply to 1, and scaled by
-    a copy otherwise.  Shuffle passes it through wrap, the SymFun product
-    through its reduction rule."""
+    a copy otherwise.  Shuffle hands its int keys through as they are,
+    the SymFun product passes them through its reduction rule."""
     unit = 0
     for p, q in _one_term_pairs(7, _ncpoly):
         (cp,), (cq,) = p.terms.values(), q.terms.values()
@@ -201,7 +202,7 @@ def test_equal_values_are_equal_and_hash_alike_in_either_form():
     u, v = Word("0"), Word("1")
     got = shuffle(NCPoly({u: Fraction(2, 3)}), NCPoly({v: Fraction(3, 4)}))
     want = NCPoly({Word("01"): Fraction(1, 2), Word("10"): Fraction(1, 2)})
-    assert got._row == ({Word("01"): 1, Word("10"): 1}, 2) and want._row is None
+    assert got._row == ({6: 1, 5: 1}, 2) and want._row is None
     assert got == want and hash(got) == hash(want)
     assert {want: 1}[got] == 1
     assert got.terms == want.terms
@@ -212,6 +213,45 @@ def test_equal_values_are_equal_and_hash_alike_in_either_form():
     for zero in (s - s, s.scale(0), s + (-s)):
         assert zero == StarSeries.zero() and hash(zero) == hash(StarSeries.zero())
         assert zero._row == ({}, 1)
+
+
+def test_ncpoly_rows_key_words_by_exactly_int_and_terms_by_exactly_word():
+    """Every operation on NCPolys, with one-term and longer operands in map
+    and in row form, gives a row keyed by plain ints, and its .terms is
+    keyed by Words."""
+    maps = [NCPoly({Word("01"): Fraction(2, 3)}), NCPoly({Word(""): 1}),
+            NCPoly({Word("0110"): Fraction(-1, 2), Word("01"): 3, Word(""): Fraction(5, 7)}),
+            NCPoly({Word("10"): 2, Word("0"): Fraction(1, 4)})]
+    polys = [form for p in maps for form in (p, p.scale(1))]
+    assert [p._row is None for p in polys] == [True, False] * len(maps)
+    results = []
+    for p in polys:
+        results.append(p.scale(Fraction(-3, 2)))
+        for q in polys:
+            pq = conc(p, q)
+            results += [shuffle(p, q), pq, p + q, p - q, left_residual(q, pq), right_residual(pq, p)]
+    for y in (YPoly({(2, 1): Fraction(1, 3)}), YPoly({(1,): 2, (3, 1): Fraction(-1, 5), (): 1})):
+        results += [pi_x(y), pi_x(y.scale(1))]
+    assert sum(len(r) > 0 for r in results) > len(results) // 2
+    for r in results:
+        assert r._row is not None and all(type(k) is int for k in r._row[0])
+        assert all(type(k) is Word for k in r.terms)
+
+
+def test_ncpoly_equality_and_hash_agree_across_forms_also_after_terms_is_mutated():
+    got = shuffle(NCPoly({Word("01"): Fraction(1, 3)}), NCPoly({Word("1"): 3}))
+    want = NCPoly(dict(got.scale(1).terms))
+    assert got._row is not None and want._row is None
+    assert got == want and hash(got) == hash(want) and {want: 1}[got] == 1
+    extra = NCPoly({Word("111"): Fraction(5, 7)})
+    got.terms[Word("111")] = Fraction(5, 7)
+    assert got._row is None and got != want
+    for other in (want + extra, NCPoly({**want.terms, Word("111"): Fraction(5, 7)})):
+        assert got == other and hash(got) == hash(other) and {other: 1}[got] == 1
+    del got.terms[Word("111")], got.terms[Word("011")]
+    assert got == want - NCPoly({Word("011"): want.coeff(Word("011"))})
+    one = NCPoly.from_word(Word("1"), Fraction(3, 4))
+    assert one == one.scale(1) and hash(one) == hash(one.scale(1))
 
 
 def test_a_mutated_terms_map_is_what_the_next_operation_reads():

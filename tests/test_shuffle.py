@@ -315,6 +315,18 @@ def test_poly_text_roundtrip():
         parse_poly("")
 
 
+@pytest.mark.parametrize("text", ["2/0*1", "1/0", "1*01 - 3/0*0"])
+def test_parse_poly_refuses_a_zero_denominator_as_malformed_text(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("bad", [(0, 2), (0, -1), "01", [0, 1], 5])
+def test_unshuffle_refuses_what_is_not_a_word(bad):
+    with pytest.raises(TypeError, match="must be a Word"):
+        unshuffle(bad)
+
+
 def test_degree_is_the_longest_word_and_minus_one_for_zero():
     assert NCPoly.zero().degree() == -1
     assert NCPoly.from_word(Word("")).degree() == 0

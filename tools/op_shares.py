@@ -1,12 +1,20 @@
 """Where a workload's operation time goes, per operation kind.
 
     python3 tools/op_shares.py --workload ideal --seed 1602 --ops 400
+    python3 tools/op_shares.py --workload shuffle --seed 2101 --ops 3000 --check
 
 Builds the workload's operations as perfbench/run.py does (the seeded
 generated list with the fixed operations spread through it), runs each
 one in this process through the workload's execute with tracing off,
-and times execute alone: no oracle check, no speed probe.  An operation
-that raises counts with its time, as a refusal does in a benchmark run.
+and times execute alone: no speed probe, and no oracle check unless
+--check is given.  With --check, each answer's oracle check runs after
+its clock stops, as in a benchmark run, so the checks' allocations and
+the collector passes they bring about are the ones a benchmark run
+sees; a check that disagrees prints the mismatch to stderr and takes
+the operation out of the answers, as perfbench leaves a wrong answer
+out of its latencies.  The tables are otherwise the same with or
+without the flag.  An operation that raises counts with its time, as a
+refusal does in a benchmark run.
 Prints one row per operation kind, the slowest first:
 
     kind  count  seconds  share
@@ -38,7 +46,8 @@ kind of the operation running when it starts:
 
 one row per kind, in the order the kinds first appear, a "between" row
 for passes that start outside every operation (in this tool's own loop),
-and a total row for the run.  The collector runs inside operations, so
+and a total row for the run; with --check, a pass that starts in a
+check counts as between.  The collector runs inside operations, so
 their times above include it.  A kind's row names the kind whose
 operation started a pass, not the kind whose garbage the pass swept: a
 pass of an older generation sweeps what earlier operations of any kind
@@ -103,9 +112,28 @@ class GcByKind:
             self._start = None
 
 
-def op_runs(wl, ops: list) -> tuple:
+def checked(wl, op, res) -> bool:
+    """True when the workload's oracle accepts the answer res of op;
+    False, with a mismatch on stderr, when it disagrees, and False when
+    a numeric answer missed its eps, which a benchmark run counts as a
+    failure."""
+    import harness
+
+    try:
+        wl.check(op, res)
+    except harness.Mismatch as exc:
+        print(f"mismatch: {op!r}: {exc}", file=sys.stderr)
+        return False
+    except harness.MissedEps:
+        return False
+    return True
+
+
+def op_runs(wl, ops: list, check: bool = False) -> tuple:
     """op_times' rows, and the collector's {kind: [passes, seconds]} over
-    the run, None keying the passes that start between operations."""
+    the run, None keying the passes that start between operations.  With
+    check, each answer of an operation that expects no refusal is
+    checked after its clock stops, outside every kind (see checked)."""
     import harness
 
     tracer = harness.NullTracer()
@@ -118,11 +146,13 @@ def op_runs(wl, ops: list) -> tuple:
             clock.kind = op[0]
             t0 = time.perf_counter()
             try:
-                wl.execute(op, tracer)
+                res = wl.execute(op, tracer)
             except Exception:  # a refusal: its time counts, its answer is not checked
                 answered = False
             seconds = time.perf_counter() - t0
             clock.kind = None
+            if check and answered and op[1] is None:
+                answered = checked(wl, op, res)
             out.append((op[0], seconds, answered))
     finally:
         gc.callbacks.remove(clock)
@@ -237,6 +267,9 @@ def main(argv=None) -> None:
     ap.add_argument("--workload", required=True, help="perfbench workload name, e.g. ideal")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--ops", type=int, default=400, help="number of generated operations")
+    ap.add_argument("--check", action="store_true",
+                    help="check each answer against the oracle after its clock stops, "
+                         "as a benchmark run does")
     args = ap.parse_args(argv)
     if args.ops < 1:
         ap.error("--ops must be at least 1")
@@ -245,7 +278,7 @@ def main(argv=None) -> None:
     tables = package_tables()
     for fn in tables.values():
         fn.cache_clear()
-    times, gc_rows = op_runs(wl, ops)
+    times, gc_rows = op_runs(wl, ops, args.check)
     print(format_shares(shares_of(times)))
     print()
     print(format_latency(times))
